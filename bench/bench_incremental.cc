@@ -230,7 +230,7 @@ void BM_CachedConeQuery(benchmark::State& state) {
     inserting = !inserting;
   }
   state.counters["cone_maintained"] = benchmark::Counter(
-      static_cast<double>(session->demand_cache().maintained()));
+      static_cast<double>(session->extent_cache().maintained()));
 }
 
 BENCHMARK(BM_ColdRecompute_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);

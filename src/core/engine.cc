@@ -37,17 +37,6 @@ std::string ViolationDetail(const Relation& violations) {
 /// many commits behind fall back to dropping their caches on re-pin.
 constexpr size_t kRecentDeltaWindow = 8;
 
-/// EvalOptions for incremental cache maintenance, mirroring the lowering
-/// path's mapping (LoweredEvalOptions in interp.cc): same thread count and
-/// seed so maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
-
 /// insert/delete control tuples are (:RName, v1, ..., vk).
 bool SplitControlTuple(const Tuple& t, std::string* name, Tuple* payload) {
   if (t.arity() == 0) return false;
@@ -111,10 +100,10 @@ void Engine::RollbackToHead() {
   // A copy-on-write re-copy: O(#relations) pointer copies, no tuple data.
   db_ = *head->db;
   // Discard writer-cache entries born of the aborted transaction. Maintain()
-  // re-keys every surviving entry to the transaction's post-version, so
-  // everything above the head version belongs to the abort; entries at the
+  // moves every surviving entry to the transaction's post-version, so
+  // everything not at the head version belongs to the abort; entries at the
   // head version describe the state we just rolled back to and stay.
-  writer_cache_.DropAbove(head->version());
+  writer_cache_.Retain(head->version());
 }
 
 // --- model installation ---
@@ -194,12 +183,12 @@ TxnResult Engine::Exec(const std::string& source) {
 }
 
 void Engine::Insert(const std::string& name, const std::vector<Tuple>& tuples) {
-  ApplyBulk(name, tuples, /*is_insert=*/true, nullptr);
+  ApplyBulk(name, tuples, /*is_insert=*/true, options_, nullptr);
 }
 
 void Engine::DeleteTuples(const std::string& name,
                           const std::vector<Tuple>& tuples) {
-  ApplyBulk(name, tuples, /*is_insert=*/false, nullptr);
+  ApplyBulk(name, tuples, /*is_insert=*/false, options_, nullptr);
 }
 
 // --- the commit pipeline ---
@@ -212,13 +201,10 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   std::vector<std::shared_ptr<Def>> combined = *rules_;
   for (auto& def : ParseToSharedDefs(source)) combined.push_back(std::move(def));
 
-  // Writer-side Interps never use the session's demand cache: an aborted
-  // transaction's working database versions can be re-issued by a later
-  // commit with different content, so only published snapshot versions may
-  // become cache keys (see core/demand_cache.h). The writer's own extent
-  // cache is safe because RollbackToHead() drops every above-head entry.
+  // Writer-side Interps cache into the writer's own extent cache, never the
+  // session's: working versions are stamps only the writer can keep
+  // meaningful (RollbackToHead() discards an aborted transaction's).
   InterpOptions writer_opts = opts;
-  writer_opts.demand_cache = nullptr;
   writer_opts.shared_defs = rules_->size();
   writer_opts.extent_cache = &writer_cache_;
   writer_opts.shared_analysis = rules_analysis_.get();
@@ -293,7 +279,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   // commit instead of recomputing them — the post-state constraint check
   // (and every later transaction) resumes semi-naive evaluation from the
   // delta (insert) or runs DRed (delete); see core/extent_cache.h.
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(writer_opts));
+  writer_cache_.Maintain(*delta, LoweredEvalOptions(writer_opts));
 
   // The effective net change, for Decker-style constraint specialization:
   // only constraints whose transitive read set intersects these relations
@@ -329,7 +315,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   if (result.txn_id != 0) last_txn_id_ = result.txn_id;
 
   // Publish the commit's delta alongside the snapshot so sessions can
-  // maintain their demand/extent caches on re-pin instead of dropping them.
+  // maintain their extent caches on re-pin instead of dropping them.
   if (delta->to_version != delta->from_version || !delta->empty()) {
     recent_deltas_.push_back(std::move(delta));
     while (recent_deltas_.size() > kRecentDeltaWindow) {
@@ -348,6 +334,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
 
 void Engine::ApplyBulk(const std::string& name,
                        const std::vector<Tuple>& tuples, bool is_insert,
+                       const InterpOptions& opts,
                        std::shared_ptr<const Snapshot>* published) {
   std::lock_guard<std::mutex> writer(writer_mu_);
   if (store_ != nullptr && !tuples.empty()) {
@@ -377,7 +364,7 @@ void Engine::ApplyBulk(const std::string& name,
     }
   }
   delta->to_version = db_.version();
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(options_));
+  writer_cache_.Maintain(*delta, LoweredEvalOptions(opts));
   if (delta->to_version != delta->from_version || !delta->empty()) {
     recent_deltas_.push_back(std::move(delta));
     while (recent_deltas_.size() > kRecentDeltaWindow) {
@@ -396,7 +383,6 @@ void Engine::ApplyBulk(const std::string& name,
 void Engine::CheckConstraints() {
   std::shared_ptr<const Snapshot> snap = SnapshotNow();
   InterpOptions opts = options_;
-  opts.demand_cache = nullptr;
   opts.extent_cache = nullptr;
   opts.shared_defs = 0;
   opts.shared_analysis = nullptr;

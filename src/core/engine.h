@@ -187,18 +187,19 @@ class Engine {
   };
   const IcStats& ic_stats() const { return ic_stats_; }
 
-  /// The writer-side extent cache: lowered-component fixpoints maintained
-  /// across the commit pipeline's pre-state and post-state evaluations.
+  /// The writer-side extent cache: lowered-component fixpoints (and, with
+  /// demand_transform, demanded cones) maintained across the commit
+  /// pipeline's pre-state and post-state evaluations.
   const ExtentCache& writer_extent_cache() const { return writer_cache_; }
 
  private:
   friend class Session;
 
   /// The commit pipeline (see header comment). `opts` is the calling
-  /// session's option set (its demand cache is NOT used — writer-side
-  /// Interps run uncached so aborted working versions never become keys).
-  /// On success `*published` is the newly-published (or, for a no-op
-  /// transaction, current) head.
+  /// session's option set; it configures both the transaction's Interps
+  /// and the writer cache's maintenance. Writer-side Interps cache views in
+  /// writer_cache_, never in the session's cache. On success `*published`
+  /// is the newly-published (or, for a no-op transaction, current) head.
   TxnResult ExecTxn(const std::string& source, const InterpOptions& opts,
                     LoweringStats* stats,
                     std::shared_ptr<const Snapshot>* published);
@@ -208,9 +209,11 @@ class Engine {
   void DefineTxn(const std::string& source, bool internal,
                  std::shared_ptr<const Snapshot>* published);
 
-  /// Bulk insert/delete: WAL-log first, then apply and publish.
+  /// Bulk insert/delete: WAL-log first, then apply, maintain writer_cache_
+  /// under the caller's `opts` (as ExecTxn does), and publish.
   void ApplyBulk(const std::string& name, const std::vector<Tuple>& tuples,
-                 bool is_insert, std::shared_ptr<const Snapshot>* published);
+                 bool is_insert, const InterpOptions& opts,
+                 std::shared_ptr<const Snapshot>* published);
 
   /// Runs integrity constraints known to `interp`, parallelizing per
   /// `opts.num_threads`. Throws ConstraintViolation for the first failing
@@ -266,11 +269,13 @@ class Engine {
   /// so rules and integrity constraints recover with the data.
   std::vector<std::string> model_sources_;
 
-  /// Writer-side extent cache, keyed by working-database versions. Abort
-  /// safety: Maintain() re-keys every surviving entry to the transaction's
-  /// post-version, so RollbackToHead()'s DropAbove(head version) discards
-  /// exactly the aborted transaction's entries while the pre-state's
-  /// survive (see core/extent_cache.h).
+  /// Writer-side extent cache (components and cones), stamped with
+  /// working-database versions, under the same contract as a session's
+  /// cache. Abort safety: Maintain() moves every surviving entry to the
+  /// transaction's post-version, so RollbackToHead()'s Retain(head version)
+  /// discards exactly the aborted transaction's entries — an aborted
+  /// working version is re-issued by the next commit with different
+  /// content (see core/extent_cache.h).
   ExtentCache writer_cache_;
   /// Bumped whenever db_ is replaced wholesale (AttachStorage recovery):
   /// deltas from different epochs must never be composed.

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "datalog/magic.h"
+
 namespace rel {
 
 namespace {
@@ -49,16 +51,16 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
                           : MaintainResult::kUnsupported;
 }
 
-std::string ExtentCache::KeyFor(const std::vector<std::string>& members) {
-  std::string key;
+ExtentCache::Key ExtentCache::KeyFor(const std::vector<std::string>& members) {
+  Key key;
   for (const std::string& m : members) {
-    key += m;
-    key += '\x1f';  // cannot occur in source-level names
+    key.first += m;
+    key.first += '\x1f';  // cannot occur in source-level names
   }
   return key;
 }
 
-const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
+const ExtentCache::Entry* ExtentCache::Lookup(const Key& key,
                                               uint64_t db_version) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second->db_version != db_version) {
@@ -69,67 +71,61 @@ const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
   return it->second.get();
 }
 
-ExtentCache::Entry& ExtentCache::Store(std::string key, Entry entry) {
+ExtentCache::Entry& ExtentCache::Store(Key key, Entry entry) {
   std::unique_ptr<Entry>& slot = entries_[std::move(key)];
   slot = std::make_unique<Entry>(std::move(entry));
   return *slot;
 }
 
-void ExtentCache::Maintain(const DatabaseDelta& delta,
-                           const datalog::EvalOptions& opts) {
+template <typename Pred>
+void ExtentCache::DropIf(Pred drop) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    Entry& entry = *it->second;
-    if (entry.db_version != delta.from_version) {
-      ++dropped_;
-      it = entries_.erase(it);
-      continue;
-    }
-    switch (MaintainExtents(&entry.ext, delta, opts, &maintain_stats_)) {
-      case MaintainResult::kUntouched:
-        ++restamped_;
-        entry.db_version = delta.to_version;
-        ++it;
-        break;
-      case MaintainResult::kMaintained:
-        ++maintained_;
-        entry.db_version = delta.to_version;
-        ++it;
-        break;
-      case MaintainResult::kUnsupported:
-        ++dropped_;
-        it = entries_.erase(it);
-        break;
-    }
-  }
-}
-
-void ExtentCache::DropAbove(uint64_t db_version) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second->db_version > db_version) {
+    if (drop(*it->second)) {
       ++dropped_;
       it = entries_.erase(it);
     } else {
       ++it;
     }
   }
+}
+
+void ExtentCache::Maintain(const DatabaseDelta& delta,
+                           const datalog::EvalOptions& opts) {
+  DropIf([&](Entry& entry) {
+    if (entry.db_version != delta.from_version) return true;
+    MaintainResult result = MaintainResult::kUnsupported;
+    try {
+      result = MaintainExtents(&entry.ext, delta, opts, &maintain_stats_);
+      if (result == MaintainResult::kMaintained && !entry.goal_pred.empty()) {
+        // A cone is a pure function of the maintained extents: re-filter.
+        auto goal = entry.ext.extents.find(entry.goal_pred);
+        entry.cone = goal == entry.ext.extents.end()
+                         ? Relation()
+                         : datalog::FilterByPattern(goal->second, entry.pattern);
+      }
+    } catch (...) {
+      // The extents, base facts and IndexCache may be half-mutated: drop
+      // the entry. The next query recomputes and raises the error itself.
+      return true;
+    }
+    if (result == MaintainResult::kUnsupported) return true;
+    ++(result == MaintainResult::kMaintained ? maintained_ : restamped_);
+    entry.db_version = delta.to_version;
+    return false;
+  });
+}
+
+void ExtentCache::Retain(uint64_t db_version) {
+  DropIf([&](const Entry& entry) { return entry.db_version != db_version; });
 }
 
 void ExtentCache::ClearAffected(const std::set<std::string>& names) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool affected = false;
-    for (const std::string& n : it->second->ext.closure) {
-      if (names.count(n)) {
-        affected = true;
-        break;
-      }
+  DropIf([&](const Entry& entry) {
+    for (const std::string& n : entry.ext.closure) {
+      if (names.count(n)) return true;
     }
-    if (affected) {
-      ++dropped_;
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    return false;
+  });
 }
 
 }  // namespace rel

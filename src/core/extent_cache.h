@@ -1,12 +1,10 @@
-// ExtentCache: derived state that survives updates (the incremental-
-// maintenance tentpole).
+// ExtentCache: the one cache of maintained views — derived state that
+// survives updates.
 //
-// PR 5's recursion lowering evaluates a qualifying Rel component on the
-// planned Datalog engine, but the fixpoint died with the transaction's
-// Interp: every transaction recomputed the closure from scratch even when
-// the database had not changed — or had changed by one tuple. This cache
-// hoists the lowered fixpoint out of the transaction and, where possible,
-// *maintains* it under base-relation deltas instead of recomputing:
+// The recursion lowering evaluates a qualifying Rel component on the planned
+// Datalog engine; this cache hoists the resulting fixpoint out of the
+// transaction's Interp and, where possible, *maintains* it under
+// base-relation deltas instead of recomputing:
 //
 //   * insert → resume semi-naive evaluation with the inserted tuples as the
 //     delta against the cached fixpoint (datalog::EvaluateDelta);
@@ -15,16 +13,40 @@
 //   * unsupported shapes (negation over an affected predicate, wholesale
 //     Put/Drop) → the entry is dropped and the next transaction recomputes.
 //
-// Ownership mirrors core/demand_cache.h: one cache per owner (the Engine's
-// writer side, or a Session), externally synchronized, never shared. An
-// entry is keyed by its component (sorted member list) and stamped with the
-// Database::version() it is valid for; owners maintain entries forward
-// along the commit pipeline's DatabaseDelta chain (engine writer: inside
-// ExecTxn/ApplyBulk; sessions: Snapshot::recent_deltas on Adopt) and must
-// Clear()/ClearAffected() on rule-set changes and DropAbove() on rollback
-// (maintenance mutates entries in place, so an aborted transaction's
-// working versions cannot be restored — only discarded; version counters
-// alias across rollback, exactly like the demand-cache hazard).
+// One entry kind serves two views (the Berkholz et al. reading: a demanded
+// cone is a maintained query with bound inputs):
+//
+//   * a whole lowered component, keyed by KeyFor(members) with no bound
+//     values — the all-free binding pattern;
+//   * a demanded cone (InterpOptions::demand_transform), keyed by
+//     "name/arity" plus its bound values. Its payload is the full fixpoint
+//     of the magic-transformed program (magic seed facts never change under
+//     base-relation deltas, so the database delta IS that program's EDB
+//     delta), and the cone is re-filtered from it after maintenance.
+//
+// The contract, identical for every owner (the Engine's writer side, or a
+// Session; one cache per owner, externally synchronized, never shared). An
+// entry is a pure function of (shared persistent rules, database version):
+// Interps only use it for names whose rule closure is transaction-local-free
+// (Interp::SharedRulesOnly), and each entry is stamped with the
+// Database::version() it is valid for. The owner keeps stamps meaningful:
+//
+//   * Maintain(delta) walking forward along the commit pipeline's
+//     DatabaseDelta chain (writer: inside ExecTxn/ApplyBulk; sessions:
+//     Snapshot::recent_deltas on Adopt);
+//   * ClearAffected(names) when rules are appended (a new def only kills
+//     the entries whose closure can read it);
+//   * Retain(v) on writer rollback — an aborted transaction's working
+//     versions are re-issued by later commits with different content, and
+//     maintenance mutates entries in place, so they can only be discarded;
+//   * Clear() when a session cannot walk the delta chain (its pin scrolled
+//     out of the window, or recovery started a new version timeline whose
+//     numbers alias the old one's).
+//
+// Maintenance is failure-atomic per entry: an entry whose maintenance throws
+// may be half-mutated (extents, base facts, IndexCache appends), so it is
+// dropped and the next query recomputes — and raises the error itself,
+// exactly as a fresh session would.
 //
 // The correctness bar: maintained extents are byte-identical to the
 // from-scratch fixpoint at the new version (pinned by tests/core/
@@ -37,12 +59,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/database.h"
 #include "data/relation.h"
+#include "data/value.h"
 #include "datalog/eval.h"
 #include "datalog/index.h"
 #include "datalog/program.h"
@@ -50,8 +75,7 @@
 namespace rel {
 
 /// A cached Datalog fixpoint plus everything needed to move it forward
-/// under a DatabaseDelta. Shared between the component cache below and the
-/// demand-cone payloads in core/demand_cache.h.
+/// under a DatabaseDelta.
 struct MaintainableExtents {
   /// The program whose fixpoint `extents` is (rules are what matter;
   /// program.facts() is the EDB at the version the entry was built at and
@@ -102,44 +126,52 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
                                const datalog::EvalOptions& opts,
                                datalog::EvalStats* stats);
 
-/// Per-owner cache of lowered-component fixpoints, keyed by component
-/// identity (sorted member list) and stamped with a database version.
-/// Externally synchronized; see the header comment for the ownership and
-/// invalidation contract.
+/// Per-owner cache of maintained views, keyed by (id, bound values) and
+/// stamped with a database version. Externally synchronized; see the header
+/// comment for the ownership and invalidation contract.
 class ExtentCache {
  public:
+  /// (id, bound positions and their values ascending by position). A whole
+  /// component is KeyFor(members) with no bound values; a demanded cone is
+  /// "name/arity" — so tc(0, Y) and tc(0, Y, Z) never share an entry.
+  using Key = std::pair<std::string, std::vector<std::pair<size_t, Value>>>;
+
   struct Entry {
     uint64_t db_version = 0;
     MaintainableExtents ext;
+    /// Demanded cones only: the transformed program's goal predicate, the
+    /// binding pattern, and FilterByPattern(ext.extents[goal_pred],
+    /// pattern) — re-filtered whenever maintenance moves the extents.
+    std::string goal_pred;
+    std::vector<std::optional<Value>> pattern;
+    Relation cone;
   };
 
   /// The key for the component whose sorted members are `members`.
-  static std::string KeyFor(const std::vector<std::string>& members);
+  static Key KeyFor(const std::vector<std::string>& members);
 
   /// The entry for `key` valid at exactly `db_version`, or nullptr. Counts
   /// a hit or a miss.
-  const Entry* Lookup(const std::string& key, uint64_t db_version);
+  const Entry* Lookup(const Key& key, uint64_t db_version);
 
   /// Stores (replacing any previous entry for `key`); the returned
   /// reference is stable until the entry is dropped.
-  Entry& Store(std::string key, Entry entry);
+  Entry& Store(Key key, Entry entry);
 
   /// Moves every entry at delta.from_version to delta.to_version —
   /// incrementally where the delta is relevant, by re-stamping where it is
   /// not — and drops entries that cannot follow (stale version, wholesale
-  /// delta, unmaintainable shape). `opts` configures the incremental
-  /// evaluation (threads, iteration cap, plan seed).
+  /// delta, unmaintainable shape, or a maintenance pass that threw). Never
+  /// throws for a single entry's failure. `opts` configures the incremental
+  /// evaluation (LoweredEvalOptions of the owner's InterpOptions).
   void Maintain(const DatabaseDelta& delta, const datalog::EvalOptions& opts);
 
-  /// Drops every entry stamped with a version greater than `db_version` —
-  /// the rollback hook: an aborted transaction's working versions alias
-  /// future commits and must not survive as keys.
-  void DropAbove(uint64_t db_version);
-
   /// Drops every entry whose closure intersects `names` (rule-set changes:
-  /// a new def for a name only invalidates the components that can read
-  /// it).
+  /// a new def for a name only invalidates the views that can read it).
   void ClearAffected(const std::set<std::string>& names);
+
+  /// Drops every entry not stamped `db_version` — the rollback hook.
+  void Retain(uint64_t db_version);
 
   void Clear() { entries_.clear(); }
 
@@ -154,9 +186,13 @@ class ExtentCache {
   const datalog::EvalStats& maintain_stats() const { return maintain_stats_; }
 
  private:
+  /// Drops every entry for which `drop` holds, counting each in dropped_.
+  template <typename Pred>
+  void DropIf(Pred drop);
+
   /// unique_ptr: entries hold an IndexCache whose indexes point into the
   /// entry's own extents — neither may move after Store.
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  std::map<Key, std::unique_ptr<Entry>> entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t maintained_ = 0;

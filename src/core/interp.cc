@@ -112,16 +112,12 @@ Interp::Interp(const Database* db, std::vector<std::shared_ptr<Def>> defs,
   }
 }
 
-bool Interp::DemandCacheable(const std::string& name) {
-  return options_.demand_cache != nullptr && SharedRulesOnly(name);
-}
-
 bool Interp::SharedRulesOnly(const std::string& name) {
   auto memo = shared_rules_only_.find(name);
   if (memo != shared_rules_only_.end()) return memo->second;
   // Reachability over the name-level dependency graph: `name` and every
   // def it can read must come from the shared rule prefix. Base relations
-  // (names with no rules) are covered by the version key itself.
+  // (names with no rules) are covered by the entry's version stamp.
   bool cacheable = true;
   std::set<std::string> seen{name};
   std::vector<std::string> work{name};
@@ -366,24 +362,17 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   return inst.value;
 }
 
-namespace {
-
-/// The Datalog options every lowered evaluation — the full-component splice
-/// (TryLowerComponent) and the demanded cone (EvalInstanceDemand) — runs
-/// under, so the two paths can never diverge. InterpOptions treats any cap
-/// as strict (0 still allows one iteration), while 0 means unbounded to the
-/// Datalog engine — clamp to at least 1 so a zero cap can never turn into
-/// an infinite lowered fixpoint.
 datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
   datalog::EvalOptions eval_options;
   eval_options.strategy = datalog::Strategy::kSemiNaive;
   eval_options.num_threads = options.num_threads;
+  // InterpOptions treats any cap as strict (0 still allows one iteration),
+  // while 0 means unbounded to the Datalog engine — clamp to at least 1 so
+  // a zero cap can never turn into an infinite lowered fixpoint.
   eval_options.max_iterations = std::max(options.max_iterations, 1);
   eval_options.plan_order_seed = options.plan_order_seed;
   return eval_options;
 }
-
-}  // namespace
 
 std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     const std::string& name) {
@@ -456,7 +445,7 @@ bool Interp::TryLowerComponent(const std::string& name) {
   // version — splice copies and skip the evaluator entirely.
   const bool cacheable =
       options_.extent_cache != nullptr && SharedRulesOnly(name);
-  std::string cache_key;
+  ExtentCache::Key cache_key;
   if (cacheable) {
     cache_key = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
     if (const ExtentCache::Entry* hit =
@@ -537,23 +526,23 @@ const Relation& Interp::EvalInstanceDemand(
   for (size_t i = 0; i < pattern.size(); ++i) {
     if (pattern[i]) bound.emplace_back(i, *pattern[i]);
   }
-  auto key = std::make_pair(name + "/" + std::to_string(pattern.size()),
-                            std::move(bound));
+  ExtentCache::Key key(name + "/" + std::to_string(pattern.size()),
+                       std::move(bound));
   auto memo = demand_memo_.find(key);
   if (memo != demand_memo_.end()) return memo->second;
 
-  // Session-shared cache: a cone already derived by an earlier transaction
-  // against this same database version (and the same shared rules — see
-  // DemandCacheable) is returned without touching the evaluator. The
-  // reference is stable for the cache's lifetime, which outlives this
-  // Interp.
-  const bool cacheable = DemandCacheable(name);
-  DemandCache::Key cache_key;
+  // Cross-transaction cache, under the same gate as TryLowerComponent: a
+  // cone already derived (or maintained forward) for this database version
+  // is returned without touching the evaluator. The reference points into
+  // the cache entry, which only the owner's next Maintain/Retain/Clear can
+  // drop — after this transaction's reads of it.
+  const bool cacheable =
+      options_.extent_cache != nullptr && SharedRulesOnly(name);
   if (cacheable) {
-    cache_key = DemandCache::Key{db_->version(), key.first, key.second};
-    if (const Relation* hit = options_.demand_cache->Lookup(cache_key)) {
-      ++lowering_stats_.demand_cache_hits;
-      return *hit;
+    if (const ExtentCache::Entry* hit =
+            options_.extent_cache->Lookup(key, db_->version())) {
+      ++lowering_stats_.cone_cache_hits;
+      return hit->cone;
     }
   }
 
@@ -579,7 +568,7 @@ const Relation& Interp::EvalInstanceDemand(
   if (cacheable) {
     // Cacheable cones run the magic transform explicitly and keep the
     // transformed program's FULL fixpoint as the entry's maintenance
-    // payload: on later commits the session moves it forward with
+    // payload: on later commits the cache owner moves it forward with
     // datalog::EvaluateDelta (the magic seed facts never change under
     // base-relation deltas) and re-filters the goal extent, instead of
     // re-running the cone from scratch.
@@ -601,14 +590,16 @@ const Relation& Interp::EvalInstanceDemand(
     }
     ++lowering_stats_.components_demanded;
     lowering_stats_.demanded_tuples += cone.size();
-    auto payload = std::make_unique<MaintainableExtents>();
-    payload->extents = std::move(extents);
-    FillMaintainInfo(*dc.lowered, name, payload.get());
-    payload->program =
+    ExtentCache::Entry entry;
+    entry.db_version = db_->version();
+    entry.ext.extents = std::move(extents);
+    FillMaintainInfo(*dc.lowered, name, &entry.ext);
+    entry.ext.program =
         magic.transformed ? std::move(magic.program) : dc.lowered->program;
-    return options_.demand_cache->Store(std::move(cache_key), std::move(cone),
-                                        magic.goal_pred, goal->pattern,
-                                        std::move(payload));
+    entry.goal_pred = std::move(magic.goal_pred);
+    entry.pattern = goal->pattern;
+    entry.cone = std::move(cone);
+    return options_.extent_cache->Store(std::move(key), std::move(entry)).cone;
   }
 
   datalog::EvalOptions eval_options = LoweredEvalOptions(options_);

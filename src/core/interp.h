@@ -26,14 +26,12 @@
 
 #include "core/analysis.h"
 #include "core/ast.h"
-#include "core/demand_cache.h"
+#include "core/extent_cache.h"
 #include "core/lowering.h"
 #include "core/solver.h"
 #include "data/database.h"
 
 namespace rel {
-
-class ExtentCache;
 
 /// Evaluation limits; exceeded limits raise kNonConvergent.
 struct InterpOptions {
@@ -74,24 +72,19 @@ struct InterpOptions {
   bool demand_transform = false;
   /// How many leading entries of the def vector are session-shared
   /// persistent rules; everything after is transaction-local (the parsed
-  /// query source). Used to decide when a demanded cone may be served from
-  /// or stored into `demand_cache` — a cone whose transitive dependencies
-  /// include a transaction-local def must not cross transactions. The
-  /// default (0) treats every def as transaction-local, disabling the
-  /// shared cache; the Session sets it to its snapshot's rule count.
+  /// query source). Used to decide when a lowered component or demanded
+  /// cone may be served from or stored into `extent_cache` — a view whose
+  /// transitive dependencies include a transaction-local def must not cross
+  /// transactions. The default (0) treats every def as transaction-local,
+  /// disabling the shared cache; the Session sets it to its snapshot's rule
+  /// count.
   size_t shared_defs = 0;
-  /// Cross-transaction demand-cone cache (see core/demand_cache.h), keyed
-  /// on the database version. Owned by the Session — one per reader,
-  /// externally synchronized, so no locks on the read path. nullptr keeps
-  /// the per-Interp memo only (cones die with the transaction).
-  DemandCache* demand_cache = nullptr;
-  /// Cross-transaction cache of lowered-component fixpoints (see
-  /// core/extent_cache.h). Owned by the Engine's writer side or by a
-  /// Session, externally synchronized, maintained under database deltas by
-  /// the owner. The same shared_defs gate as the demand cache applies: a
-  /// component whose closure touches a transaction-local def never enters.
-  /// nullptr recomputes every lowered fixpoint per transaction (pre-PR-9
-  /// behavior).
+  /// Cross-transaction cache of maintained views — lowered-component
+  /// fixpoints and demanded cones (see core/extent_cache.h). Owned by the
+  /// Engine's writer side or by a Session, externally synchronized,
+  /// maintained under database deltas by the owner. nullptr recomputes
+  /// every lowered fixpoint per transaction and keeps cones in the
+  /// per-Interp memo only.
   ExtentCache* extent_cache = nullptr;
   /// Dependency/SCC analysis of the first `shared_defs` defs, owned by the
   /// Engine and published with each snapshot. When set, the Interp extends
@@ -109,13 +102,18 @@ struct LoweringStats {
   int components_lowered = 0;   // SCCs evaluated by the Datalog engine
   int components_rejected = 0;  // monotone SCCs outside the Datalog fragment
   int components_demanded = 0;  // demand-transformed (magic-set) evaluations
-  int demand_cache_hits = 0;    // cones served from the session DemandCache
+  int cone_cache_hits = 0;      // demanded cones served from the ExtentCache
   int extent_cache_hits = 0;    // components served from the ExtentCache
   uint64_t lowered_tuples = 0;  // tuples spliced back into instances
   uint64_t demanded_tuples = 0; // tuples in demanded extents handed out
   std::vector<std::string> lowered_names;    // members, evaluation order
   std::vector<std::string> rejection_notes;  // "name: reason" per rejection
 };
+
+/// The Datalog options every lowered evaluation runs under — the component
+/// splice, the demanded cone, and the owners' incremental maintenance of
+/// cached views — so recomputed and maintained extents can never diverge.
+datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options);
 
 /// One evaluation context: a database plus a set of rules. Create one per
 /// transaction; memoized results are valid for the lifetime of the object
@@ -257,16 +255,11 @@ class Interp {
   /// tuple-at-a-time fixpoint.
   bool TryLowerComponent(const std::string& name);
 
-  /// True iff a demanded cone of `name` is a pure function of the database
-  /// and the session-shared rule prefix — i.e. no def reachable from
-  /// `name`'s rules (transitively, including `name` itself) is
-  /// transaction-local. Only such cones may live in the cross-transaction
-  /// demand cache. Memoized per name.
-  bool DemandCacheable(const std::string& name);
-
-  /// The shared gate behind DemandCacheable and the extent-cache path: true
-  /// iff no def reachable from `name` (itself included) is
-  /// transaction-local. Memoized per name.
+  /// True iff a view rooted at `name` (its lowered component or a demanded
+  /// cone) is a pure function of the database and the session-shared rule
+  /// prefix — i.e. no def reachable from `name` (itself included) is
+  /// transaction-local. Only such views may live in the cross-transaction
+  /// extent cache. Memoized per name.
   bool SharedRulesOnly(const std::string& name);
 
   /// Fills a cache entry's maintenance metadata for the component `lowered`
@@ -301,12 +294,11 @@ class Interp {
   std::vector<Instance*> stack_;
   LoweringStats lowering_stats_;
   std::set<int> lowering_failed_components_;
-  /// Demanded-cone extents, memoized per (name, bound-position values).
-  /// Pure functions of the (fixed) database and rule set, so entries stay
-  /// valid for the Interp's lifetime; map nodes keep references stable.
-  std::map<std::pair<std::string, std::vector<std::pair<size_t, Value>>>,
-           Relation>
-      demand_memo_;
+  /// Demanded-cone extents that cannot enter the extent cache, memoized
+  /// per (name/arity, bound-position values). Pure functions of the (fixed)
+  /// database and rule set, so entries stay valid for the Interp's
+  /// lifetime; map nodes keep references stable.
+  std::map<ExtentCache::Key, Relation> demand_memo_;
   /// Names defined by transaction-local defs (index >= options.shared_defs)
   /// and the per-name SharedRulesOnly verdicts.
   std::set<std::string> txn_local_names_;

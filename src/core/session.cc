@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -10,17 +9,6 @@
 namespace rel {
 
 namespace {
-
-/// Mirrors the lowering path's InterpOptions → EvalOptions mapping (see
-/// LoweredEvalOptions in interp.cc and MaintainEvalOptions in engine.cc) so
-/// maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
 
 /// True when `next` is a pure extension of `prev` (same shared defs, in
 /// order, plus appended ones); fills `added` with the appended names.
@@ -54,28 +42,26 @@ void Session::Adopt(std::shared_ptr<const Snapshot> snap) {
     std::set<std::string> added;
     if (RulesExtended(*snap_->rules, *snap->rules, &added)) {
       // Define only ever appends: a new rule invalidates exactly the cached
-      // cones/extents whose closure can read one of the new names — the
-      // rest were derived from relations the new rules cannot reach and
-      // keep serving hits.
-      demand_cache_.ClearAffected(added);
+      // views whose closure can read one of the new names — the rest were
+      // derived from relations the new rules cannot reach and keep serving
+      // hits.
       extent_cache_.ClearAffected(added);
     } else {
-      demand_cache_.Clear();
       extent_cache_.Clear();
     }
   }
 
   // Database maintenance: walk the published commit-delta chain from the
-  // pinned version to the new head, moving both caches along incrementally
+  // pinned version to the new head, moving the cache along incrementally
   // (O(|delta cone|) per entry per commit). A pin that predates the chain
-  // window — or a wholesale database swap (epoch bump) — falls back to
-  // dropping.
+  // window — or a wholesale database swap (epoch bump, whose version
+  // numbers alias the old timeline's) — falls back to dropping everything.
   if (snap->db_epoch == snap_->db_epoch && snap->version() == snap_->version()) {
-    // Same database state; every cached version key is still the pin.
+    // Same database state; every cached version stamp is still the pin.
   } else {
     bool walked = snap->db_epoch == snap_->db_epoch;
     if (walked) {
-      const datalog::EvalOptions eval_opts = MaintainEvalOptions(options_);
+      const datalog::EvalOptions eval_opts = LoweredEvalOptions(options_);
       uint64_t at = snap_->version();
       const auto& chain = snap->recent_deltas;
       size_t i = 0;
@@ -87,16 +73,12 @@ void Session::Adopt(std::shared_ptr<const Snapshot> snap) {
           walked = false;
           break;
         }
-        demand_cache_.Maintain(delta, eval_opts);
         extent_cache_.Maintain(delta, eval_opts);
         at = delta.to_version;
       }
       if (at != snap->version()) walked = false;
     }
-    if (!walked) {
-      extent_cache_.Clear();
-      demand_cache_.Retain(snap->version());
-    }
+    if (!walked) extent_cache_.Clear();
   }
   snap_ = std::move(snap);
 }
@@ -110,7 +92,6 @@ Relation Session::Query(const std::string& source) {
 
   InterpOptions opts = options_;
   opts.shared_defs = snap_->rules->size();
-  opts.demand_cache = &demand_cache_;
   opts.extent_cache = &extent_cache_;
   opts.shared_analysis = snap_->rules_analysis.get();
   Interp interp(snap_->db.get(), std::move(combined), opts);
@@ -147,14 +128,14 @@ void Session::Define(const std::string& source) {
 void Session::Insert(const std::string& name,
                      const std::vector<Tuple>& tuples) {
   std::shared_ptr<const Snapshot> published;
-  engine_->ApplyBulk(name, tuples, /*is_insert=*/true, &published);
+  engine_->ApplyBulk(name, tuples, /*is_insert=*/true, options_, &published);
   Adopt(std::move(published));
 }
 
 void Session::DeleteTuples(const std::string& name,
                            const std::vector<Tuple>& tuples) {
   std::shared_ptr<const Snapshot> published;
-  engine_->ApplyBulk(name, tuples, /*is_insert=*/false, &published);
+  engine_->ApplyBulk(name, tuples, /*is_insert=*/false, options_, &published);
   Adopt(std::move(published));
 }
 

@@ -16,7 +16,7 @@
 // committed state, not against the session's pinned snapshot.
 //
 // Threading: one Session = one client. A Session must be used from one
-// thread at a time (its demand cache and pin are unsynchronized); any
+// thread at a time (its extent cache and pin are unsynchronized); any
 // number of Sessions may run concurrently against the same Engine.
 
 #ifndef REL_CORE_SESSION_H_
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/demand_cache.h"
 #include "core/extent_cache.h"
 #include "core/interp.h"
 #include "data/database.h"
@@ -47,7 +46,8 @@ struct Snapshot {
   /// readers extend it with their query-local defs (InterpOptions::
   /// shared_analysis) instead of re-analyzing the prelude per query.
   std::shared_ptr<const ProgramAnalysis> rules_analysis;
-  /// Bumped on every Define; demand caches keyed per rule era.
+  /// Bumped on every Define; a session re-pinning across a change
+  /// invalidates the cached views the new rules can affect.
   uint64_t rules_version = 0;
   /// WAL id of the last durable transaction included (0 when the engine is
   /// not attached to storage or nothing has committed durably yet).
@@ -58,8 +58,8 @@ struct Snapshot {
   uint64_t db_epoch = 0;
   /// The most recent commit deltas (oldest first), ending at this snapshot.
   /// A session re-pinning from version V finds the suffix starting at V and
-  /// maintains its caches delta-by-delta instead of discarding them; if V
-  /// has already scrolled out of the window it falls back to dropping.
+  /// maintains its cache delta-by-delta instead of discarding it; if V has
+  /// already scrolled out of the window it falls back to dropping.
   std::vector<std::shared_ptr<const DatabaseDelta>> recent_deltas;
 
   uint64_t version() const { return db->version(); }
@@ -73,9 +73,10 @@ class Session {
 
   // --- snapshot control ---
 
-  /// Re-pins the newest published snapshot. Demand-cache upkeep: entries
-  /// for other database versions are dropped; a rule-set change clears the
-  /// cache entirely.
+  /// Re-pins the newest published snapshot (see Adopt for the cache
+  /// upkeep). Never fails because a cached view cannot be maintained: that
+  /// view is dropped, and the next query recomputes it — raising any error
+  /// the recomputation raises, exactly as a fresh session would.
   void Refresh();
 
   /// The pinned snapshot (stable until Refresh or a successful write).
@@ -124,11 +125,8 @@ class Session {
   /// Lowering/demand counters of this session's most recent Query/Eval/Exec.
   const LoweringStats& last_lowering_stats() const { return lowering_stats_; }
 
-  /// The session's cross-transaction demand-cone cache (hits/misses/size).
-  const DemandCache& demand_cache() const { return demand_cache_; }
-
-  /// The session's whole-extent cache for fully-derived components
-  /// (maintained across re-pins just like the demand cache).
+  /// The session's cache of maintained views: lowered-component fixpoints
+  /// and demanded cones, carried across re-pins (see core/extent_cache.h).
   const ExtentCache& extent_cache() const { return extent_cache_; }
 
  private:
@@ -137,13 +135,16 @@ class Session {
   Session(Engine* engine, std::shared_ptr<const Snapshot> snap,
           InterpOptions options);
 
-  /// Adopts a (newer) snapshot as the pin, pruning the demand cache.
+  /// Adopts a (newer) snapshot as the pin and brings the extent cache along
+  /// under its contract: ClearAffected on a rule append (Clear on any other
+  /// rule change), then Maintain along the published delta chain from the
+  /// old pin to the new one — or Clear when that chain cannot be walked
+  /// (pin older than the window, or a new database epoch).
   void Adopt(std::shared_ptr<const Snapshot> snap);
 
   Engine* engine_;
   std::shared_ptr<const Snapshot> snap_;
   InterpOptions options_;
-  DemandCache demand_cache_;
   ExtentCache extent_cache_;
   LoweringStats lowering_stats_;
 };

@@ -113,8 +113,8 @@ class Database {
 
   /// A monotonically increasing counter bumped on every mutation; the
   /// evaluator uses it to invalidate memoized derived relations, and the
-  /// serving layer keys cross-transaction demand caches on the version of
-  /// the published snapshot.
+  /// serving layer stamps cross-transaction cached views
+  /// (core/extent_cache.h) with the version of the published snapshot.
   uint64_t version() const { return version_; }
 
   /// Forces every relation's lazily-built sorted views (row order and the

@@ -1,12 +1,15 @@
 // Tests for incremental maintenance through the commit pipeline and the
-// session caches (PR 9): the writer-side extent cache surviving commits
-// and rollbacks, sessions walking the published delta chain on re-pin,
-// Decker-style delta-specialized integrity checking, and the
-// affected-component-only invalidation on rule extensions.
+// extent caches: the writer-side cache surviving commits and rollbacks,
+// sessions walking the published delta chain on re-pin, failure-atomic
+// maintenance, Decker-style delta-specialized integrity checking, and the
+// affected-view-only invalidation on rule extensions. The cache contract
+// tests run over both entry kinds — whole lowered components and demanded
+// cones (demand_transform).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "core/session.h"
 #include "data/tuple.h"
 #include "data/value.h"
+#include "storage/file.h"
 
 namespace rel {
 namespace {
@@ -50,59 +54,84 @@ TEST(WriterMaintain, ExtentsCarryAcrossCommits) {
   EXPECT_GT(engine.writer_extent_cache().hits(), hits_before);
 }
 
-TEST(WriterMaintain, RollbackDiscardsAbortedEntriesOnly) {
+/// Parameterized over demand_transform: false exercises whole-component
+/// entries (queries read all of tc), true exercises demanded cones (queries
+/// bind tc's first argument). Both kinds go through one cache contract.
+class ViewKinds : public ::testing::TestWithParam<bool> {
+ protected:
+  bool cones() const { return GetParam(); }
+  /// tc read as a whole component, or as the cone tc(from, y).
+  std::string TcQuery(int from) const {
+    return cones() ? "def output(y) : tc(" + std::to_string(from) + ", y)"
+                   : "def output(x, y) : tc(x, y)";
+  }
+  /// The cache-hit counter matching the entry kind.
+  int ViewHits(const LoweringStats& stats) const {
+    return cones() ? stats.cone_cache_hits : stats.extent_cache_hits;
+  }
+};
+
+using WriterViews = ViewKinds;
+using SessionViews = ViewKinds;
+
+TEST_P(WriterViews, RollbackDiscardsAbortedEntriesOnly) {
   Engine engine;
+  engine.options().demand_transform = cones();
   engine.Define(kTc);
-  engine.Define("ic no_big() requires forall((x, y) | edge(x, y) implies x < 100)");
+  engine.Define("ic no_big() requires forall((x, y) | edge(x, y) implies y < 100)");
   engine.Insert("edge", {Tuple({I(1), I(2)})});
 
   // Warm the writer cache and pass a full integrity check.
-  engine.Exec("def output(x, y) : tc(x, y)");
+  engine.Exec(TcQuery(1));
+  EXPECT_GT(engine.writer_extent_cache().size(), 0u);
 
-  // This transaction evaluates tc (maintained to its working version),
-  // then aborts on the constraint — the rollback must drop the aborted
-  // version's entries so the next commit cannot see (500, 501) in tc.
-  EXPECT_THROW(engine.Exec("def output(x, y) : tc(x, y)\n"
-                           "def insert(:edge, x, y) : x = 500 and y = 501"),
+  // This transaction evaluates tc (maintained to its working version, now
+  // reaching 500), then aborts on the constraint — the rollback must drop
+  // the aborted version's entries so the next commit cannot see (2, 500).
+  EXPECT_THROW(engine.Exec(TcQuery(1) + "\n"
+                           "def insert(:edge, x, y) : x = 2 and y = 500"),
                ConstraintViolation);
   EXPECT_GT(engine.writer_extent_cache().dropped(), 0u);
 
   // A different commit re-issues the same working version numbers with
-  // different content; cached extents must match it, not the abort.
+  // different content; cached views must match it, not the abort.
   engine.Exec("def insert(:edge, x, y) : x = 2 and y = 3");
-  EXPECT_EQ(engine.Exec("def output(x, y) : tc(x, y)").output.ToString(),
-            "{(1, 2); (1, 3); (2, 3)}");
+  EXPECT_EQ(engine.Exec(TcQuery(1)).output.ToString(),
+            cones() ? "{(2); (3)}" : "{(1, 2); (1, 3); (2, 3)}");
 }
 
-TEST(SessionMaintain, ExtentCacheWalksTheDeltaChain) {
+TEST_P(SessionViews, ExtentCacheWalksTheDeltaChain) {
   Engine engine;
   engine.Define(kTc);
   engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
 
   std::unique_ptr<Session> reader = engine.OpenSession();
-  EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(), 3u);
+  reader->options().demand_transform = cones();
+  EXPECT_EQ(reader->Query(TcQuery(1)).size(), cones() ? 2u : 3u);
   EXPECT_GT(reader->extent_cache().size(), 0u);
 
   // Two commits land elsewhere; the reader re-pins across both and its
-  // cached tc fixpoint follows the delta chain instead of being dropped.
+  // cached view follows the delta chain instead of being dropped.
   engine.Exec("def insert(:edge, x, y) : x = 3 and y = 4");
   engine.Exec("def insert(:edge, x, y) : x = 4 and y = 5");
   reader->Refresh();
   EXPECT_GT(reader->extent_cache().maintained(), 0u);
 
   uint64_t hits_before = reader->extent_cache().hits();
-  EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(), 10u);
+  EXPECT_EQ(reader->Query(TcQuery(1)).size(), cones() ? 4u : 10u);
   EXPECT_GT(reader->extent_cache().hits(), hits_before);
-  EXPECT_GT(reader->last_lowering_stats().extent_cache_hits, 0);
+  EXPECT_GT(ViewHits(reader->last_lowering_stats()), 0);
 }
 
-TEST(SessionMaintain, StalePinBeyondTheWindowFallsBackToRecompute) {
+TEST_P(SessionViews, StalePinBeyondTheWindowFallsBackToRecompute) {
   Engine engine;
   engine.Define(kTc);
   engine.Insert("edge", {Tuple({I(0), I(1)})});
 
   std::unique_ptr<Session> reader = engine.OpenSession();
-  reader->Query("def output(x, y) : tc(x, y)");
+  reader->options().demand_transform = cones();
+  reader->Query(TcQuery(0));
+  ASSERT_GT(reader->extent_cache().size(), 0u);
 
   // Push far more commits than the published delta window holds.
   for (int i = 1; i < 14; ++i) {
@@ -111,8 +140,119 @@ TEST(SessionMaintain, StalePinBeyondTheWindowFallsBackToRecompute) {
   reader->Refresh();
   // Correctness is unconditional: the chain no longer reaches the old pin,
   // so the cache was dropped and the query recomputes.
-  EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(),
-            14u * 15u / 2u);
+  EXPECT_EQ(reader->extent_cache().size(), 0u);
+  EXPECT_EQ(reader->Query(TcQuery(0)).size(), cones() ? 14u : 14u * 15u / 2u);
+}
+
+std::string EntryKind(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Cones" : "Components";
+}
+INSTANTIATE_TEST_SUITE_P(BothEntryKinds, WriterViews, ::testing::Bool(),
+                         EntryKind);
+INSTANTIATE_TEST_SUITE_P(BothEntryKinds, SessionViews, ::testing::Bool(),
+                         EntryKind);
+
+// --- failure-atomic maintenance ---------------------------------------------
+
+/// A lowered recursive sum whose maintenance overflows: with e = {(1,2,1),
+/// (2,3,INT64_MAX)}, p reaches (2, 6) and then 6 + INT64_MAX.
+const char kSumPaths[] =
+    "def p(x, s) : start(x, s)\n"
+    "def p(y, t) : exists((x, s, w) | p(x, s) and e(x, y, w) and t = s + w)";
+const char kReadP[] = "def output(x, s) : p(x, s)";
+
+std::vector<Tuple> OverflowingEdges() {
+  return {Tuple({I(1), I(2), I(1)}),
+          Tuple({I(2), I(3), I(std::numeric_limits<int64_t>::max())})};
+}
+
+/// "kind: message" of the error `read` raises, or "no error: <answer>".
+template <typename Read>
+std::string ErrorOf(Read read) {
+  try {
+    return "no error: " + read().ToString();
+  } catch (const RelError& err) {
+    return std::string(ErrorKindName(err.kind())) + ": " + err.what();
+  }
+}
+
+TEST(FailureAtomicMaintain, ReaderDropsTheEntryWhoseMaintenanceThrows) {
+  Engine engine;
+  engine.Define(kSumPaths);
+  engine.Insert("start", {Tuple({I(1), I(5)})});
+
+  std::unique_ptr<Session> reader = engine.OpenSession();
+  EXPECT_EQ(reader->Query(kReadP).ToString(), "{(1, 5)}");
+  ASSERT_GT(reader->extent_cache().size(), 0u);
+
+  engine.Insert("e", OverflowingEdges());
+  // The re-pin succeeds: the entry whose maintenance overflowed is dropped,
+  // not served half-maintained under the old pin.
+  uint64_t dropped_before = reader->extent_cache().dropped();
+  ASSERT_NO_THROW(reader->Refresh());
+  EXPECT_EQ(reader->snapshot_version(), engine.SnapshotNow()->version());
+  EXPECT_GT(reader->extent_cache().dropped(), dropped_before);
+
+  // Every read raises exactly what a fresh session raises.
+  std::unique_ptr<Session> fresh = engine.OpenSession();
+  const std::string expected = ErrorOf([&] { return fresh->Query(kReadP); });
+  EXPECT_EQ(expected.rfind(ErrorKindName(ErrorKind::kType), 0), 0u) << expected;
+  EXPECT_EQ(ErrorOf([&] { return reader->Query(kReadP); }), expected);
+  ASSERT_NO_THROW(reader->Refresh());
+  EXPECT_EQ(ErrorOf([&] { return reader->Query(kReadP); }), expected);
+}
+
+TEST(FailureAtomicMaintain, WriterDropsTheEntryWhoseMaintenanceThrows) {
+  Engine engine;
+  engine.Define(kSumPaths);
+  engine.Insert("start", {Tuple({I(1), I(5)})});
+  engine.Exec(kReadP);  // caches p in the writer cache
+  ASSERT_GT(engine.writer_extent_cache().size(), 0u);
+
+  // The bulk insert commits: maintenance failing on a cached view is not a
+  // reason to fail (or half-apply) the write.
+  ASSERT_NO_THROW(engine.Insert("e", OverflowingEdges()));
+  EXPECT_EQ(engine.Base("e").size(), 2u);
+
+  std::unique_ptr<Session> fresh = engine.OpenSession();
+  const std::string expected = ErrorOf([&] { return fresh->Query(kReadP); });
+  EXPECT_EQ(expected.rfind(ErrorKindName(ErrorKind::kType), 0), 0u) << expected;
+  // Writer-side reads (the pre-state of a transaction) and facade reads
+  // agree with the fresh session.
+  EXPECT_EQ(ErrorOf([&] { return engine.Exec(kReadP).output; }), expected);
+  EXPECT_EQ(ErrorOf([&] { return engine.Query(kReadP); }), expected);
+}
+
+// --- recovery starts a new version timeline ---------------------------------
+
+TEST(EpochMaintain, RecoveredDatabaseNeverServesOldEpochCones) {
+  // A store whose recovered database lands on the same version number as
+  // the engine's current one, with different edges.
+  auto fs = std::make_shared<storage::MemFileSystem>();
+  {
+    Engine other;
+    ASSERT_TRUE(other.AttachStorage("db", {}, fs).status.ok());
+    other.Insert("edge", {Tuple({I(1), I(5)}), Tuple({I(5), I(6)})});
+  }
+
+  Engine engine;
+  engine.Define(kTc);
+  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  std::unique_ptr<Session> reader = engine.OpenSession();
+  reader->options().demand_transform = true;
+  EXPECT_EQ(reader->Query("def output(y) : tc(1, y)").ToString(), "{(2); (3)}");
+  ASSERT_GT(reader->extent_cache().size(), 0u);
+  const uint64_t old_version = reader->snapshot_version();
+
+  ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
+  reader->Refresh();
+  ASSERT_EQ(reader->snapshot_version(), old_version);  // the aliasing case
+  EXPECT_EQ(reader->Base("edge").ToString(), "{(1, 5); (5, 6)}");
+
+  std::unique_ptr<Session> fresh = engine.OpenSession();
+  fresh->options().demand_transform = true;
+  EXPECT_EQ(fresh->Query("def output(y) : tc(1, y)").ToString(), "{(5); (6)}");
+  EXPECT_EQ(reader->Query("def output(y) : tc(1, y)").ToString(), "{(5); (6)}");
 }
 
 TEST(SessionMaintain, DeleteMaintainsThroughDRed) {
@@ -277,13 +417,13 @@ TEST(RuleExtension, DemandConesFollowTheSamePolicy) {
   reader->options().demand_transform = true;
   reader->Query("def output(y) : tc(1, y)");
   reader->Query("def output(y) : lc(7, y)");
-  size_t cached = reader->demand_cache().size();
+  size_t cached = reader->extent_cache().size();
   ASSERT_GE(cached, 2u);
 
   engine.Define("def edge(x, y) : extra_edge(x, y)");
   reader->Refresh();
-  EXPECT_LT(reader->demand_cache().size(), cached);
-  EXPECT_GT(reader->demand_cache().size(), 0u);
+  EXPECT_LT(reader->extent_cache().size(), cached);
+  EXPECT_GT(reader->extent_cache().size(), 0u);
   EXPECT_EQ(reader->Query("def output(y) : lc(7, y)").ToString(), "{(8)}");
 }
 

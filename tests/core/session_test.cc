@@ -1,7 +1,7 @@
 // Session/snapshot-isolation tests: pinned readers see byte-identical
 // answers no matter what commits around them, writes serialize through the
-// commit pipeline with rollback invisible to readers, and the per-session
-// demand cache survives read-only transactions. The concurrent tests run
+// commit pipeline with rollback invisible to readers, and demanded cones in
+// the per-session extent cache survive read-only transactions. The concurrent tests run
 // under TSan in CI — they are the data-race proof of the serving layer.
 
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ TEST(Session, RolledBackTransactionPublishesNothing) {
   EXPECT_EQ(writer->Base("R").ToString(), "{(5); (6)}");
 }
 
-TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
+TEST(Session, CachedConesServeReadOnlyTransactions) {
   Engine engine;
   engine.Define(
       "def tc(x, y) : edge(x, y)\n"
@@ -108,13 +108,13 @@ TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4)}");
   EXPECT_GT(session->last_lowering_stats().components_demanded, 0);
-  ASSERT_GT(session->demand_cache().size(), 0u);
+  ASSERT_GT(session->extent_cache().size(), 0u);
 
   // Same cone, new transaction: served from the session cache — no cone
   // fixpoint runs at all in the second transaction.
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4)}");
-  EXPECT_GT(session->last_lowering_stats().demand_cache_hits, 0);
+  EXPECT_GT(session->last_lowering_stats().cone_cache_hits, 0);
   EXPECT_EQ(session->last_lowering_stats().components_demanded, 0);
 
   // A commit re-pins to a new version; the cached cone follows it
@@ -124,11 +124,11 @@ TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4); (5)}");
   EXPECT_EQ(session->last_lowering_stats().components_demanded, 0);
-  EXPECT_GT(session->last_lowering_stats().demand_cache_hits, 0);
-  EXPECT_GT(session->demand_cache().maintained(), 0u);
+  EXPECT_GT(session->last_lowering_stats().cone_cache_hits, 0);
+  EXPECT_GT(session->extent_cache().maintained(), 0u);
 }
 
-TEST(Session, DemandCacheIsNotPoisonedByTransactionLocalRules) {
+TEST(Session, CachedConesAreNotPoisonedByTransactionLocalRules) {
   // A query-source def that feeds the cone must not produce a cacheable
   // entry a later plain query would wrongly reuse.
   Engine engine;
@@ -150,7 +150,7 @@ TEST(Session, DemandCacheIsNotPoisonedByTransactionLocalRules) {
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(), "{(2)}");
 }
 
-TEST(Session, DefineClearsDemandCache) {
+TEST(Session, DefineClearsCachedCones) {
   Engine engine;
   engine.Define(
       "def tc(x, y) : edge(x, y)\n"
@@ -160,11 +160,11 @@ TEST(Session, DefineClearsDemandCache) {
   std::unique_ptr<Session> session = engine.OpenSession();
   session->options().demand_transform = true;
   session->Query("def output(y) : tc(1, y)");
-  ASSERT_GT(session->demand_cache().size(), 0u);
+  ASSERT_GT(session->extent_cache().size(), 0u);
 
   // New rules change what any cone means: the cache must empty.
   session->Define("def tc(x, y) : x = 1 and y = 100");
-  EXPECT_EQ(session->demand_cache().size(), 0u);
+  EXPECT_EQ(session->extent_cache().size(), 0u);
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (100)}");
 }
