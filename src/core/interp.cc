@@ -645,6 +645,15 @@ const Relation& Interp::MaterializeSO(const SOValue& value) {
   return *scratch_.back();
 }
 
+const datalog::HashIndex& Interp::SolverIndex(
+    const Relation& rel, size_t arity,
+    const std::vector<size_t>& key_positions) {
+  const ColumnArena* arena = rel.ArenaOfArity(arity);
+  InternalCheck(arena != nullptr, "solver index over an absent arity");
+  return solver_indexes_.Get(std::to_string(arena->id()), rel, arity,
+                             key_positions, &solver_index_builds_);
+}
+
 Relation Interp::EvalExprRel(const ExprPtr& expr, const Env& env) {
   return solver_.EvalExpr(expr, env);
 }

@@ -30,6 +30,7 @@
 #include "core/lowering.h"
 #include "core/solver.h"
 #include "data/database.h"
+#include "datalog/index.h"
 
 namespace rel {
 
@@ -223,6 +224,18 @@ class Interp {
 
   Solver& solver() { return solver_; }
 
+  /// The hash index over `rel`'s rows of `arity` keyed on `key_positions`:
+  /// the solver's access path for an atom with a bound column outside the
+  /// leading bound run (see Executor::CollectMatches). `rel` must hold rows
+  /// of `arity` and must not change for the rest of this Interp's life
+  /// (a base relation of db(), or a finished instance). Indexes are keyed by
+  /// arena id, not by name — several instances can share a name — and are
+  /// built once per arena and key set, then freed with this Interp.
+  const datalog::HashIndex& SolverIndex(const Relation& rel, size_t arity,
+                                        const std::vector<size_t>& key_positions);
+  /// Full builds SolverIndex has done so far.
+  uint64_t solver_index_builds() const { return solver_index_builds_; }
+
   /// What the recursion-lowering pass did so far in this context.
   const LoweringStats& lowering_stats() const { return lowering_stats_; }
 
@@ -328,6 +341,9 @@ class Interp {
   std::vector<std::unique_ptr<Relation>> scratch_;
 
   std::map<const Def*, std::shared_ptr<void>> rule_cache_;
+
+  datalog::IndexCache solver_indexes_;
+  uint64_t solver_index_builds_ = 0;
 };
 
 }  // namespace rel

@@ -1437,6 +1437,8 @@ class Executor {
         // raised later, in the continuation of the solve, is a real error
         // of the enclosing expression, not a cue to inline.
         const Relation* r = nullptr;
+        // An extent that read no in-progress fixpoint value is final.
+        const uint64_t partial_reads = interp_->partial_reads();
         try {
           if (c.sig == 0 && sovals.empty() &&
               interp_->DemandEligible(c.name)) {
@@ -1485,11 +1487,12 @@ class Executor {
           if (err.kind() != ErrorKind::kSafety) throw;
           return InlineDefs(c, sovals, rest, frame, emit, stop);
         }
-        return EnumerateRelation(*r, c.args, rest, frame, emit, stop);
+        return EnumerateRelation(*r, interp_->partial_reads() == partial_reads,
+                                 c.args, rest, frame, emit, stop);
       }
       // Base relation (no rules).
-      return EnumerateRelation(interp_->db().Get(c.name), c.args, rest, frame,
-                               emit, stop);
+      return EnumerateRelation(interp_->db().Get(c.name), true, c.args, rest,
+                               frame, emit, stop);
     }
 
     SOValue sov;
@@ -1527,20 +1530,22 @@ class Executor {
       return ExecBuiltinAtom(c, *sov.builtin, c.args, rest, frame, emit, stop);
     }
     if (sov.IsMaterialized()) {
-      return EnumerateRelation(*sov.rel, c.args, rest, frame, emit, stop);
+      return EnumerateRelation(*sov.rel, true, c.args, rest, frame, emit, stop);
     }
     // Closure: try to materialize; on safety failure, inline at this use
     // site with the bound arguments (the paper's "unsafe subexpressions are
     // allowed as long as the whole expression is safe"). As above, the
     // catch must not cover the continuation of the solve.
     const Relation* r = nullptr;
+    const uint64_t partial_reads = interp_->partial_reads();
     try {
       r = &interp_->MaterializeSO(sov);
     } catch (const RelError& err) {
       if (err.kind() != ErrorKind::kSafety) throw;
       return InlineClosure(c, sov, rest, frame, emit, stop);
     }
-    return EnumerateRelation(*r, c.args, rest, frame, emit, stop);
+    return EnumerateRelation(*r, interp_->partial_reads() == partial_reads,
+                             c.args, rest, frame, emit, stop);
   }
 
   ExecResult ExecBuiltinAtom([[maybe_unused]] const Constraint& c,
@@ -1733,7 +1738,8 @@ class Executor {
       // Base facts participate too (a name can have both rules and data).
       if (c.sig == 0 && interp_->db().Has(c.name)) {
         std::vector<Frame> matches;
-        CollectMatches(interp_->db().Get(c.name), c.args, frame, &matches);
+        CollectMatches(interp_->db().Get(c.name), true, c.args, frame,
+                       &matches);
         all_matches.push_back(std::move(matches));
       }
     } catch (const RelError& err) {
@@ -1812,14 +1818,17 @@ class Executor {
 
   // --- relation enumeration and pattern matching ---
 
-  ExecResult EnumerateRelation(const Relation& relation,
+  /// `settled` is true when `relation` cannot change for the rest of this
+  /// Interp's life, so an index built over it stays valid (see
+  /// CollectMatches).
+  ExecResult EnumerateRelation(const Relation& relation, bool settled,
                                const std::vector<CTerm>& args,
                                const std::vector<const Constraint*>& rest,
                                const Frame& frame,
                                const std::function<bool(const Frame&)>& emit,
                                bool* stop) {
     std::vector<Frame> matches;
-    CollectMatches(relation, args, frame, &matches);
+    CollectMatches(relation, settled, args, frame, &matches);
     for (const Frame& m : matches) {
       if (!SolveRemaining(rest, m, emit)) {
         *stop = true;
@@ -1830,9 +1839,16 @@ class Executor {
   }
 
   /// Collects all frame extensions matching `args` against the tuples of
-  /// `relation`, using a sorted prefix scan for the leading bound terms.
-  void CollectMatches(const Relation& relation, const std::vector<CTerm>& args,
-                      const Frame& frame, std::vector<Frame>* out) const {
+  /// `relation`, visiting rows in ascending order (by arity, then
+  /// lexicographically). The leading run of bound terms narrows a sorted
+  /// prefix scan. When a bound term lies past that run and `relation` is
+  /// settled, a hash index on every bound position replaces the scan; it
+  /// visits the same rows in the same order, so answers and the first error
+  /// raised do not depend on the access path.
+  void CollectMatches(const Relation& relation, bool settled,
+                      const std::vector<CTerm>& args, const Frame& frame,
+                      std::vector<Frame>* out) const {
+    if (settled && ProbeMatches(relation, args, frame, out)) return;
     Tuple prefix;
     for (const CTerm& t : args) {
       if (t.kind == CTerm::Kind::kConst) {
@@ -1859,6 +1875,55 @@ class Executor {
       MatchTuple(args, tuple, frame, out);
       return true;
     });
+  }
+
+  /// The hash-probe half of CollectMatches. Applies only when no argument
+  /// is a tuple pattern, so only rows of arity args.size() can match, and
+  /// some position past the leading bound run is bound; returns false
+  /// otherwise. The probed rows are sorted into ScanPrefix's visit order.
+  bool ProbeMatches(const Relation& relation, const std::vector<CTerm>& args,
+                    const Frame& frame, std::vector<Frame>* out) const {
+    auto bound_value = [&](const CTerm& t) -> const Value* {
+      if (t.kind == CTerm::Kind::kConst) return &t.cval;
+      if (t.kind == CTerm::Kind::kVar) return LookupVar(frame, t.name);
+      return nullptr;
+    };
+    bool unbound_seen = false;
+    bool qualifies = false;
+    for (const CTerm& t : args) {
+      if (t.kind == CTerm::Kind::kTupleVar ||
+          t.kind == CTerm::Kind::kWildcardTuple) {
+        return false;
+      }
+      if (bound_value(t) == nullptr) {
+        unbound_seen = true;
+      } else if (unbound_seen) {
+        qualifies = true;
+      }
+    }
+    if (!qualifies) return false;
+    if (relation.ArenaOfArity(args.size()) == nullptr) return true;
+    std::vector<size_t> positions;
+    std::vector<Value> key;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (const Value* v = bound_value(args[i])) {
+        positions.push_back(i);
+        key.push_back(*v);
+      }
+    }
+    std::vector<TupleRef> rows;
+    interp_->SolverIndex(relation, args.size(), positions)
+        .Probe(key, [&](const TupleRef& row) { rows.push_back(row); });
+    std::sort(rows.begin(), rows.end(),
+              [](const TupleRef& a, const TupleRef& b) {
+                for (size_t c = 0; c < a.arity(); ++c) {
+                  int cmp = a[c].Compare(b[c]);
+                  if (cmp != 0) return cmp < 0;
+                }
+                return false;
+              });
+    for (const TupleRef& row : rows) MatchTuple(args, row, frame, out);
+    return true;
   }
 
   /// Matches one tuple against the argument pattern, appending every

@@ -27,6 +27,11 @@
 // because relations only mutate at evaluation round barriers (the
 // single-writer discipline in src/datalog/eval.cc), so an index can never
 // be rebuilt while probes of it are in flight.
+//
+// The Rel solver keeps one IndexCache per Interp (Interp::SolverIndex) and
+// uses it from one thread. It passes the arena id as `pred`, since several
+// relation instances can share a name, and indexes only relations that stay
+// fixed for the Interp's life, so each entry is built once.
 
 #ifndef REL_DATALOG_INDEX_H_
 #define REL_DATALOG_INDEX_H_
