@@ -272,17 +272,17 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   // non-monotone self-references all flow through aggregation inputs — the
   // engine's monotone aggregate semi-naive computes the same fixpoint, and
   // its qualification checks throw the component back here otherwise); and
-  // non-recursive defs that aggregate (so matmul-style sums run planned
-  // too). On success every member of the component (including this
-  // instance) is already finished; on failure fall through to the
-  // saturation loop unchanged.
+  // non-recursive first-order defs that aggregate (so matmul-style sums run
+  // planned too). A recursive instance with relation arguments (stdlib
+  // TC[E]) lowers the same way, its arguments becoming EDB. On success every
+  // member instance of the component (including this one) is already
+  // finished; on failure fall through to the saturation loop unchanged.
   const bool lowerable =
       analysis_.IsRecursive(key.name)
           ? (!analysis_.UsesReplacement(key.name) ||
              analysis_.AggregationRecursive(key.name))
-          : analysis_.UsesAggregation(key.name);
-  if (options_.lower_recursion && key.sig == 0 && key.so_args.empty() &&
-      lowerable && TryLowerComponent(key.name)) {
+          : key.so_args.empty() && analysis_.UsesAggregation(key.name);
+  if (options_.lower_recursion && lowerable && TryLowerComponent(key)) {
     InternalCheck(inst.done, "lowered component missing its own instance");
     return inst.value;
   }
@@ -375,27 +375,47 @@ datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
 }
 
 std::optional<LoweredComponent> Interp::BuildLoweredProgram(
-    const std::string& name) {
+    const std::string& name, const std::vector<SOValue>& so_args) {
   int comp = analysis_.ComponentOf(name);
   if (comp < 0 || lowering_failed_components_.count(comp)) {
     return std::nullopt;
   }
-  auto reject =
+  // Declines this instance only; the component may lower for another.
+  auto decline =
       [&](const std::string& reason) -> std::optional<LoweredComponent> {
-    lowering_failed_components_.insert(comp);
     ++lowering_stats_.components_rejected;
     lowering_stats_.rejection_notes.push_back(name + ": " + reason);
     return std::nullopt;
   };
+  auto reject =
+      [&](const std::string& reason) -> std::optional<LoweredComponent> {
+    lowering_failed_components_.insert(comp);
+    return decline(reason);
+  };
 
   std::string why;
   std::optional<LoweredComponent> lowered =
-      LowerComponent(name, analysis_, all_defs_, &why);
+      LowerComponent(name, analysis_, all_defs_, &why, so_args.size());
   if (!lowered) return reject(why);
 
-  // EDB: materialized extents of every out-of-component dependency (each
-  // evaluated through the normal instance machinery, so a qualifying
-  // dependency component lowers first), then the members' own base facts.
+  // EDB: the relation arguments, materialized extents of every
+  // out-of-component dependency (each evaluated through the normal instance
+  // machinery, so a qualifying dependency component lowers first), then the
+  // members' own base facts. The lowered extents are final, so none of this
+  // may read an in-progress fixpoint value.
+  const uint64_t partial_before = partial_reads_;
+  for (size_t i = 0; i < so_args.size(); ++i) {
+    try {
+      lowered->program.AddFacts(lowered->arg_preds[i],
+                                MaterializeSO(so_args[i]));
+    } catch (const RelError& err) {
+      // A builtin or otherwise infinite argument has no EDB; the solver may
+      // still inline it at use sites. Any other error is the saturation
+      // loop's to raise, or not, exactly as without lowering.
+      return decline("relation argument " + std::to_string(i + 1) + ": " +
+                     err.what());
+    }
+  }
   try {
     for (const std::string& ext : lowered->externals) {
       lowered->program.AddFacts(ext, EvalInstance(ext, 0, {}));
@@ -407,15 +427,19 @@ std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     if (err.kind() != ErrorKind::kSafety) throw;
     return reject(std::string("unsafe external: ") + err.what());
   }
+  if (partial_reads_ != partial_before) {
+    return decline("input read an in-progress fixpoint");
+  }
   for (const std::string& member : lowered->members) {
-    if (db_->Has(member)) {
+    if (so_args.empty() && db_->Has(member)) {
       lowered->program.AddFacts(member, db_->Get(member));
     }
   }
   return lowered;
 }
 
-bool Interp::TryLowerComponent(const std::string& name) {
+bool Interp::TryLowerComponent(const InstanceKey& key) {
+  const std::string& name = key.name;
   int comp = analysis_.ComponentOf(name);
   if (comp < 0 || lowering_failed_components_.count(comp)) return false;
   auto reject = [&](const std::string& reason) {
@@ -424,13 +448,14 @@ bool Interp::TryLowerComponent(const std::string& name) {
     lowering_stats_.rejection_notes.push_back(name + ": " + reason);
     return false;
   };
-
   // Splices one member's finished extent into the instance table.
   auto splice = [&](const std::string& member, Relation value) {
-    Instance& inst = instances_[InstanceKey{member, 0, {}}];
-    // No member can be mid-saturation here: reaching a member's fixpoint at
-    // all means an earlier lowering attempt for this component failed, and
-    // failed components never retry.
+    Instance& inst = instances_[InstanceKey{member, key.sig, key.so_args}];
+    // No member can be mid-saturation here: a member instance saturates only
+    // after a lowering attempt with the same inputs failed, and while it
+    // runs every retry fails the same way — failed components are
+    // remembered, and the declined inputs (below it on the stack, or
+    // memoized) have not changed.
     InternalCheck(!inst.in_progress, "lowering into an in-progress instance");
     inst.value = std::move(value);
     inst.done = true;
@@ -442,9 +467,10 @@ bool Interp::TryLowerComponent(const std::string& name) {
   // Cross-transaction fast path: the owner of the extent cache maintains
   // component fixpoints forward under commit deltas, so a component built
   // from shared rules may already have its extents for this exact database
-  // version — splice copies and skip the evaluator entirely.
-  const bool cacheable =
-      options_.extent_cache != nullptr && SharedRulesOnly(name);
+  // version — splice copies and skip the evaluator entirely. Instances with
+  // relation arguments are not cached: the key would have to carry them.
+  const bool cacheable = options_.extent_cache != nullptr &&
+                         key.so_args.empty() && SharedRulesOnly(name);
   ExtentCache::Key cache_key;
   if (cacheable) {
     cache_key = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
@@ -460,7 +486,8 @@ bool Interp::TryLowerComponent(const std::string& name) {
     }
   }
 
-  std::optional<LoweredComponent> lowered = BuildLoweredProgram(name);
+  std::optional<LoweredComponent> lowered =
+      BuildLoweredProgram(name, key.so_args);
   if (!lowered) return false;
 
   // Value-generating recursion (x = y + 1 inside the SCC) can diverge even
@@ -558,7 +585,7 @@ const Relation& Interp::EvalInstanceDemand(
   // The component's translation and materialized EDB are pattern-
   // independent; build them once and share across this component's cones.
   if (!dc.lowered) {
-    dc.lowered = BuildLoweredProgram(name);
+    dc.lowered = BuildLoweredProgram(name, {});
     if (!dc.lowered) return EvalInstance(name, 0, {});
   }
   std::optional<datalog::DemandGoal> goal =
@@ -630,15 +657,18 @@ const Relation& Interp::MaterializeSO(const SOValue& value) {
                                            "' is infinite");
   }
   InternalCheck(value.IsClosure(), "empty SOValue");
-  auto& entries = closure_memo_[value.expr.get()];
-  for (const ClosureMemoEntry& entry : entries) {
-    if (entry.env == *value.env) return entry.result;
+  const std::pair<const Expr*, size_t> key{value.expr.get(),
+                                           value.env->Hash()};
+  auto [first, last] = closure_memo_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.env == *value.env) return it->second.result;
   }
   uint64_t before = partial_reads_;
   Relation result = EvalExprRel(value.expr, *value.env);
   if (partial_reads_ == before) {
-    entries.push_back(ClosureMemoEntry{*value.env, std::move(result)});
-    return entries.back().result;
+    return closure_memo_
+        .emplace(key, ClosureMemoEntry{*value.env, std::move(result)})
+        ->second.result;
   }
   // The result depends on an in-progress fixpoint; do not memoize.
   scratch_.push_back(std::make_unique<Relation>(std::move(result)));

@@ -16,7 +16,6 @@
 #ifndef REL_CORE_INTERP_H_
 #define REL_CORE_INTERP_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -260,13 +259,14 @@ class Interp {
 
   const Relation& EvalInstanceImpl(const InstanceKey& key);
 
-  /// Attempts to evaluate the whole recursive component of `name` with the
-  /// Datalog engine, splicing every member's extent into `instances_` as a
-  /// finished instance. Returns false (and remembers the component as
-  /// failed) when the component is outside the Datalog fragment or the
-  /// evaluation cannot proceed — the caller then falls back to the
-  /// tuple-at-a-time fixpoint.
-  bool TryLowerComponent(const std::string& name);
+  /// Attempts to evaluate the whole recursive component of `key` with the
+  /// Datalog engine, splicing every member's extent — the instances with
+  /// `key`'s relation arguments — into `instances_` as finished instances.
+  /// Returns false when the component is outside the Datalog fragment or
+  /// the evaluation cannot proceed (and remembers the component as failed),
+  /// or when this instance's inputs cannot be EDB (see BuildLoweredProgram)
+  /// — the caller then falls back to the tuple-at-a-time fixpoint.
+  bool TryLowerComponent(const InstanceKey& key);
 
   /// True iff a view rooted at `name` (its lowered component or a demanded
   /// cone) is a pure function of the database and the session-shared rule
@@ -286,12 +286,16 @@ class Interp {
                         const std::string& name, MaintainableExtents* out);
 
   /// Shared front half of TryLowerComponent and EvalInstanceDemand:
-  /// translates the component of `name` and materializes its EDB (external
-  /// extents via EvalInstance, members' base facts from the database).
-  /// Returns nullopt after recording the rejection (and remembering the
-  /// component as failed) when the component is outside the fragment or an
-  /// external has no finite standalone extent.
-  std::optional<LoweredComponent> BuildLoweredProgram(const std::string& name);
+  /// translates the component of `name` for the relation arguments
+  /// `so_args` and materializes its EDB (the arguments via MaterializeSO,
+  /// external extents via EvalInstance, and, for a first-order component,
+  /// the members' base facts from the database). Returns nullopt after
+  /// recording the rejection when the component is outside the fragment or
+  /// an external has no finite standalone extent (the component is then
+  /// remembered as failed), or when an argument fails to materialize or an
+  /// input read an in-progress fixpoint (only this instance falls back).
+  std::optional<LoweredComponent> BuildLoweredProgram(
+      const std::string& name, const std::vector<SOValue>& so_args);
 
   const Database* db_;
   std::vector<std::shared_ptr<Def>> all_defs_;
@@ -329,13 +333,16 @@ class Interp {
   uint64_t partial_reads_ = 0;
   int fresh_counter_ = 0;
 
-  // Closure materialization memo: per closure expression, (env, result).
-  // A deque keeps references to stored results stable as entries are added.
+  // Closure materialization memo: (env, result) entries keyed by closure
+  // expression and Env::Hash(), so a lookup compares only the envs whose
+  // hash matches. Map nodes keep references to stored results stable as
+  // entries are added.
   struct ClosureMemoEntry {
     Env env;
     Relation result;
   };
-  std::map<const Expr*, std::deque<ClosureMemoEntry>> closure_memo_;
+  std::multimap<std::pair<const Expr*, size_t>, ClosureMemoEntry>
+      closure_memo_;
   // Holding area so MaterializeSO can return stable references for
   // non-memoizable (partial-dependent) results.
   std::vector<std::unique_ptr<Relation>> scratch_;

@@ -165,6 +165,9 @@ std::optional<datalog::AggOp> AggOpOf(const std::string& name) {
 /// Per-component translation context, shared by all of its rules.
 struct ComponentContext {
   std::set<std::string> members;
+  /// The EDB predicate each relation parameter position reads
+  /// (LoweredComponent::arg_preds); empty for a first-order component.
+  const std::vector<std::string>* arg_preds;
   const std::map<std::string, std::vector<const Def*>>* defs_by_name;
   const std::map<std::string, size_t>* max_sig;
   std::set<std::string>* externals;
@@ -415,7 +418,9 @@ class RuleLowerer {
                                      const AggMatch* agg,
                                      const ExprPtr& agg_body) {
     if (def.square_head) return Fail("[]-headed rule (expression body)");
-    if (CountSOParams(def) > 0) return Fail("relation-variable parameters");
+    // LowerComponent checked the count; the names may differ per def.
+    const size_t sig = ctx_.arg_preds->size();
+    for (size_t i = 0; i < sig; ++i) rel_params_[def.params[i].name] = i;
     rule_.head.pred = def.name;
     // For an aggregate head form the final parameter is the result column:
     // the Datalog head carries the GROUP columns only and the engine appends
@@ -423,7 +428,7 @@ class RuleLowerer {
     // undeclared, so any other use of it fails the rule — a filter on the
     // aggregate result has no classical-fragment equivalent.
     const size_t head_params = def.params.size() - (agg != nullptr ? 1 : 0);
-    for (size_t i = 0; i < head_params; ++i) {
+    for (size_t i = sig; i < head_params; ++i) {
       const Binding& b = def.params[i];
       switch (b.kind) {
         case Binding::Kind::kVar: {
@@ -474,31 +479,76 @@ class RuleLowerer {
     return nullptr;
   }
 
+  /// The position of the relation parameter `name` names here, unless a
+  /// first-order variable shadows it.
+  std::optional<size_t> RelParam(const std::string& name) const {
+    if (Lookup(name)) return std::nullopt;
+    auto it = rel_params_.find(name);
+    if (it == rel_params_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// The predicate an application of `name` reads. A relation parameter
+  /// reads its argument's EDB predicate. A member application must pass the
+  /// component's relation parameters through unchanged, in order (every
+  /// member instance shares the one binding), and those leading arguments
+  /// are dropped from `args`. Anything else keeps its name.
+  std::optional<std::string> ResolveRelation(const std::string& name,
+                                             std::vector<Arg>* args) {
+    if (std::optional<size_t> param = RelParam(name)) {
+      return (*ctx_.arg_preds)[*param];
+    }
+    const size_t sig = ctx_.arg_preds->size();
+    if (sig > 0 && ctx_.members.count(name)) {
+      bool through = args->size() >= sig;
+      for (size_t i = 0; through && i < sig; ++i) {
+        const Arg& arg = (*args)[i];
+        through = arg.expr && arg.expr->kind == ExprKind::kIdent &&
+                  arg.annotation != Annotation::kFirstOrder &&
+                  RelParam(arg.expr->name) == i;
+      }
+      if (!through) {
+        if (why_ && why_->empty()) {
+          *why_ = "member '" + name +
+                  "' is applied to other relation arguments";
+        }
+        return std::nullopt;
+      }
+      args->erase(args->begin(), args->begin() + sig);
+    }
+    return name;
+  }
+
   /// `x in Expr` binding domains: supported when the domain is a plain
   /// relation name, which becomes a positive membership atom.
   bool LowerDomain(const ExprPtr& domain, int var) {
     if (domain->kind != ExprKind::kIdent || Lookup(domain->name)) {
       return FailBool("unsupported binding domain");
     }
-    return EmitRelationAtom(domain->name, {Term::Var(var)},
-                            /*positive=*/true);
+    std::vector<Arg> no_args;
+    std::optional<std::string> pred = ResolveRelation(domain->name, &no_args);
+    if (!pred) return false;
+    return EmitRelationAtom(*pred, {Term::Var(var)}, /*positive=*/true);
   }
 
-  /// Classifies `name` as member / external and appends the atom. External
-  /// names must be first-order (no second-order definitions): their extents
-  /// are materialized as EDB facts by the caller.
+  /// Classifies `name` as member / argument / external and appends the
+  /// atom. External names must be first-order (no second-order
+  /// definitions): their extents are materialized as EDB facts by the
+  /// caller, as are the relation arguments.
   bool EmitRelationAtom(const std::string& name, std::vector<Term> terms,
                         bool positive) {
-    if (!ctx_.members.count(name)) {
+    const std::vector<std::string>& arg_preds = *ctx_.arg_preds;
+    if (ctx_.members.count(name)) {
+      // Cannot happen for monotone components, but keep the guard local.
+      if (!positive) return FailBool("negated member reference");
+    } else if (std::find(arg_preds.begin(), arg_preds.end(), name) ==
+               arg_preds.end()) {
       auto sig = ctx_.max_sig->find(name);
       if (sig != ctx_.max_sig->end() && sig->second > 0) {
         return FailBool("external relation '" + name +
                         "' has second-order definitions");
       }
       ctx_.externals->insert(name);
-    } else if (!positive) {
-      // Cannot happen for monotone components, but keep the guard local.
-      return FailBool("negated member reference");
     }
     Atom atom;
     atom.pred = name;
@@ -550,13 +600,15 @@ class RuleLowerer {
           return std::nullopt;
         }
         const bool is_defined = ctx_.defs_by_name->count(base->name) > 0;
-        if (is_defined || !FindBuiltin(base->name)) {
+        if (RelParam(base->name) || is_defined || !FindBuiltin(base->name)) {
           // Relation application used as a value: A[i, k] denotes the set of
           // last-column continuations of (i, k) — a positive atom with a
           // fresh result variable. Faithful when A's extent has the uniform
           // arity |args| + 1 (a Rel relation of mixed arities would also
           // admit other suffix widths); the Datalog side pins one arity, as
           // full atom applications already do.
+          std::optional<std::string> pred = ResolveRelation(base->name, &args);
+          if (!pred) return std::nullopt;
           std::vector<Term> terms;
           terms.reserve(args.size() + 1);
           for (const Arg& arg : args) {
@@ -570,8 +622,7 @@ class RuleLowerer {
           }
           int result = next_var_++;
           terms.push_back(Term::Var(result));
-          if (!EmitRelationAtom(base->name, std::move(terms),
-                                /*positive=*/true)) {
+          if (!EmitRelationAtom(*pred, std::move(terms), /*positive=*/true)) {
             return std::nullopt;
           }
           return Term::Var(result);
@@ -680,7 +731,8 @@ class RuleLowerer {
     if (Lookup(name)) return FailBool("application of a local variable");
 
     const bool is_defined = ctx_.defs_by_name->count(name) > 0;
-    const Builtin* builtin = is_defined ? nullptr : FindBuiltin(name);
+    const Builtin* builtin =
+        is_defined || RelParam(name) ? nullptr : FindBuiltin(name);
     if (builtin) {
       std::string canonical = CanonicalBuiltin(name);
       if (std::optional<CmpOp> cmp = CmpOpOf(canonical)) {
@@ -738,7 +790,10 @@ class RuleLowerer {
       return FailBool("unsupported builtin '" + name + "'");
     }
 
-    // Named relation (member, defined external, or base).
+    // Named relation (member, relation argument, defined external, or
+    // base).
+    std::optional<std::string> pred = ResolveRelation(name, &args);
+    if (!pred) return false;
     std::vector<Term> terms;
     terms.reserve(args.size());
     for (const Arg& arg : args) {
@@ -749,7 +804,7 @@ class RuleLowerer {
       if (!t) return false;
       terms.push_back(*t);
     }
-    return EmitRelationAtom(name, std::move(terms), positive);
+    return EmitRelationAtom(*pred, std::move(terms), positive);
   }
 
   bool LowerFormula(const ExprPtr& expr, bool positive) {
@@ -792,6 +847,8 @@ class RuleLowerer {
 
   const ComponentContext& ctx_;
   std::string* why_;
+  /// Relation parameter name -> position, for the def being lowered.
+  std::map<std::string, size_t> rel_params_;
   std::vector<std::map<std::string, int>> scopes_;
   int next_var_ = 0;
   datalog::Rule rule_;
@@ -849,7 +906,8 @@ bool LowerDef(const Def& def, const ComponentContext& ctx,
 
 std::optional<LoweredComponent> LowerComponent(
     const std::string& name, const ProgramAnalysis& analysis,
-    const std::vector<std::shared_ptr<Def>>& defs, std::string* why) {
+    const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
+    size_t relation_params) {
   if (why) why->clear();
   std::vector<std::string> members = analysis.ComponentMembers(name);
   if (members.empty()) {
@@ -866,20 +924,32 @@ std::optional<LoweredComponent> LowerComponent(
     sig = std::max(sig, CountSOParams(*def));
   }
 
+  LoweredComponent out;
+  // Braces cannot occur in a Rel identifier, so these never collide with a
+  // member, an external, or a base relation.
+  for (size_t i = 0; i < relation_params; ++i) {
+    out.arg_preds.push_back("{" + std::to_string(i) + "}");
+  }
   ComponentContext ctx;
   ctx.members.insert(members.begin(), members.end());
+  ctx.arg_preds = &out.arg_preds;
   ctx.defs_by_name = &by_name;
   ctx.max_sig = &max_sig;
   std::set<std::string> externals;
   ctx.externals = &externals;
 
-  LoweredComponent out;
   for (const std::string& member : members) {
-    if (max_sig[member] > 0) {
-      if (why) *why = "member '" + member + "' has second-order definitions";
-      return std::nullopt;
-    }
     for (const Def* def : by_name[member]) {
+      if (CountSOParams(*def) != relation_params) {
+        if (why) {
+          *why = relation_params == 0
+                     ? "member '" + member + "' has second-order definitions"
+                     : "member '" + member + "' does not take exactly " +
+                           std::to_string(relation_params) +
+                           " relation parameters";
+        }
+        return std::nullopt;
+      }
       std::vector<datalog::Rule> rules;
       if (!LowerDef(*def, ctx, &rules, why)) return std::nullopt;
       for (datalog::Rule& rule : rules) {

@@ -13,9 +13,19 @@
 //     semi-naive path), OR a non-recursive def that applies one of the
 //     stdlib combinators min/max/sum/count
 //     (ProgramAnalysis::UsesAggregation);
-//   * every rule of every member is first-order (`def name(params): body`
-//     with no relation-variable parameters and no []-head producing
-//     expression outputs) over variable/literal parameters;
+//   * no rule of any member has a []-head producing expression outputs,
+//     and every head parameter is a variable or a literal;
+//   * relation-variable parameters are allowed when the component is
+//     recursive and lowered for one *instance* (the interpreter's
+//     InstanceKey): every rule of every member takes the same number of
+//     leading `{A}` parameters, and every member reference passes them
+//     through unchanged and in order (`TC[E](z, y)` inside
+//     `def TC({E}, x, y)`). Each parameter then reads an EDB predicate
+//     (LoweredComponent::arg_preds) that the caller fills with the
+//     instance's materialized relation argument, so stdlib `TC[E]` runs
+//     as the same Datalog program as first-order closure rules. Any other
+//     use of a parameter — an argument to another relation, or a member
+//     applied to different relation arguments — rejects;
 //   * every body is a conjunction (possibly under `exists`, and possibly
 //     disjunctive: `or` bodies split into one Datalog rule per DNF branch,
 //     up to 16 branches) of
@@ -42,7 +52,7 @@
 //     NOT lower; write a single disjunctive aggregate def instead).
 //
 // Everything else — tuple variables, string builtins, partial
-// applications, relation-valued arguments, DNF overflow — rejects the
+// applications, second-order externals, DNF overflow — rejects the
 // component, and the interpreter falls back to its tuple-at-a-time
 // fixpoint unchanged. So does every aggregate shape the engine's
 // monotonicity qualification refuses (datalog/eval.cc CheckMonotoneRule
@@ -66,8 +76,8 @@ namespace rel {
 
 /// The Datalog translation of one recursive Rel component. `program` holds
 /// the SCC's rules only; the caller supplies facts (the member predicates'
-/// base tuples plus the materialized extents of `externals`) before calling
-/// datalog::Evaluate.
+/// base tuples, the materialized extents of `externals`, and one relation
+/// argument per `arg_preds` entry) before calling datalog::Evaluate.
 struct LoweredComponent {
   datalog::Program program;
   /// The SCC's predicates (IDB), sorted.
@@ -75,18 +85,26 @@ struct LoweredComponent {
   /// SCC-external names referenced by the rules, whose extents must be
   /// provided as EDB facts. Sorted; disjoint from `members`.
   std::vector<std::string> externals;
+  /// The EDB predicate standing for each relation parameter, by position.
+  /// The names cannot collide with a Rel identifier. Empty for a
+  /// first-order component.
+  std::vector<std::string> arg_preds;
 };
 
 /// Attempts to translate the recursive component containing `name` into a
 /// Datalog program. `defs` is the full rule set the component lives in
-/// (integrity constraints are ignored). Returns nullopt when the component
-/// does not qualify; `why`, when non-null, receives a one-line reason for
-/// diagnostics and tests. The caller is responsible for checking that the
-/// component is recursive and monotone (ProgramAnalysis::IsRecursive /
-/// !UsesReplacement) — this function validates expressibility only.
+/// (integrity constraints are ignored). `relation_params` is the number of
+/// leading relation parameters of the instance being lowered: every member
+/// rule must take exactly that many, passed through unchanged (see the file
+/// comment), and 0 means a first-order component. Returns nullopt when the
+/// component does not qualify; `why`, when non-null, receives a one-line
+/// reason for diagnostics and tests. The caller is responsible for checking
+/// that the component is recursive and monotone (ProgramAnalysis::IsRecursive
+/// / !UsesReplacement) — this function validates expressibility only.
 std::optional<LoweredComponent> LowerComponent(
     const std::string& name, const ProgramAnalysis& analysis,
-    const std::vector<std::shared_ptr<Def>>& defs, std::string* why);
+    const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
+    size_t relation_params = 0);
 
 /// Builds the Datalog demand goal for querying member `name` of a lowered
 /// component with a binding pattern (bound positions carry the querying

@@ -5,7 +5,7 @@
 // that is unique across the whole database. Entities carry the concept they
 // belong to so the GNF layer can enforce the unique-identifier property.
 //
-// Values are small (16 bytes), trivially copyable, totally ordered and
+// Values are small (24 bytes), trivially copyable, totally ordered and
 // hashable, which is what the relation storage layer is built on.
 
 #ifndef REL_DATA_VALUE_H_

@@ -192,14 +192,23 @@ TEST(Lowering, DnfOverflowFallsBackToInterp) {
   EXPECT_EQ(classic.Query(source + "\ndef output : r"), got);
 }
 
-TEST(Lowering, SecondOrderRecursionFallsBackToInterp) {
-  // The stdlib TC takes a relation argument — second-order, so the
-  // component cannot lower; the solver path must still answer.
+TEST(Lowering, SecondOrderRecursionLowers) {
+  // The stdlib TC takes a relation argument and passes it through its
+  // recursive reference unchanged, so the TC[E] instance lowers with E as
+  // EDB and answers exactly what the saturation loop does.
   Engine engine;
   engine.Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
   Relation out = engine.Query("def output : TC[E]");
-  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 1);
+  EXPECT_EQ(engine.last_lowering_stats().lowered_names,
+            std::vector<std::string>{"TC"});
   EXPECT_EQ(out.ToString(), "{(1, 2); (1, 3); (2, 3)}");
+
+  Engine classic;
+  classic.options().lower_recursion = false;
+  classic.Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  EXPECT_EQ(classic.Query("def output : TC[E]").ToString(), out.ToString());
+  EXPECT_EQ(classic.last_lowering_stats().components_lowered, 0);
 }
 
 TEST(Lowering, AggregationInsideRecursionFallsBack) {

@@ -35,10 +35,16 @@ TEST_P(ClosureProperty, RelEqualsDatalogEqualsReference) {
   std::vector<Tuple> edges =
       benchutil::RandomGraph(param.n, param.m, param.seed);
 
-  // Rel engine (through the second-order stdlib TC).
+  // Rel engine (through the second-order stdlib TC), lowered onto the
+  // Datalog engine and on the interpreter's saturation loop.
   Engine engine;
   engine.Insert("E", edges);
   Relation rel_tc = engine.Query("def output : TC[E]");
+  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 1);
+  Engine classic;
+  classic.options().lower_recursion = false;
+  classic.Insert("E", edges);
+  EXPECT_EQ(classic.Query("def output : TC[E]").ToString(), rel_tc.ToString());
 
   // Baseline Datalog engine.
   datalog::Program program = datalog::ParseDatalog(
@@ -82,6 +88,17 @@ TEST_P(ApspProperty, BothFormulationsMatchBfs) {
   engine.Insert("V", nodes);
   Relation apsp = engine.Query("def output : APSP[V, E]");
   Relation guarded = engine.Query("def output : APSP_guarded[V, E]");
+
+  // Both answers are the interpreter's literal reading, whether or not an
+  // instance lowers.
+  Engine classic;
+  classic.options().lower_recursion = false;
+  classic.Insert("E", edges);
+  classic.Insert("V", nodes);
+  EXPECT_EQ(classic.Query("def output : APSP[V, E]").ToString(),
+            apsp.ToString());
+  EXPECT_EQ(classic.Query("def output : APSP_guarded[V, E]").ToString(),
+            guarded.ToString());
 
   auto ref = benchutil::ApspRef(param.n, edges);
 
