@@ -17,6 +17,18 @@ inline size_t HashCombine(size_t seed, size_t value) {
   return seed;
 }
 
+/// splitmix64 finalizer. Row hashes built over std::hash<int64_t> (identity
+/// on common standard libraries) have strided low bits; mixing before a
+/// power-of-two mask keeps linear-probe runs short.
+inline size_t MixHash(size_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
 template <typename T>
 size_t HashOf(const T& v) {
   return std::hash<T>{}(v);

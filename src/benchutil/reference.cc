@@ -113,6 +113,23 @@ std::vector<double> PageRankRef(int n, const std::vector<Tuple>& g, double eps,
   return p;
 }
 
+std::vector<double> PageRankLevelsRef(int n, const std::vector<Tuple>& g,
+                                      int levels) {
+  std::vector<std::tuple<int64_t, int64_t, double>> entries;
+  entries.reserve(g.size());
+  for (const Tuple& t : g) {
+    entries.emplace_back(t[0].AsInt(), t[1].AsInt(), t[2].AsDouble());
+  }
+  std::vector<double> p(n + 1, 1.0);
+  std::vector<double> next(n + 1);
+  for (int t = 0; t < levels; ++t) {
+    std::fill(next.begin(), next.end(), 0.0);
+    for (const auto& [i, j, v] : entries) next[i] += v * p[j];
+    p.swap(next);
+  }
+  return p;
+}
+
 std::map<Value, int64_t> GroupSumRef(const std::vector<Tuple>& rows) {
   std::map<Value, int64_t> out;
   for (const Tuple& t : rows) {

@@ -35,6 +35,13 @@ std::vector<Tuple> MatMulRef(const std::vector<Tuple>& a,
 std::vector<double> PageRankRef(int n, const std::vector<Tuple>& g, double eps,
                                 int* iterations = nullptr);
 
+/// Level-indexed power iteration: every node starts at rank 1.0 and each of
+/// `levels` steps sets p'[i] = sum of v * p[j] over the entries (i, j, v) —
+/// the recursive-sum `pr(v, t, r)` program at t = levels, except that a
+/// node with no in-entry ranks 0 here and has no row in the Rel answer.
+std::vector<double> PageRankLevelsRef(int n, const std::vector<Tuple>& g,
+                                      int levels);
+
 /// Group-by sum of the last column keyed on the first column.
 std::map<Value, int64_t> GroupSumRef(const std::vector<Tuple>& rows);
 

@@ -16,18 +16,6 @@ size_t HashSpan(const Value* vals, size_t n) {
   return seed;
 }
 
-/// splitmix64 finalizer. Row hashes built over std::hash<int64_t> (identity
-/// on common standard libraries) have strided low bits; mixing before the
-/// power-of-two mask keeps linear-probe runs short.
-size_t MixHash(size_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
 }  // namespace
 
 // --- ColumnArena -------------------------------------------------------------

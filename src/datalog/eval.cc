@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -197,17 +198,24 @@ std::optional<Value> FoldStep(AggOp op, const Value& acc, const Value& v) {
   return std::nullopt;
 }
 
-/// Folds one group's contribution bucket in sorted order, the same order
-/// the Rel interpreter's `reduce` consumes a materialized abstraction: the
-/// accumulator starts from the first sorted row's last column (the value;
-/// witnesses occupy the leading columns) and steps through the rest. A step
-/// with no result (mixed non-numeric payloads, NaN under min/max) makes the
-/// whole group's result absent — an empty or undefined group emits NO row,
-/// never a default.
-std::optional<Value> FoldBucket(AggOp op, const Relation& bucket) {
+/// The order a group folds its contributions in: the order the Rel
+/// interpreter's `reduce` consumes a materialized abstraction, i.e.
+/// Relation::SortedTuples — arity first (witness arities may differ between
+/// a predicate's rules), then lexicographic. Plain Tuple::operator< would
+/// interleave arities.
+bool FoldOrderLess(const Tuple& a, const Tuple& b) {
+  if (a.arity() != b.arity()) return a.arity() < b.arity();
+  return a < b;
+}
+
+/// Folds one group's (witness..., value) payloads, already in fold order:
+/// the accumulator starts from the first payload's value (its last column)
+/// and steps through the rest. A step with no result (mixed non-numeric
+/// payloads, NaN under min/max) makes the whole group's result absent — an
+/// empty or undefined group emits NO row, never a default.
+std::optional<Value> FoldPayloads(AggOp op, const std::vector<Tuple>& payloads) {
   std::optional<Value> acc;
-  for (const Tuple& t : bucket.SortedTuples()) {
-    if (t.arity() == 0) continue;
+  for (const Tuple& t : payloads) {
     const Value& v = t[t.arity() - 1];
     if (!acc) {
       acc = v;
@@ -1133,8 +1141,9 @@ std::vector<int> TopoOrder(const std::vector<Unit>& units) {
 
 /// Per-predicate aggregate signature. Every aggregate rule of a predicate
 /// must agree on the operator and the group arity (witness arity may differ
-/// per rule — buckets hold mixed-arity contribution rows, sorted by
-/// (arity, lex) exactly like a Rel abstraction's materialized relation).
+/// per rule — a group holds mixed-arity contribution rows, folded in
+/// (arity, lex) order exactly like a Rel abstraction's materialized
+/// relation; see FoldOrderLess).
 struct AggSig {
   AggOp op = AggOp::kMin;
   size_t group_arity = 0;
@@ -1296,24 +1305,69 @@ void CheckMonotoneRule(const Rule& rule, const std::set<std::string>& recursive,
   // ones under the unit's single min/max direction.
 }
 
-/// Per-group accumulator for one aggregate predicate: the set-deduplicated
-/// contribution bucket, the currently published result (absent until the
-/// first fold yields a value), and the round-local dirty flag.
+/// One aggregate group: its key columns, its contributions, and its
+/// currently published result (absent until the first fold yields a value).
+/// `payloads[0, sorted)` is in fold order; rows appended since the last
+/// fold follow it unsorted.
 struct AggGroup {
-  Relation bucket;
+  Tuple key;
+  std::vector<Tuple> payloads;  // (witness..., value)
+  size_t sorted = 0;
+  size_t hash = 0;  // Tuple::Hash of `key`
   std::optional<Value> value;
   bool dirty = false;
 };
 
 /// Unit-local aggregate state for one aggregate predicate. `seen` is the
 /// dedup authority across ALL rules of the predicate (mixed witness arities
-/// included): a contribution row that ever entered a bucket never re-enters,
+/// included): a contribution row that ever entered a group never re-enters,
 /// which both keeps set semantics (sum counts a deduplicated row once) and
-/// makes the semi-naive re-derivations idempotent.
+/// makes the semi-naive re-derivations idempotent — so a group's payloads
+/// need no dedup of their own. Groups live in one flat vector, found by
+/// an open-addressing table over their indices; `dirty` lists the groups
+/// that received contributions this round.
 struct AggPredState {
   AggSig sig;
   Relation seen;
-  std::map<Tuple, AggGroup> groups;  // deterministic refold order
+  std::vector<AggGroup> groups;
+  std::vector<uint32_t> table;  // group index + 1; 0 = empty slot
+  std::vector<uint32_t> dirty;
+
+  /// The group keyed by `row`'s first sig.group_arity columns, created if
+  /// new. The key Tuple is built only for a new group.
+  AggGroup& GroupOf(const TupleRef& row) {
+    const size_t g = sig.group_arity;
+    size_t h = kTupleHashSeed;
+    for (size_t i = 0; i < g; ++i) h = HashCombine(h, row[i].Hash());
+    if (2 * (groups.size() + 1) > table.size()) Grow();
+    const size_t mask = table.size() - 1;
+    for (size_t pos = MixHash(h) & mask;; pos = (pos + 1) & mask) {
+      uint32_t entry = table[pos];
+      if (entry == 0) {
+        table[pos] = static_cast<uint32_t>(groups.size() + 1);
+        AggGroup& grp = groups.emplace_back();
+        grp.key = row.Slice(0, g);
+        grp.hash = h;
+        return grp;
+      }
+      AggGroup& grp = groups[entry - 1];
+      if (grp.hash != h) continue;
+      bool equal = true;
+      for (size_t i = 0; i < g && equal; ++i) equal = grp.key[i] == row[i];
+      if (equal) return grp;
+    }
+  }
+
+ private:
+  void Grow() {
+    table.assign(table.empty() ? 16 : 2 * table.size(), 0);
+    const size_t mask = table.size() - 1;
+    for (size_t i = 0; i < groups.size(); ++i) {
+      size_t pos = MixHash(groups[i].hash) & mask;
+      while (table[pos] != 0) pos = (pos + 1) & mask;
+      table[pos] = static_cast<uint32_t>(i + 1);
+    }
+  }
 };
 
 /// Adds `from`'s counters into `into` (the per-unit/per-slot stats merge;
@@ -1389,10 +1443,10 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
   // ---- Aggregate preparation. Aggregate rules are rewritten to internal
   // "contribution rules" — same body, head extended with the witness and
   // value terms — and run through the ordinary plan/scan machinery. Their
-  // derivations land in per-group buckets instead of the extents; the dirty
-  // groups refold at the round barrier (publish_round below), and a changed
-  // (group..., result) row replaces the old extent row and becomes the next
-  // delta: monotone aggregate updates instead of set union.
+  // derivations land in per-group accumulators instead of the extents; the
+  // dirty groups refold at the round barrier (publish_round below), and a
+  // changed (group..., result) row replaces the old extent row and becomes
+  // the next delta: monotone aggregate updates instead of set union.
   std::map<std::string, AggPredState> agg;
   std::map<std::string, AggSig> agg_sigs;
   for (const Rule* rule : unit.rules) {
@@ -1631,10 +1685,10 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
   // Round barrier, part two: publishes `added` into the canonical state and
   // returns the next delta. Plain predicates merge tuple-wise. Aggregate
   // predicates route their new contribution rows into the per-group
-  // accumulators, refold the dirty groups in deterministic (std::map) order,
-  // and replace each changed (group..., result) extent row — the changed
-  // rows ARE the aggregate predicate's next delta. Runs sequentially on the
-  // unit's thread, so the single-writer extent discipline holds.
+  // accumulators, refold the dirty groups in group-key order, and replace
+  // each changed (group..., result) extent row — the changed rows ARE the
+  // aggregate predicate's next delta. Runs sequentially on the unit's
+  // thread, so the single-writer extent discipline holds.
   auto publish_round = [&](DeltaMap added) -> DeltaMap {
     for (auto& [pred, rel] : added) {
       auto agg_it = agg.find(pred);
@@ -1648,18 +1702,22 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
       rel.ForEach([&](const TupleRef& row) {
         if (!ap.seen.Insert(row)) return;  // set semantics: counted once
         ++local.aggregate_updates;
-        Tuple group;
-        for (size_t i = 0; i < g && i < row.arity(); ++i) group.Append(row[i]);
-        Tuple payload;  // (witness..., value)
-        for (size_t i = g; i < row.arity(); ++i) payload.Append(row[i]);
-        AggGroup& grp = ap.groups[std::move(group)];
-        grp.bucket.Insert(std::move(payload));
-        grp.dirty = true;
+        AggGroup& grp = ap.GroupOf(row);
+        grp.payloads.push_back(row.Slice(g, row.arity()));
+        if (!grp.dirty) {
+          grp.dirty = true;
+          ap.dirty.push_back(static_cast<uint32_t>(&grp - ap.groups.data()));
+        }
       });
+      // Group-key order makes the first error raised deterministic.
+      std::sort(ap.dirty.begin(), ap.dirty.end(),
+                [&ap](uint32_t a, uint32_t b) {
+                  return ap.groups[a].key < ap.groups[b].key;
+                });
       Relation changed;
       Relation& extent = state->full->at(pred);
-      for (auto& [group, grp] : ap.groups) {
-        if (!grp.dirty) continue;
+      for (uint32_t index : ap.dirty) {
+        AggGroup& grp = ap.groups[index];
         grp.dirty = false;
         if (grp.value.has_value() &&
             (ap.sig.op == AggOp::kSum || ap.sig.op == AggOp::kCount)) {
@@ -1676,7 +1734,14 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
                   "' received a contribution after its group published; "
                   "only level-indexed recursive sums are monotone");
         }
-        std::optional<Value> folded = FoldBucket(ap.sig.op, grp.bucket);
+        // Sort only this round's payloads, then merge them into the sorted
+        // prefix.
+        auto mid = grp.payloads.begin() + static_cast<ptrdiff_t>(grp.sorted);
+        std::sort(mid, grp.payloads.end(), FoldOrderLess);
+        std::inplace_merge(grp.payloads.begin(), mid, grp.payloads.end(),
+                           FoldOrderLess);
+        grp.sorted = grp.payloads.size();
+        std::optional<Value> folded = FoldPayloads(ap.sig.op, grp.payloads);
         if (!folded.has_value()) {
           if (grp.value.has_value()) {
             throw RelError(ErrorKind::kType,
@@ -1688,7 +1753,7 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
         }
         if (grp.value.has_value()) {
           if (*grp.value == *folded) continue;
-          // The refold ran over a superset of the old bucket, so min can
+          // The refold ran over a superset of the old payloads, so min can
           // only decrease and max only increase; a regression means a
           // non-monotone shape escaped static qualification.
           Value::Ordering o = grp.value->NumericCompare(*folded);
@@ -1702,17 +1767,18 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
                                "' regressed during the fixpoint; "
                                "non-monotone recursion");
           }
-          Tuple old_row = group;
+          Tuple old_row = grp.key;
           old_row.Append(*grp.value);
           extent.Erase(old_row);
         }
-        Tuple new_row = group;
+        Tuple new_row = grp.key;
         new_row.Append(*folded);
         extent.Insert(new_row);
         changed.Insert(std::move(new_row));
         grp.value = std::move(folded);
         ++local.groups_improved;
       }
+      ap.dirty.clear();
       rel = std::move(changed);
     }
     return added;
@@ -1952,7 +2018,7 @@ DeltaResult EvaluateDelta(const Program& program,
   }
   // Aggregate rules cannot be maintained: the per-group accumulators fold
   // monotonically and never retract a contribution, while an EDB delta can
-  // delete one — neither the resumed semi-naive pass (it has no bucket
+  // delete one — neither the resumed semi-naive pass (it has no group
   // state) nor DRed (group rows are folds, not unions of derivations)
   // models that. Refuse before touching anything; the caller's contract is
   // to fall back to a full recompute.

@@ -43,10 +43,10 @@
 //   * Recursive aggregation. Rules with an aggregate head (min/max/sum/
 //     count over group-by columns; program.h Aggregate) run inside the same
 //     fixpoint loops: each body match contributes a (witness..., value) row
-//     to its group's set-deduplicated bucket, dirty groups refold at the
-//     round barrier, and a changed (group..., result) row replaces the old
-//     extent row and enters the next delta — monotone aggregate *updates*
-//     instead of set union. Recursive min/max rules must be statically
+//     to its group (set-deduplicated per predicate), dirty groups refold in
+//     group-key order at the round barrier, and a changed (group...,
+//     result) row replaces the old extent row and enters the next delta —
+//     monotone aggregate *updates* instead of set union. Recursive min/max rules must be statically
 //     monotone (a taint analysis over the aggregated value's dataflow);
 //     recursive sum/count must be level-stratified, enforced dynamically (a
 //     contribution reaching a group after the group first emitted throws
@@ -172,7 +172,7 @@ struct EvalStats {
   // thread counts: contributions are set-deduplicated before counting and
   // groups refold at round barriers.
   uint64_t aggregate_updates = 0;  // distinct contribution rows added to
-                                   // group buckets across all rounds
+                                   // aggregate groups across all rounds
   uint64_t groups_improved = 0;    // group result rows created or replaced
                                    // at round barriers (a group that refolds
                                    // to its previous value counts 0)

@@ -98,9 +98,9 @@ enum class AggOp { kMin, kMax, kSum, kCount };
 /// has arity head.terms.size() + 1: one row (group..., result) per group of
 /// bindings of the head terms, where result folds the group's contribution
 /// bucket. Each body match contributes the row (witness..., value) to its
-/// group's bucket; buckets are sets (Relation-deduplicated), mirroring Rel's
-/// set semantics, and the fold runs over the bucket's sorted tuples exactly
-/// like the Rel interpreter's `reduce` (so sum never double-counts a
+/// group's bucket; buckets are sets, mirroring Rel's set semantics, and the
+/// fold runs over the bucket in sorted (arity, then lexicographic) order
+/// exactly like the Rel interpreter's `reduce` (so sum never double-counts a
 /// deduplicated row, and min/max ties keep the first sorted operand).
 struct Aggregate {
   AggOp op = AggOp::kMin;

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -176,6 +179,108 @@ TEST(Aggregate, SumOverflowThrowsTypeError) {
   }
 }
 
+// --- fold order and refold order ---------------------------------------------
+//
+// A group folds its contributions in Relation::SortedTuples order — payload
+// arity first, then lexicographic — and dirty groups refold in group order.
+// Both orders are observable: float sums are not associative, min/max keep
+// the first sorted operand on an Int/Float tie, and the first group to
+// overflow names the error.
+
+TEST(Aggregate, FloatSumFoldsInSortedWitnessOrder) {
+  // Sorted by witness, group 1 folds 1e16 + 1.0 (absorbed) - 1e16 = 0.0 and
+  // group 2 folds 1e16 - 1e16 + 1.0 = 1.0. Fact order is deliberately not
+  // the fold order.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"v",
+       {Tuple({I(1), I(3), F(-1e16)}), Tuple({I(1), I(2), F(1.0)}),
+        Tuple({I(1), I(1), F(1e16)}), Tuple({I(2), I(3), F(1.0)}),
+        Tuple({I(2), I(2), F(-1e16)}), Tuple({I(2), I(1), F(1e16)})}}};
+  Relation r = EvalAllConfigs("t(G, sum(V; W)) :- v(G, W, V).", "t", facts);
+  EXPECT_EQ(r.ToString(), "{(1, 0.0); (2, 1.0)}");
+}
+
+TEST(Aggregate, MixedWitnessAritiesFoldArityFirst) {
+  // One group fed by a one-witness and a two-witness rule. Arity-first order
+  // folds (5, 1e16), (9, 1.0), then (1, 1, -1e16): 0.0. A plain
+  // lexicographic order would start from (1, 1, -1e16) and give 1.0.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"a", {Tuple({I(1), I(9), F(1.0)}), Tuple({I(1), I(5), F(1e16)})}},
+      {"b", {Tuple({I(1), I(1), I(1), F(-1e16)})}}};
+  Relation r = EvalAllConfigs(
+      "t(G, sum(V; W)) :- a(G, W, V). "
+      "t(G, sum(V; W1, W2)) :- b(G, W1, W2, V).",
+      "t", facts);
+  EXPECT_EQ(r.ToString(), "{(1, 0.0)}");
+}
+
+TEST(Aggregate, IntFloatTieKeepsFirstSortedOperand) {
+  // 1 and 1.0 compare equal numerically; the fold keeps whichever sorts
+  // first. Group 1 and 3 sort the Int first, group 2 the Float.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"v",
+       {Tuple({I(1), I(2), F(1.0)}), Tuple({I(1), I(1), I(1)}),
+        Tuple({I(2), I(2), I(1)}), Tuple({I(2), I(1), F(1.0)})}},
+      {"u", {Tuple({I(3), F(1.0)}), Tuple({I(3), I(1)})}}};
+  for (const char* op : {"min", "max"}) {
+    Relation w = EvalAllConfigs(
+        std::string("t(G, ") + op + "(V; W)) :- v(G, W, V).", "t", facts);
+    EXPECT_EQ(w.ToString(), "{(1, 1); (2, 1.0)}") << op;
+    Relation p = EvalAllConfigs(
+        std::string("t(G, ") + op + "(V)) :- u(G, V).", "t", facts);
+    EXPECT_EQ(p.ToString(), "{(3, 1)}") << op;
+  }
+}
+
+TEST(Aggregate, RecursiveMinTieRefoldsAcrossRounds) {
+  // Node 4 publishes 1.0 (via 1) a round before the Int 1 arrives (via
+  // 2 -> 3); the refold over the merged bucket sorts the Int first, so the
+  // published row is replaced by its Int representation.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"seed", {Tuple({I(1), F(1.0)}), Tuple({I(2), I(1)})}},
+      {"e", {Tuple({I(1), I(4)}), Tuple({I(2), I(3)}), Tuple({I(3), I(4)})}}};
+  EvalStats stats;
+  Relation r = EvalAllConfigs(
+      "m(X, min(D)) :- seed(X, D). m(X, min(D)) :- m(Y, D), e(Y, X).", "m",
+      facts, &stats);
+  EXPECT_EQ(r.ToString(), "{(1, 1.0); (2, 1); (3, 1); (4, 1)}");
+  EXPECT_EQ(stats.aggregate_updates, 5u);
+}
+
+/// Group 1's sorted bucket is (1), (INT64_MAX): its fold adds them in that
+/// order.
+constexpr const char* kOverflowGroup1 =
+    "type error: integer overflow: 1 + 9223372036854775807 exceeds the "
+    "int64 range";
+
+TEST(Aggregate, FirstOverflowingGroupInGroupOrderNamesTheError) {
+  // Groups 2 and 1 overflow in the same round; group 1 refolds first
+  // whatever order its contributions arrived in.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"v",
+       {Tuple({I(2), I(std::numeric_limits<int64_t>::max())}),
+        Tuple({I(2), I(2)}),
+        Tuple({I(1), I(std::numeric_limits<int64_t>::max())}),
+        Tuple({I(1), I(1)})}}};
+  for (Strategy strategy : kAllStrategies) {
+    for (int threads : {1, 4}) {
+      if (strategy != Strategy::kSemiNaive && threads != 1) continue;
+      Program p = ParseDatalog("t(G, sum(V)) :- v(G, V).");
+      for (const Tuple& t : facts.at("v")) p.AddFact("v", t);
+      EvalOptions options;
+      options.strategy = strategy;
+      options.num_threads = threads;
+      try {
+        EvaluatePredicate(p, "t", options);
+        FAIL() << "expected kType on i64 sum overflow";
+      } catch (const RelError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kType);
+        EXPECT_STREQ(e.what(), kOverflowGroup1);
+      }
+    }
+  }
+}
+
 // --- static and dynamic qualification ----------------------------------------
 
 TEST(Aggregate, MixedPlainAndAggregateRulesRefused) {
@@ -288,6 +393,99 @@ TEST(Aggregate, LevelIndexedRecursiveSumEvaluates) {
   p.AddFact("u", Tuple({I(1)}));
   Relation s = EvaluatePredicate(p, "s", Strategy::kSemiNaive);
   EXPECT_EQ(s.ToString(), "{(0, 3); (1, 6); (2, 12)}");
+}
+
+/// Sorted rendering with every float at full precision (Relation::ToString
+/// rounds to six decimals, which would hide a changed summation order).
+std::string ExactText(const Relation& r) {
+  std::string out;
+  char buf[64];
+  for (const Tuple& t : r.SortedTuples()) {
+    out += '(';
+    for (size_t i = 0; i < t.arity(); ++i) {
+      if (i > 0) out += ", ";
+      if (t[i].is_float()) {
+        std::snprintf(buf, sizeof(buf), "%a", t[i].AsFloat());
+        out += buf;
+      } else {
+        out += t[i].ToString();
+      }
+    }
+    out += ")\n";
+  }
+  return out;
+}
+
+/// FNV-1a, so the pinned digest does not depend on the standard library.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pinned from the evaluator before its aggregate accumulators were
+// rewritten; a change to any of them is a change of semantics or cost.
+constexpr uint64_t kPageRankAggregateUpdates = 5904;
+constexpr uint64_t kPageRankGroupsImproved = 2122;
+constexpr uint64_t kPageRankTuplesDerived = 5904;
+constexpr uint64_t kPageRankIterations = 12;
+constexpr size_t kPageRankRows = 2122;
+constexpr uint64_t kPageRankDigest = 3060964003894207747ULL;
+
+TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
+  // The relbench pagerank_levels shape as a Datalog program: 200 nodes, 600
+  // distinct non-loop edges, weight 1/outdeg, ten levels of power iteration
+  // from unit start mass. Every level's groups fill in one round.
+  constexpr int kN = 200, kM = 600, kLevels = 10;
+  std::set<std::pair<int, int>> edges;
+  uint64_t state = 12345;
+  auto next = [&state](int bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((state >> 33) % static_cast<uint64_t>(bound));
+  };
+  while (edges.size() < static_cast<size_t>(kM)) {
+    int u = 1 + next(kN), v = 1 + next(kN);
+    if (u != v) edges.insert({u, v});
+  }
+  std::map<int, int> outdeg;
+  for (const auto& [u, v] : edges) ++outdeg[u];
+  const std::string source =
+      "pr(V, T, sum(X; U)) :- init(V, T, U, X). "
+      "pr(V, T, sum(X; U)) :- level(T), S = T - 1, g(V, U, W), "
+      "pr(U, S, RR), X = W * RR.";
+  std::string text_at_1;
+  for (int threads : {1, 4}) {
+    Program p = ParseDatalog(source);
+    for (int v = 1; v <= kN; ++v) {
+      p.AddFact("init", Tuple({I(v), I(0), I(0), F(1.0)}));
+    }
+    for (int t = 1; t <= kLevels; ++t) p.AddFact("level", Tuple({I(t)}));
+    for (const auto& [u, v] : edges) {
+      p.AddFact("g", Tuple({I(v), I(u), F(1.0 / outdeg[u])}));
+    }
+    EvalOptions options;
+    options.num_threads = threads;
+    EvalStats stats;
+    Relation pr = EvaluatePredicate(p, "pr", options, &stats);
+    EXPECT_EQ(stats.aggregate_updates, kPageRankAggregateUpdates)
+        << "threads " << threads;
+    EXPECT_EQ(stats.groups_improved, kPageRankGroupsImproved)
+        << "threads " << threads;
+    EXPECT_EQ(stats.tuples_derived, kPageRankTuplesDerived)
+        << "threads " << threads;
+    EXPECT_EQ(stats.iterations, kPageRankIterations) << "threads " << threads;
+    EXPECT_EQ(pr.size(), kPageRankRows) << "threads " << threads;
+    std::string text = ExactText(pr);
+    EXPECT_EQ(Fnv1a(text), kPageRankDigest) << "threads " << threads;
+    if (threads == 1) {
+      text_at_1 = text;
+    } else {
+      EXPECT_EQ(text, text_at_1);
+    }
+  }
 }
 
 // --- incremental maintenance refuses aggregates ------------------------------
