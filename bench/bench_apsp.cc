@@ -101,7 +101,7 @@ BENCHMARK(BM_APSP_RelAggInterp)
     ->Apply(ApplyArgs)
     ->Unit(benchmark::kMillisecond);
 
-void RunApspDatalog(benchmark::State& state, datalog::Strategy strategy) {
+void BM_APSP_Datalog(benchmark::State& state) {
   // The classical encoding: derive bounded path lengths, then take the
   // minimum per pair outside the engine (classical Datalog lacks
   // aggregation — one of the gaps Rel closes, Section 5.2).
@@ -115,8 +115,8 @@ void RunApspDatalog(benchmark::State& state, datalog::Strategy strategy) {
         bound + ".");
     for (const Tuple& e : edges) program.AddFact("edge", e);
     datalog::EvalStats stats;
-    Relation paths =
-        datalog::EvaluatePredicate(program, "path", strategy, &stats);
+    Relation paths = datalog::EvaluatePredicate(
+        program, "path", datalog::Strategy::kSemiNaive, &stats);
     std::map<std::pair<int64_t, int64_t>, int64_t> best;
     for (const Tuple& t : paths.TuplesOfArity(3)) {
       auto key = std::make_pair(t[0].AsInt(), t[1].AsInt());
@@ -131,18 +131,7 @@ void RunApspDatalog(benchmark::State& state, datalog::Strategy strategy) {
   }
 }
 
-void BM_APSP_Datalog(benchmark::State& state) {
-  RunApspDatalog(state, datalog::Strategy::kSemiNaive);
-}
 BENCHMARK(BM_APSP_Datalog)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
-
-void BM_APSP_DatalogScan(benchmark::State& state) {
-  // Ablation: same iteration schedule, nested-loop scans instead of probes.
-  RunApspDatalog(state, datalog::Strategy::kSemiNaiveScan);
-}
-BENCHMARK(BM_APSP_DatalogScan)
-    ->Apply(ApplyArgs)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_APSP_HandwrittenBFS(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

@@ -1,13 +1,11 @@
 // E6 — transitive closure (Section 3.3's recursion workload).
 //
-// Series: the Rel engine, the baseline Datalog engine (indexed semi-naive,
-// scan-based semi-naive, and naive), and the handwritten BFS reference, over
-// chain and random graphs. Expected shape: handwritten < datalog indexed <
-// datalog semi-naive scan < datalog naive; the Rel engine pays its
-// generality (tuple-at-a-time solving, higher-order machinery) but follows
-// the same asymptotics. The PR-gated 5x criterion is indexed-vs-naive
-// (~70x at n=64); the indexed-vs-scan gap isolates the access path alone
-// (~2-4x here, growing with n).
+// Series: the Rel engine, the baseline Datalog engine (indexed semi-naive
+// and the naive oracle), and the handwritten BFS reference, over chain and
+// random graphs. Expected shape: handwritten < datalog indexed < datalog
+// naive; the Rel engine pays its generality (tuple-at-a-time solving,
+// higher-order machinery) but follows the same asymptotics. The PR-gated
+// 5x criterion is indexed-vs-naive (~70x at n=64).
 
 #include <benchmark/benchmark.h>
 
@@ -27,7 +25,7 @@ std::vector<Tuple> GraphFor(const benchmark::State& state) {
 }
 
 void ApplyGraphArgs(benchmark::internal::Benchmark* b) {
-  // 128 exceeds the seed sizes to make the indexed-vs-scan asymptotic gap
+  // 128 exceeds the seed sizes to make the indexed-vs-naive asymptotic gap
   // visible; the Rel-engine series keeps the smaller sizes only.
   for (int64_t shape : {0, 1}) {
     for (int64_t n : {16, 32, 64, 128}) {
@@ -99,15 +97,6 @@ void BM_TC_DatalogSemiNaive(benchmark::State& state) {
   RunDatalogTC(state, datalog::Strategy::kSemiNaive);
 }
 BENCHMARK(BM_TC_DatalogSemiNaive)
-    ->Apply(ApplyGraphArgs)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TC_DatalogSemiNaiveScan(benchmark::State& state) {
-  // Ablation: the pre-index nested-loop evaluator on the same iteration
-  // schedule — isolates the access-path win from the delta discipline.
-  RunDatalogTC(state, datalog::Strategy::kSemiNaiveScan);
-}
-BENCHMARK(BM_TC_DatalogSemiNaiveScan)
     ->Apply(ApplyGraphArgs)
     ->Unit(benchmark::kMillisecond);
 

@@ -2,8 +2,8 @@
 // run each under the full configuration lattice — every strategy, thread
 // count, plan-order seed and demand pattern of the classical engine, plus
 // the Rel engine via the to_rel bridge — and report any configuration that
-// disagrees with the naive-scan oracle on answers, error kinds, or the
-// cost invariants between equal-work configurations.
+// disagrees with the naive oracle on answers, error kinds, or the cost
+// invariants between equal-work configurations.
 //
 // Build & run:  ./build/examples/fuzz --seed 42 --iters 200
 //

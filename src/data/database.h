@@ -118,7 +118,7 @@ class Database {
   uint64_t version() const { return version_; }
 
   /// Forces every relation's lazily-built sorted views (row order and the
-  /// materialized-tuple compatibility view) so that subsequent const reads
+  /// materialized sorted tuples) so that subsequent const reads
   /// are write-free. The commit pipeline calls this before publishing a
   /// snapshot: afterwards any number of sessions can evaluate against the
   /// snapshot concurrently without touching a lock. Idempotent; already-

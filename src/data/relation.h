@@ -78,9 +78,9 @@ class ColumnArena {
   /// vector is stable across Insert (stale but safe), not across Erase.
   const std::vector<uint32_t>& SortedRows() const;
 
-  /// Materialized sorted tuples — the compatibility view for row-oriented
-  /// consumers (scan-strategy ablation baselines, kg layer, tests). Built
-  /// lazily; the columnar fast paths never force it.
+  /// Materialized sorted tuples — the row-oriented view behind
+  /// Relation::TuplesOfArity. Built lazily; the columnar fast paths never
+  /// force it.
   const std::vector<Tuple>& SortedTuples() const;
 
   /// Invokes fn(TupleRef) for every row present at entry. The row count is
@@ -209,9 +209,11 @@ class Relation {
   /// Relation is neither copied, moved-from, nor destroyed.
   const ColumnArena* ArenaOfArity(size_t arity) const;
 
-  /// All tuples of a given arity in sorted order (empty if none). This is
-  /// the materialized compatibility view; columnar consumers should use
-  /// ArenaOfArity / ForEachOfArity instead.
+  /// All tuples of a given arity in sorted order (empty if none), as
+  /// materialized Tuples cached until the next mutation. For callers that
+  /// need one arity in a deterministic order: src/kg reports constraint
+  /// violations in this order, and tests compare against it. Evaluation
+  /// paths never force it; they use ArenaOfArity / ForEachOfArity.
   const std::vector<Tuple>& TuplesOfArity(size_t arity) const;
 
   /// All tuples, sorted by (arity, lexicographic). Deterministic.

@@ -304,35 +304,118 @@ const Relation* FindDelta(const DeltaMap& delta, const std::string& pred) {
   return it == delta.end() ? nullptr : &it->second;
 }
 
-/// Materialized delta rows for the scan-strategy ablation paths.
-const std::vector<Tuple>& DeltaRows(const DeltaMap& delta,
-                                    const std::string& pred, size_t arity) {
-  static const std::vector<Tuple>* empty = new std::vector<Tuple>();
-  const Relation* rel = FindDelta(delta, pred);
-  return rel == nullptr ? *empty : rel->TuplesOfArity(arity);
-}
+// --- literal placement (the planner and kNaive) ------------------------------
 
-/// Builds the head tuple and inserts it into `out` (scan-path variant).
-void EmitHead(const Rule& rule, const Bindings& bindings, Relation* out,
-              EvalStats* stats) {
-  Tuple head;
-  for (const Term& t : rule.head.terms) {
-    if (t.is_var()) {
-      if (!bindings[t.var]) {
-        throw RelError(ErrorKind::kSafety,
-                       "head variable unbound in rule for '" + rule.head.pred +
-                           "'");
+/// One step of a compiled rule plan.
+struct PlanStep {
+  enum class Kind {
+    kScanDelta,  // scan the semi-naive delta occurrence (always first)
+    kScanFull,   // scan an all-free leading atom
+    kProbe,      // probe the (pred, arity, key_positions) hash index
+    kNegation,   // all-bound negated atom: Contains check
+    kFilter,     // all-bound comparison
+    kBind,       // equality with one unbound variable side: binds it
+    kAssign,     // arithmetic assignment; operands bound
+    kRange,      // range generator; lo/hi/step bound, enumerates or tests x
+  };
+  Kind kind;
+  size_t lit_index = 0;
+  std::vector<size_t> key_positions;  // kProbe: columns bound at entry
+  bool bind_lhs = false;              // kBind: the lhs is the unbound side
+};
+
+/// Decides whether body literal `i` of `rule`, other than a positive atom,
+/// can run once the variables in `*bound` are bound. If it can, marks what
+/// it binds and returns the step it runs as; otherwise returns nullopt.
+/// The planner and kNaive's SafetyOrder both place literals with this, so
+/// they accept and reject the same rules. An equality with exactly one side
+/// known binds that side only when no atom, assignment or range in the body
+/// produces the variable: an equality on a produced variable waits and runs
+/// as a filter after its producer (EvalCompare equates Int 1 with Float
+/// 1.0), never as a binding checked type-exactly against the producer.
+std::optional<PlanStep> ReadyStep(const Rule& rule, size_t i,
+                                  std::vector<bool>* bound) {
+  const Literal& lit = rule.body[i];
+  auto known = [&](const Term& t) { return !t.is_var() || (*bound)[t.var]; };
+  auto produced_elsewhere = [&](int var) {
+    for (const Literal& other : rule.body) {
+      if (other.kind == Literal::Kind::kAssign && other.target == var) {
+        return true;
       }
-      head.Append(*bindings[t.var]);
-    } else {
-      head.Append(t.constant);
+      if (other.kind == Literal::Kind::kRange) {
+        const Term& x = other.atom.terms[3];
+        if (x.is_var() && x.var == var) return true;
+        continue;
+      }
+      if (other.kind != Literal::Kind::kPositive) continue;
+      for (const Term& t : other.atom.terms) {
+        if (t.is_var() && t.var == var) return true;
+      }
+    }
+    return false;
+  };
+  switch (lit.kind) {
+    case Literal::Kind::kPositive:
+      break;
+    case Literal::Kind::kNegative:
+      for (const Term& t : lit.atom.terms) {
+        if (!known(t)) return std::nullopt;
+      }
+      return PlanStep{PlanStep::Kind::kNegation, i, {}, false};
+    case Literal::Kind::kCompare: {
+      const bool lk = known(lit.lhs);
+      const bool rk = known(lit.rhs);
+      if (lk && rk) return PlanStep{PlanStep::Kind::kFilter, i, {}, false};
+      if (lit.cmp_op != CmpOp::kEq || lit.negated || lk == rk) break;
+      const int var = (lk ? lit.rhs : lit.lhs).var;
+      if (produced_elsewhere(var)) break;
+      (*bound)[var] = true;
+      return PlanStep{PlanStep::Kind::kBind, i, {}, !lk};
+    }
+    case Literal::Kind::kAssign:
+      if (!known(lit.lhs) || !known(lit.rhs)) break;
+      (*bound)[lit.target] = true;
+      return PlanStep{PlanStep::Kind::kAssign, i, {}, false};
+    case Literal::Kind::kRange: {
+      for (size_t p = 0; p < 3; ++p) {
+        if (!known(lit.atom.terms[p])) return std::nullopt;
+      }
+      const Term& x = lit.atom.terms[3];
+      if (x.is_var()) (*bound)[x.var] = true;
+      return PlanStep{PlanStep::Kind::kRange, i, {}, false};
     }
   }
-  if (stats) ++stats->tuples_derived;
-  out->Insert(head);
+  return std::nullopt;
 }
 
-/// Indexed-path emit: gathers the head values into the caller's reusable
+/// Throws kSafety unless every body literal was placed (`done`) and every
+/// head variable ended up `bound`: the rule is not range-restricted under
+/// any literal order.
+void RequireRangeRestricted(const Rule& rule, const std::vector<bool>& done,
+                            const std::vector<bool>& bound) {
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    if (done[i]) continue;
+    const Literal::Kind kind = rule.body[i].kind;
+    const char* what =
+        kind == Literal::Kind::kNegative
+            ? "variable in negated atom of rule for '"
+            : kind == Literal::Kind::kCompare
+                  ? "comparison over unbound variables in rule for '"
+                  : kind == Literal::Kind::kRange
+                        ? "range bounds unbound in rule for '"
+                        : "assignment over unbound variables in rule for '";
+    throw RelError(ErrorKind::kSafety, what + rule.head.pred + "'");
+  }
+  for (const Term& t : rule.head.terms) {
+    if (t.is_var() && !bound[t.var]) {
+      throw RelError(ErrorKind::kSafety,
+                     "head variable unbound in rule for '" + rule.head.pred +
+                         "'");
+    }
+  }
+}
+
+/// Emits one derivation: gathers the head values into the caller's reusable
 /// scratch buffer and inserts the span straight into `out`'s column arena —
 /// no per-candidate Tuple allocation. When `dedup_against` is non-null,
 /// tuples already in that extent are dropped at the source — the fixpoint
@@ -361,142 +444,150 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
   out->Insert(scratch.data(), scratch.size());
 }
 
-// --- scan-based evaluation (kNaive / kSemiNaiveScan ablation baseline) -------
+// --- naive evaluation (kNaive, the fuzzer's oracle) --------------------------
 
-/// Evaluates one rule by nested-loop scans; `delta_index`, when >= 0, forces
-/// that positive-atom occurrence to range over the delta relation.
-void EvalRuleScan(const Rule& rule, const State& state, const DeltaMap& delta,
-                  int delta_index, Relation* out, EvalStats* stats) {
+/// The order in which kNaive evaluates `rule`'s body: the written order,
+/// except that a literal whose inputs are not yet bound is deferred to the
+/// first point where they are (ReadyStep decides; a positive atom is always
+/// ready). Computed once per rule. Throws kSafety when no order binds
+/// everything — exactly the rules the planner rejects, since both place
+/// literals with ReadyStep and so reach the same closure of bound
+/// variables.
+std::vector<size_t> SafetyOrder(const Rule& rule) {
+  const size_t n = rule.body.size();
+  std::vector<bool> bound(static_cast<size_t>(MaxVar(rule) + 1), false);
+  std::vector<bool> done(n, false);
+  // Places literal i if its inputs are bound, marking what it binds.
+  auto place = [&](size_t i) {
+    const Literal& lit = rule.body[i];
+    if (lit.kind == Literal::Kind::kPositive) {
+      for (const Term& t : lit.atom.terms) {
+        if (t.is_var()) bound[t.var] = true;
+      }
+    } else if (!ReadyStep(rule, i, &bound)) {
+      return false;
+    }
+    done[i] = true;
+    return true;
+  };
+  std::vector<size_t> order;
+  std::vector<size_t> waiting;  // written order, not yet placeable
+  for (size_t i = 0; i < n; ++i) {
+    waiting.push_back(i);
+    // Placing `i` may release earlier waiting literals, which may release
+    // more; retry in written order until nothing moves.
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (auto it = waiting.begin(); it != waiting.end();) {
+        if (place(*it)) {
+          order.push_back(*it);
+          it = waiting.erase(it);
+          progress = true;
+        } else {
+          ++it;
+        }
+      }
+    }
+  }
+  RequireRangeRestricted(rule, done, bound);
+  return order;
+}
+
+/// Evaluates one rule by nested-loop scans of the full extents, in the
+/// rule's safety `order`, emitting tuples not already in `dedup_against`.
+void EvalRuleNaive(const Rule& rule, const std::vector<size_t>& order,
+                   const State& state, Relation* out, EvalStats* stats,
+                   const Relation* dedup_against) {
   Bindings bindings(static_cast<size_t>(MaxVar(rule) + 1));
+  std::vector<Value> head_buf;
+  // The safety order guarantees every input term is known when read.
+  auto value_of = [&](const Term& t) -> const Value& {
+    return t.is_var() ? *bindings[t.var] : t.constant;
+  };
+  auto unbound = [&](const Term& t) { return t.is_var() && !bindings[t.var]; };
 
-  std::function<void(size_t)> step = [&](size_t li) {
-    if (li == rule.body.size()) {
-      EmitHead(rule, bindings, out, stats);
+  std::function<void(size_t)> step = [&](size_t k) {
+    if (k == order.size()) {
+      EmitHeadColumnar(rule, bindings, head_buf, out, stats, dedup_against);
       return;
     }
-    const Literal& lit = rule.body[li];
-    auto value_of = [&](const Term& t) -> std::optional<Value> {
-      if (!t.is_var()) return t.constant;
-      return bindings[t.var];
-    };
+    const Literal& lit = rule.body[order[k]];
     switch (lit.kind) {
       case Literal::Kind::kPositive: {
-        bool use_delta = static_cast<int>(li) == delta_index;
-        const std::vector<Tuple>* rows =
-            use_delta
-                ? &DeltaRows(delta, lit.atom.pred, lit.atom.terms.size())
-                : &state.Full(lit.atom.pred)
-                       .TuplesOfArity(lit.atom.terms.size());
+        const size_t arity = lit.atom.terms.size();
         if (stats) {
           bool any_bound = false;
-          for (const Term& t : lit.atom.terms) {
-            if (!t.is_var() || bindings[t.var]) {
-              any_bound = true;
-              break;
-            }
-          }
-          if (use_delta) {
-            ++stats->delta_scans;
-          } else if (any_bound) {
-            ++stats->full_scans;
-          } else {
-            ++stats->driver_scans;
-          }
+          for (const Term& t : lit.atom.terms) any_bound |= !unbound(t);
+          ++(any_bound ? stats->full_scans : stats->driver_scans);
         }
-        for (const Tuple& row : *rows) {
+        auto match_row = [&](const TupleRef& row) {
           bool ok = true;
           std::vector<int> newly_bound;
-          for (size_t i = 0; i < lit.atom.terms.size() && ok; ++i) {
+          for (size_t i = 0; i < arity && ok; ++i) {
             const Term& t = lit.atom.terms[i];
-            if (!t.is_var()) {
-              ok = row[i] == t.constant;
-            } else if (bindings[t.var]) {
-              ok = row[i] == *bindings[t.var];
+            if (!unbound(t)) {
+              ok = row[i] == value_of(t);
             } else {
               bindings[t.var] = row[i];
               newly_bound.push_back(t.var);
             }
           }
-          if (ok) step(li + 1);
+          if (ok) step(k + 1);
           for (int v : newly_bound) bindings[v].reset();
-        }
+        };
+        state.Full(lit.atom.pred).ForEachOfArity(arity, match_row);
         return;
       }
       case Literal::Kind::kNegative: {
-        Tuple probe;
-        for (const Term& t : lit.atom.terms) {
-          std::optional<Value> v = value_of(t);
-          if (!v) {
-            throw RelError(ErrorKind::kSafety,
-                           "variable in negated atom of rule for '" +
-                               rule.head.pred + "' is unbound");
-          }
-          probe.Append(*v);
+        std::vector<Value> probe;
+        for (const Term& t : lit.atom.terms) probe.push_back(value_of(t));
+        if (!state.Full(lit.atom.pred).Contains(probe.data(), probe.size())) {
+          step(k + 1);
         }
-        if (!state.Full(lit.atom.pred).Contains(probe)) step(li + 1);
         return;
       }
       case Literal::Kind::kCompare: {
-        std::optional<Value> a = value_of(lit.lhs);
-        std::optional<Value> b = value_of(lit.rhs);
-        if (!a || !b) {
-          // An equality with exactly one side known acts as a binding; the
-          // unknown side is necessarily a variable (constants always have a
-          // value). Handles both `V = c` and `c = V`. Negated equalities
-          // never bind — `not (V = c)` constrains, it does not produce.
-          if (lit.cmp_op == CmpOp::kEq && !lit.negated && (!a != !b)) {
-            const Term& unbound = a ? lit.rhs : lit.lhs;
-            const Value& known = a ? *a : *b;
-            bindings[unbound.var] = known;
-            step(li + 1);
-            bindings[unbound.var].reset();
-            return;
-          }
-          throw RelError(ErrorKind::kSafety,
-                         "comparison over unbound variables in rule for '" +
-                             rule.head.pred + "'");
+        if (unbound(lit.lhs) || unbound(lit.rhs)) {
+          // The safety order placed this equality as a binding.
+          const Term& target = unbound(lit.lhs) ? lit.lhs : lit.rhs;
+          const Term& source = unbound(lit.lhs) ? lit.rhs : lit.lhs;
+          bindings[target.var] = value_of(source);
+          step(k + 1);
+          bindings[target.var].reset();
+          return;
         }
-        if (EvalCompareLit(lit, *a, *b)) step(li + 1);
+        if (EvalCompareLit(lit, value_of(lit.lhs), value_of(lit.rhs))) {
+          step(k + 1);
+        }
         return;
       }
       case Literal::Kind::kAssign: {
-        std::optional<Value> a = value_of(lit.lhs);
-        std::optional<Value> b = value_of(lit.rhs);
-        if (!a || !b) {
-          throw RelError(ErrorKind::kSafety,
-                         "assignment over unbound variables in rule for '" +
-                             rule.head.pred + "'");
-        }
-        std::optional<Value> r = EvalArith(lit.arith_op, *a, *b);
+        std::optional<Value> r =
+            EvalArith(lit.arith_op, value_of(lit.lhs), value_of(lit.rhs));
         if (!r) return;
         if (bindings[lit.target]) {
-          if (*bindings[lit.target] == *r) step(li + 1);
+          if (*bindings[lit.target] == *r) step(k + 1);
           return;
         }
         bindings[lit.target] = *r;
-        step(li + 1);
+        step(k + 1);
         bindings[lit.target].reset();
         return;
       }
       case Literal::Kind::kRange: {
-        std::optional<Value> lo = value_of(lit.atom.terms[0]);
-        std::optional<Value> hi = value_of(lit.atom.terms[1]);
-        std::optional<Value> st = value_of(lit.atom.terms[2]);
-        if (!lo || !hi || !st) {
-          throw RelError(ErrorKind::kSafety,
-                         "range bounds unbound in rule for '" +
-                             rule.head.pred + "'");
-        }
+        const Value& lo = value_of(lit.atom.terms[0]);
+        const Value& hi = value_of(lit.atom.terms[1]);
+        const Value& st = value_of(lit.atom.terms[2]);
         const Term& xt = lit.atom.terms[3];
-        std::optional<Value> x = value_of(xt);
-        if (x) {
-          EvalRange(*lo, *hi, *st, x, [&](const Value&) { step(li + 1); });
-        } else {
-          EvalRange(*lo, *hi, *st, std::nullopt, [&](const Value& v) {
+        if (unbound(xt)) {
+          EvalRange(lo, hi, st, std::nullopt, [&](const Value& v) {
             bindings[xt.var] = v;
-            step(li + 1);
+            step(k + 1);
             bindings[xt.var].reset();
           });
+        } else {
+          EvalRange(lo, hi, st, value_of(xt),
+                    [&](const Value&) { step(k + 1); });
         }
         return;
       }
@@ -506,24 +597,6 @@ void EvalRuleScan(const Rule& rule, const State& state, const DeltaMap& delta,
 }
 
 // --- join planning (kSemiNaive) ----------------------------------------------
-
-/// One step of a compiled rule plan.
-struct PlanStep {
-  enum class Kind {
-    kScanDelta,  // scan the semi-naive delta occurrence (always first)
-    kScanFull,   // scan an all-free leading atom
-    kProbe,      // probe the (pred, arity, key_positions) hash index
-    kNegation,   // all-bound negated atom: Contains check
-    kFilter,     // all-bound comparison
-    kBind,       // equality with one unbound variable side: binds it
-    kAssign,     // arithmetic assignment; operands bound
-    kRange,      // range generator; lo/hi/step bound, enumerates or tests x
-  };
-  Kind kind;
-  size_t lit_index = 0;
-  std::vector<size_t> key_positions;  // kProbe: columns bound at entry
-  bool bind_lhs = false;              // kBind: the lhs is the unbound side
-};
 
 /// A compiled per-(rule, delta-occurrence) evaluation plan.
 struct RulePlan {
@@ -593,28 +666,6 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
       if (t.is_var()) bound[t.var] = true;
     }
   };
-  // True if some positive atom or assignment will bind `var` once planned.
-  // Equalities on such variables must stay filters (EvalCompare equates
-  // Int 1 with Float 1.0) rather than become bindings checked with
-  // type-exact index hashes or tuple equality.
-  auto bound_elsewhere = [&](int var) {
-    for (const Literal& lit : rule.body) {
-      if (lit.kind == Literal::Kind::kAssign && lit.target == var) {
-        return true;
-      }
-      if (lit.kind == Literal::Kind::kRange) {
-        const Term& x = lit.atom.terms[3];
-        if (x.is_var() && x.var == var) return true;
-        continue;
-      }
-      if (lit.kind != Literal::Kind::kPositive) continue;
-      for (const Term& t : lit.atom.terms) {
-        if (t.is_var() && t.var == var) return true;
-      }
-    }
-    return false;
-  };
-
   // Hoists every non-positive literal whose variables are available; repeats
   // because a hoisted assignment/binding can unlock further literals.
   auto hoist = [&]() {
@@ -622,63 +673,11 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
     while (progress) {
       progress = false;
       for (size_t i = 0; i < n; ++i) {
-        if (done[i]) continue;
-        const Literal& lit = rule.body[i];
-        switch (lit.kind) {
-          case Literal::Kind::kPositive:
-            break;
-          case Literal::Kind::kNegative: {
-            bool all = true;
-            for (const Term& t : lit.atom.terms) all &= term_known(t);
-            if (all) {
-              plan.steps.push_back({PlanStep::Kind::kNegation, i, {}, false});
-              done[i] = true;
-              progress = true;
-            }
-            break;
-          }
-          case Literal::Kind::kCompare: {
-            bool lk = term_known(lit.lhs);
-            bool rk = term_known(lit.rhs);
-            if (lk && rk) {
-              plan.steps.push_back({PlanStep::Kind::kFilter, i, {}, false});
-              done[i] = true;
-              progress = true;
-            } else if (lit.cmp_op == CmpOp::kEq && !lit.negated && lk != rk &&
-                       !bound_elsewhere((lk ? lit.rhs : lit.lhs).var)) {
-              // Equality with exactly one side known binds the other side
-              // (which is necessarily a variable) — but only for pure
-              // output variables no atom will bind, preserving the
-              // numeric-tolerant filter semantics for join variables.
-              PlanStep s{PlanStep::Kind::kBind, i, {}, !lk};
-              bound[(s.bind_lhs ? lit.lhs : lit.rhs).var] = true;
-              plan.steps.push_back(std::move(s));
-              done[i] = true;
-              progress = true;
-            }
-            break;
-          }
-          case Literal::Kind::kAssign: {
-            if (term_known(lit.lhs) && term_known(lit.rhs)) {
-              plan.steps.push_back({PlanStep::Kind::kAssign, i, {}, false});
-              bound[lit.target] = true;
-              done[i] = true;
-              progress = true;
-            }
-            break;
-          }
-          case Literal::Kind::kRange: {
-            if (term_known(lit.atom.terms[0]) &&
-                term_known(lit.atom.terms[1]) &&
-                term_known(lit.atom.terms[2])) {
-              plan.steps.push_back({PlanStep::Kind::kRange, i, {}, false});
-              const Term& x = lit.atom.terms[3];
-              if (x.is_var()) bound[x.var] = true;
-              done[i] = true;
-              progress = true;
-            }
-            break;
-          }
+        if (done[i] || rule.body[i].kind == Literal::Kind::kPositive) continue;
+        if (std::optional<PlanStep> s = ReadyStep(rule, i, &bound)) {
+          plan.steps.push_back(std::move(*s));
+          done[i] = true;
+          progress = true;
         }
       }
     }
@@ -747,26 +746,7 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
     hoist();
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    if (!done[i]) {
-      const char* what =
-          rule.body[i].kind == Literal::Kind::kNegative
-              ? "variable in negated atom of rule for '"
-              : rule.body[i].kind == Literal::Kind::kCompare
-                    ? "comparison over unbound variables in rule for '"
-                    : rule.body[i].kind == Literal::Kind::kRange
-                          ? "range bounds unbound in rule for '"
-                          : "assignment over unbound variables in rule for '";
-      throw RelError(ErrorKind::kSafety, what + rule.head.pred + "'");
-    }
-  }
-  for (const Term& t : rule.head.terms) {
-    if (t.is_var() && !bound[t.var]) {
-      throw RelError(ErrorKind::kSafety,
-                     "head variable unbound in rule for '" + rule.head.pred +
-                         "'");
-    }
-  }
+  RequireRangeRestricted(rule, done, bound);
   return plan;
 }
 
@@ -897,7 +877,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
       case PlanStep::Kind::kScanDelta: {
         if (stats) ++stats->delta_scans;
         if (delta_rel != nullptr) {
-          // Insertion order; skips the per-round sort TuplesOfArity forces.
+          // Insertion order; never forces the sorted view.
           // kScanDelta is always step 0, so the driver range applies.
           delta_rel->ForEachOfArityRange(lit.atom.terms.size(), drv_begin,
                                          drv_end, match_row);
@@ -1398,13 +1378,16 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
 /// task dispatch (~µs) against a few thousand probe/emit operations.
 constexpr size_t kMinChunkRows = 64;
 
-/// Runs one unit's fixpoint loop to completion. Sequential when `pool` is
-/// null; otherwise each (rule, delta-occurrence) plan becomes a task per
-/// round (large drivers split into row-range chunks), tasks emit into
-/// per-thread staging relations deduplicated against the frozen extents,
-/// and the staging buffers merge into the canonical state at the round
-/// barrier — the single-writer discipline that keeps every concurrent read
-/// lock-free. Counter totals land in `out_stats` under `stats_mu`.
+/// Runs one unit's fixpoint loop to completion. `indexed` selects the
+/// planned semi-naive strategy; otherwise every round re-derives each rule
+/// in its SafetyOrder over the full extents (kNaive, always sequential).
+/// Sequential when `pool` is null; otherwise each (rule, delta-occurrence)
+/// plan becomes a task per round (large drivers split into row-range
+/// chunks), tasks emit into per-thread staging relations deduplicated
+/// against the frozen extents, and the staging buffers merge into the
+/// canonical state at the round barrier — the single-writer discipline
+/// that keeps every concurrent read lock-free. Counter totals land in
+/// `out_stats` under `stats_mu`.
 /// `plan_seed` is EvalOptions::plan_order_seed; `rules_base` is the start
 /// of the program's rule vector, giving every rule a stable index so the
 /// per-(rule, delta) permutation sub-seed is identical across runs (rule
@@ -1418,10 +1401,10 @@ constexpr size_t kMinChunkRows = 64;
 /// heads); later rounds revert to the standard heads-only filter. `collect`,
 /// when non-null, accumulates every tuple the unit newly added to the full
 /// extents — the downstream delta for units that depend on this one.
-void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
-              int max_iterations, uint64_t plan_seed, const Rule* rules_base,
-              State* state, IndexCache* cache, ThreadPool* pool,
-              EvalStats* out_stats, std::mutex* stats_mu,
+void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
+              uint64_t plan_seed, const Rule* rules_base, State* state,
+              IndexCache* cache, ThreadPool* pool, EvalStats* out_stats,
+              std::mutex* stats_mu,
               const DeltaMap* seed = nullptr, DeltaMap* collect = nullptr) {
   EvalStats local;
   // Fires when max_iterations > 0 and this unit's fixpoint exceeds it — the
@@ -1536,6 +1519,16 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
     exec_rules.push_back({&expanded.back(), index});
   }
 
+  // kNaive's literal orders, computed before the first round runs — the
+  // point at which the indexed path's first-round plans reject an unsafe
+  // rule, so both strategies raise the same first error.
+  std::map<const Rule*, std::vector<size_t>> naive_orders;
+  if (!indexed) {
+    for (const ExecRule& er : exec_rules) {
+      naive_orders.emplace(er.rule, SafetyOrder(*er.rule));
+    }
+  }
+
   std::map<std::pair<const Rule*, int>, RulePlan> plans;
   // Plans are built at first use (cardinality estimates read the state at
   // that moment) and reused for the rest of the unit — the same timing in
@@ -1582,13 +1575,9 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
   auto run_round = [&](const std::vector<Pair>& pairs, DeltaMap* added) {
     if (!indexed) {
       for (const auto& pr : pairs) {
-        const Rule* rule = pr.rule;
-        const Relation& dedup = *dedup_for(rule);
-        Relation derived;
-        EvalRuleScan(*rule, *state, delta, pr.di, &derived, &local);
-        derived.ForEach([&](const TupleRef& t) {
-          if (!dedup.Contains(t)) (*added)[rule->head.pred].Insert(t);
-        });
+        EvalRuleNaive(*pr.rule, naive_orders.at(pr.rule), *state,
+                      &(*added)[pr.rule->head.pred], &local,
+                      dedup_for(pr.rule));
       }
       return;
     }
@@ -1814,7 +1803,7 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
     std::vector<Pair> pairs;
     for (const ExecRule& er : exec_rules) {
       const Rule* rule = er.rule;
-      if (semi_naive) {
+      if (indexed) {
         // One pass per recursive-atom occurrence, with that occurrence
         // restricted to the delta. The first maintenance round widens the
         // filter to every seeded predicate (the seed can live on EDB or
@@ -1908,10 +1897,9 @@ std::map<std::string, Relation> Evaluate(const Program& program,
   }
   s->strata = max_stratum + 1;
   const bool indexed = options.strategy == Strategy::kSemiNaive;
-  const bool semi_naive = options.strategy != Strategy::kNaive;
   int num_threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
                                              : options.num_threads;
-  // The scan ablation strategies are sequential by definition.
+  // The naive oracle is sequential by definition.
   const bool parallel = indexed && num_threads > 1;
 
   std::map<std::string, Relation> extents = program.facts();
@@ -1931,7 +1919,7 @@ std::map<std::string, Relation> Evaluate(const Program& program,
   const Rule* rules_base = program.rules().data();
   if (!parallel) {
     for (int u : TopoOrder(units)) {
-      EvalUnit(units[u], indexed, semi_naive, options.max_iterations,
+      EvalUnit(units[u], indexed, options.max_iterations,
                options.plan_order_seed, rules_base, &state, &index_cache,
                /*pool=*/nullptr, s, &stats_mu);
     }
@@ -1958,7 +1946,7 @@ std::map<std::string, Relation> Evaluate(const Program& program,
     group.Run([&, u] {
       try {
         if (!failed.load(std::memory_order_acquire)) {
-          EvalUnit(units[u], indexed, semi_naive, options.max_iterations,
+          EvalUnit(units[u], indexed, options.max_iterations,
                    options.plan_order_seed, rules_base, &state, &index_cache,
                    &pool, s, &stats_mu);
         }
@@ -2317,9 +2305,9 @@ DeltaResult EvaluateDelta(const Program& program,
       }
       if (seedmap.empty()) continue;
       DeltaMap collected;
-      EvalUnit(unit, /*indexed=*/true, /*semi_naive=*/true,
-               options.max_iterations, options.plan_order_seed, rules_base,
-               &state, cache, pool, s, &stats_mu, &seedmap, &collected);
+      EvalUnit(unit, /*indexed=*/true, options.max_iterations,
+               options.plan_order_seed, rules_base, &state, cache, pool, s,
+               &stats_mu, &seedmap, &collected);
       for (auto& [pred, rel] : collected) {
         if (rel.empty()) continue;
         s->delta_inserts += rel.size();

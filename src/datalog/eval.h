@@ -55,26 +55,14 @@
 //     transform (demand goals fall back to full evaluation + goal filter)
 //     and by EvaluateDelta (supported=false; callers recompute).
 //
-// The nested-loop scan evaluator is retained behind Strategy::kNaive and
-// Strategy::kSemiNaiveScan as an ablation baseline for benchmarks; both
-// always run sequentially.
-//
-// Intended semantic differences, both consequences of the scan strategies
-// evaluating body literals in syntactic order:
-//
-//   * Safety. A comparison/negation written before the atom that binds its
-//     variables throws kSafety under the scan strategies; the planned
-//     strategy is order-independent and accepts every rule that is safe
-//     under SOME literal order.
-//
-//   * Mixed int/float equality. When `V = c` appears syntactically before
-//     the atom or assignment that produces V, the scan strategies bind V
-//     to c and later compare type-exactly (Int 5 != Float 5.0); the
-//     planned strategy always evaluates such equalities as numeric-tolerant
-//     filters after V is produced, matching what the scan strategies do
-//     when the equality is written after the producer. On programs whose
-//     values are consistently typed (or whose equalities follow their
-//     producers) all strategies agree.
+// Strategy::kNaive is the equivalent-query fuzzer's independent oracle: no
+// planner, no indexes, no deltas. Every round re-derives each rule by
+// nested-loop scans of the full extents, in the rule's *safety order* —
+// the written order, except that a literal whose inputs are not yet bound
+// waits until they are. With the planner it shares only the decision of
+// when a literal is ready and whether an equality binds or filters, so it
+// accepts, rejects and answers every rule exactly as the planned strategy
+// does, whatever the literal order. It always runs sequentially.
 
 #ifndef REL_DATALOG_EVAL_H_
 #define REL_DATALOG_EVAL_H_
@@ -93,18 +81,16 @@ namespace datalog {
 class IndexCache;  // datalog/index.h
 
 /// Evaluation strategy. kSemiNaive (the default) uses planned, indexed
-/// joins; the other two are scan-based ablation baselines for benchmarks:
-/// kNaive re-derives everything each round, kSemiNaiveScan is the pre-index
-/// semi-naive nested-loop evaluator.
-enum class Strategy { kNaive, kSemiNaive, kSemiNaiveScan };
+/// joins; kNaive is the scan-based oracle described above, which
+/// re-derives everything each round.
+enum class Strategy { kNaive, kSemiNaive };
 
 /// Evaluation options.
 struct EvalOptions {
   Strategy strategy = Strategy::kSemiNaive;
-  /// Worker threads for the indexed strategy. 1 (the default) evaluates on
-  /// the calling thread with zero pool overhead; 0 means one worker per
-  /// hardware thread. The scan ablation strategies ignore this and always
-  /// run sequentially. The computed extents are identical for every value
+  /// Worker threads for kSemiNaive. 1 (the default) evaluates on the
+  /// calling thread with zero pool overhead; 0 means one worker per
+  /// hardware thread. kNaive ignores this and always runs sequentially. The computed extents are identical for every value
   /// (unsorted iteration order, unspecified by contract, is the one thing
   /// that may differ).
   int num_threads = 1;
@@ -128,7 +114,7 @@ struct EvalOptions {
   /// satisfying body assignments is order-independent); only the access-
   /// path counters (index_probes, driver_scans, index_builds) may differ.
   /// The equivalent-query fuzzer (src/fuzz) sweeps this knob to
-  /// differential-test the planner; the scan strategies ignore it.
+  /// differential-test the planner; kNaive ignores it.
   uint64_t plan_order_seed = 0;
   /// Demand-driven evaluation: when set, the program is rewritten by the
   /// magic-set transform (datalog/magic.h) before unit scheduling, so the
@@ -167,8 +153,8 @@ struct EvalStats {
   uint64_t driver_scans = 0;    // unavoidable scans of all-free leading atoms
   uint64_t delta_scans = 0;     // scans of the semi-naive delta occurrence
   uint64_t leapfrog_joins = 0;  // rules routed through LeapfrogJoin
-  // Aggregation (rules with an aggregate head; 0 otherwise). Both counters
-  // are deterministic across strategies in the semi-naive family and across
+  // Aggregation (rules with an aggregate head; 0 otherwise). Under
+  // kSemiNaive both counters are deterministic across plan seeds and
   // thread counts: contributions are set-deduplicated before counting and
   // groups refold at round barriers.
   uint64_t aggregate_updates = 0;  // distinct contribution rows added to

@@ -31,11 +31,13 @@ constexpr CmpOp kCmpOps[] = {CmpOp::kEq, CmpOp::kNeq, CmpOp::kLt,
                              CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
 
 /// One rule for `head_pred`. `pool` collects the variables bound by the
-/// positive atoms as they are generated, so later comparisons, negations
-/// and the head draw only from bound variables — scan-strategy safety by
-/// construction. When `agg_op` is set the head carries head_arity - 1
-/// group columns plus an aggregate form (the extent keeps arity
-/// head_arity), with value/witness terms drawn from bound variables.
+/// positive atoms as they are generated, so comparisons, negations and the
+/// head draw only from variables some atom binds — range restriction by
+/// construction. The body is then shuffled, so literals appear in any
+/// order, including filters and negations before the atoms binding them.
+/// When `agg_op` is set the head carries head_arity - 1 group columns plus
+/// an aggregate form (the extent keeps arity head_arity), with
+/// value/witness terms drawn from bound variables.
 Rule GenerateRule(Rng& rng, const GeneratorOptions& opts,
                   const std::string& head_pred, int head_arity,
                   const std::vector<std::pair<std::string, int>>& pos_preds,
@@ -93,6 +95,12 @@ Rule GenerateRule(Rng& rng, const GeneratorOptions& opts,
       }
     }
     rule.body.push_back(Literal::Negative(std::move(atom)));
+  }
+
+  // Fisher-Yates over the case Rng (not std::shuffle, whose algorithm is
+  // implementation-defined): the same seed yields the same body everywhere.
+  for (size_t i = rule.body.size(); i > 1; --i) {
+    std::swap(rule.body[i - 1], rule.body[rng.NextBelow(i)]);
   }
 
   rule.head.pred = head_pred;

@@ -12,10 +12,11 @@
 //     body atoms reference predicates at the same level or below (same
 //     level = recursion), negative atoms reference strictly lower levels
 //     or EDB predicates only;
-//   * scan-strategy safe: body literals are ordered positive atoms first,
-//     then comparisons, then negations, and comparisons/negations use only
-//     variables bound by the preceding atoms — so the syntactic-order scan
-//     evaluators and the order-independent planner agree on safety;
+//   * range-restricted: comparisons, negations and the head use only
+//     variables some positive atom of the rule binds, and each body is
+//     then shuffled — so every configuration must accept the rule whatever
+//     order its literals are written in (the naive oracle's safety order
+//     and the planner are both literal-order-independent);
 //   * terminating everywhere: no arithmetic assignments (the one source of
 //     value-generating divergence), all constants drawn from a small
 //     integer domain.

@@ -32,14 +32,12 @@ struct Outcome {
   std::map<std::string, Relation> extents;
   EvalStats stats;
   bool has_stats = false;
-  bool scan_family = false;  // kNaive / kSemiNaiveScan (order-sensitive)
 };
 
 Outcome RunDatalog(const FuzzCase& c, const std::string& label,
-                   const EvalOptions& eval_options, bool scan_family) {
+                   const EvalOptions& eval_options) {
   Outcome out;
   out.label = label;
-  out.scan_family = scan_family;
   try {
     out.extents = datalog::Evaluate(c.program, eval_options, &out.stats);
     out.has_stats = true;
@@ -84,43 +82,21 @@ class CaseRunner {
       : c_(c), opts_(opts) {}
 
   RunResult Run() {
-    // The oracle: the naive scan evaluator, sequential, no planner, no
-    // indexes — the least code any answer can depend on.
+    // The oracle: the naive evaluator, sequential, no planner, no indexes,
+    // no deltas — the least code any answer can depend on. Its safety order
+    // makes it literal-order-independent, like every other configuration.
     EvalOptions oracle_opts;
     oracle_opts.strategy = Strategy::kNaive;
-    Outcome oracle = RunDatalog(c_, "dl/naive", oracle_opts, true);
+    Outcome oracle = RunDatalog(c_, "dl/naive", oracle_opts);
     ++result_.configs_run;
 
-    // Planned base point of the lattice, used to re-anchor when the oracle
-    // hits a scan-only error (documented divergence: scan strategies are
-    // syntactic-order-sensitive for safety).
-    EvalOptions planned_opts;
-    planned_opts.strategy = Strategy::kSemiNaive;
-    Outcome planned = RunDatalog(c_, "dl/semi/s0/t1", planned_opts, false);
-    ++result_.configs_run;
-
-    bool reanchored = false;
-    const Outcome* ref = &oracle;
     if (oracle.errored) {
-      if (oracle.error_kind == ErrorKind::kSafety && !planned.errored) {
-        ref = &planned;
-        reanchored = true;
-      } else {
-        // Every configuration must fail the same way the oracle does.
-        ExpectSameError(oracle, planned);
-        RunErrorLattice(oracle);
-        return std::move(result_);
-      }
-    } else {
-      CompareAnswers(*ref, planned);
+      RunErrorLattice(oracle);
+      return std::move(result_);
     }
-    if (planned.has_stats) semi_family_.push_back(planned);
-
-    RunLattice(*ref, reanchored);
-    if (!reanchored && opts_.run_rel_paths) RunRelPaths(*ref);
-    if (opts_.check_stats && answers_clean_) {
-      CheckStats(oracle, reanchored);
-    }
+    RunLattice(oracle);
+    if (opts_.run_rel_paths) RunRelPaths(oracle);
+    if (opts_.check_stats && answers_clean_) CheckStats(oracle);
     return std::move(result_);
   }
 
@@ -180,41 +156,21 @@ class CaseRunner {
     }
   }
 
-  /// The full datalog lattice when the reference succeeded.
-  void RunLattice(const Outcome& ref, bool reanchored) {
-    // Scan semi-naive.
-    {
-      EvalOptions o;
-      o.strategy = Strategy::kSemiNaiveScan;
-      Outcome out = RunDatalog(c_, "dl/semi-scan", o, true);
-      ++result_.configs_run;
-      if (reanchored) {
-        // Scan strategies must reject the program the same way naive did.
-        if (!out.errored || out.error_kind != ErrorKind::kSafety) {
-          Report(out.label, "error",
-                 "expected kSafety (scan-order divergence) but " +
-                     std::string(out.errored ? ErrorKindName(out.error_kind)
-                                             : "succeeded"));
-        }
-      } else {
-        CompareAnswers(ref, out);
-        if (out.has_stats) semi_family_.push_back(out);
-      }
-    }
-    // Planned: every (seed, threads) point. Seed 0 / t1 already ran.
+  /// The full datalog lattice when the oracle succeeded.
+  void RunLattice(const Outcome& ref) {
+    // Planned: every (seed, threads) point.
     std::vector<uint64_t> seeds = {0};
     seeds.insert(seeds.end(), opts_.plan_seeds.begin(),
                  opts_.plan_seeds.end());
     for (uint64_t seed : seeds) {
       for (int threads : opts_.thread_counts) {
-        if (seed == 0 && threads == 1) continue;  // the planned base point
         EvalOptions o;
         o.strategy = Strategy::kSemiNaive;
         o.num_threads = threads;
         o.plan_order_seed = seed;
         std::string label = "dl/semi/s" + std::to_string(seed) + "/t" +
                             std::to_string(threads);
-        Outcome out = RunDatalog(c_, label, o, false);
+        Outcome out = RunDatalog(c_, label, o);
         ++result_.configs_run;
         CompareAnswers(ref, out);
         if (out.has_stats) semi_family_.push_back(out);
@@ -222,23 +178,14 @@ class CaseRunner {
     }
 
     // Demand lattice: the same sweep with the goal installed.
-    if (!c_.goal || reanchored) return;
+    if (!c_.goal) return;
     {
       EvalOptions o;
       o.strategy = Strategy::kNaive;
       o.demand_goal = c_.goal;
-      Outcome out = RunDatalog(c_, "dl/demand/naive", o, true);
+      Outcome out = RunDatalog(c_, "dl/demand/naive", o);
       ++result_.configs_run;
       CompareDemand(ref, out);
-    }
-    {
-      EvalOptions o;
-      o.strategy = Strategy::kSemiNaiveScan;
-      o.demand_goal = c_.goal;
-      Outcome out = RunDatalog(c_, "dl/demand/semi-scan", o, true);
-      ++result_.configs_run;
-      CompareDemand(ref, out);
-      if (out.has_stats) demand_family_.push_back(out);
     }
     for (uint64_t seed : seeds) {
       for (int threads : opts_.thread_counts) {
@@ -249,7 +196,7 @@ class CaseRunner {
         o.demand_goal = c_.goal;
         std::string label = "dl/demand/semi/s" + std::to_string(seed) +
                             "/t" + std::to_string(threads);
-        Outcome out = RunDatalog(c_, label, o, false);
+        Outcome out = RunDatalog(c_, label, o);
         ++result_.configs_run;
         CompareDemand(ref, out);
         if (out.has_stats) demand_family_.push_back(out);
@@ -257,25 +204,17 @@ class CaseRunner {
     }
   }
 
-  /// When the oracle errored (and the planner agreed), every other config
-  /// must error identically.
+  /// When the oracle errored, the planned strategy must throw the same
+  /// ErrorKind at every thread count.
   void RunErrorLattice(const Outcome& ref) {
-    auto expect_error = [&](const std::string& label, const EvalOptions& o,
-                            bool scan) {
-      Outcome out = RunDatalog(c_, label, o, scan);
-      ++result_.configs_run;
-      ExpectSameError(ref, out);
-    };
-    {
-      EvalOptions o;
-      o.strategy = Strategy::kSemiNaiveScan;
-      expect_error("dl/semi-scan", o, true);
-    }
     for (int threads : opts_.thread_counts) {
       EvalOptions o;
       o.strategy = Strategy::kSemiNaive;
       o.num_threads = threads;
-      expect_error("dl/semi/s0/t" + std::to_string(threads), o, false);
+      Outcome out =
+          RunDatalog(c_, "dl/semi/s0/t" + std::to_string(threads), o);
+      ++result_.configs_run;
+      ExpectSameError(ref, out);
     }
   }
 
@@ -399,10 +338,10 @@ class CaseRunner {
 
   /// Cross-config EvalStats invariants. Only meaningful when every config
   /// computed the same answers (answer bugs make cost numbers noise).
-  void CheckStats(const Outcome& oracle, bool reanchored) {
-    if (reanchored || semi_family_.empty()) return;
+  void CheckStats(const Outcome& oracle) {
+    if (semi_family_.empty()) return;
 
-    // (1) The whole semi-naive family agrees on round structure and on the
+    // (1) Every planned configuration agrees on round structure and on the
     // number of satisfying body assignments.
     const Outcome& base = semi_family_.front();
     for (const Outcome& out : semi_family_) {
@@ -486,22 +425,13 @@ class CaseRunner {
   }
 
   /// Groups the planned members of `family` by plan seed (the label up to
-  /// its "/t<threads>" suffix; scan members carry no seed/thread structure
-  /// and are skipped) and requires the documented thread-invariant counters
-  /// to agree exactly within each group.
+  /// its "/t<threads>" suffix) and requires the documented thread-invariant
+  /// counters to agree exactly within each group.
   void CheckThreadInvariance(const std::vector<Outcome>& family) {
-    auto seed_prefix = [](const std::string& label) -> std::string {
-      auto pos = label.rfind("/t");
-      if (pos == std::string::npos || label.find("/s") == std::string::npos) {
-        return "";
-      }
-      return label.substr(0, pos);
-    };
     std::map<std::string, const Outcome*> first_of_seed;
     for (const Outcome& out : family) {
       if (!out.has_stats) continue;
-      std::string prefix = seed_prefix(out.label);
-      if (prefix.empty()) continue;
+      std::string prefix = out.label.substr(0, out.label.rfind("/t"));
       auto [it, inserted] = first_of_seed.emplace(prefix, &out);
       if (inserted) continue;
       const Outcome& base = *it->second;

@@ -6,8 +6,8 @@
 // transform, plus the Rel engine through the to_rel translation bridge
 // (direct interpretation, recursion lowering, a fresh Session snapshot, and
 // the demand-transformed engine path) — and every answer is compared
-// against a single oracle: the naive scan evaluator, the simplest code in
-// the tree.
+// against a single oracle: the naive evaluator (Strategy::kNaive), the
+// simplest code in the tree — no planner, no indexes, no deltas.
 //
 // Beyond answers, the runner cross-checks EvalStats between cost-equivalent
 // configurations. The invariants it enforces follow from documented
@@ -17,10 +17,10 @@
 //     index_builds, sorted_builds, index_probes, leapfrog_joins,
 //     iterations} are exactly equal (parallel evaluation is
 //     answer-and-count deterministic);
-//   * across the whole semi-naive family — the scan evaluator and every
-//     planned (seed, threads) point — iterations and tuples_derived are
-//     equal: the number of satisfying body assignments is independent of
-//     join order, and the round structure is independent of access paths;
+//   * across every planned (seed, threads) point, iterations and
+//     tuples_derived are equal: the number of satisfying body assignments
+//     is independent of join order, and the round structure is independent
+//     of access paths;
 //   * semi-naive never derives dramatically more than naive
 //     (tuples_derived ratio bound), and a demanded evaluation never derives
 //     dramatically more than the full fixpoint it prunes (magic overhead
@@ -29,10 +29,9 @@
 // A violation of any of these — or any answer mismatch, or any
 // configuration erroring while the oracle succeeds — is reported as a
 // Discrepancy. Error semantics are compared too: when the oracle itself
-// throws, every configuration must throw the same ErrorKind, with one
-// documented exception (scan strategies are syntactic-order-sensitive for
-// safety; a kSafety scan error with a succeeding planner re-anchors the
-// comparison on the planner, see eval.h "Intended semantic differences").
+// throws, every planned configuration must throw the same ErrorKind, with
+// no exception. The oracle evaluates each rule body in its safety order, so
+// like the planner it is independent of the order literals are written in.
 
 #ifndef REL_FUZZ_RUNNER_H_
 #define REL_FUZZ_RUNNER_H_

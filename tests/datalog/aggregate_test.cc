@@ -32,8 +32,7 @@ Value I(int64_t v) { return Value::Int(v); }
 Value F(double v) { return Value::Float(v); }
 Value S(const char* v) { return Value::String(v); }
 
-const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive,
-                                   Strategy::kSemiNaiveScan};
+const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive};
 
 /// Deterministic weighted digraph: edge(a, b, w) triples.
 std::vector<Tuple> WeightedGraph(int n) {

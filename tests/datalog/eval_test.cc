@@ -21,8 +21,7 @@ namespace {
 
 Value I(int64_t v) { return Value::Int(v); }
 
-const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive,
-                                   Strategy::kSemiNaiveScan};
+const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive};
 
 /// Evaluates `pred` under every strategy and checks the extents agree;
 /// returns the (common) result.
@@ -132,7 +131,7 @@ TEST(EvalEquivalence, MixedArityFacts) {
 
 TEST(EvalEquivalence, TriangleRuleMatchesScanAndLeapfrogFires) {
   // The all-free self-join shape: routed through LeapfrogJoin under the
-  // indexed strategy, nested scans under the ablation strategies.
+  // indexed strategy, nested scans under the naive oracle.
   std::vector<Tuple> edges =
       benchutil::SkewedTriangleGraph(60, 8, /*seed=*/3);
   Relation tri = EvalAllStrategies(
@@ -157,31 +156,35 @@ TEST(EvalStatsCounters, IndexedTCUsesProbesNeverBoundScans) {
   EXPECT_GT(stats.index_builds, 0u);
   EXPECT_EQ(stats.full_scans, 0u);  // every bound literal goes through an index
 
-  // The scan baseline pays a full relation scan per bound literal instead.
+  // The naive oracle pays a full relation scan per bound literal instead.
   Program p2 = ParseDatalog(
       "tc(X,Y) :- edge(X,Y). tc(X,Z) :- edge(X,Y), tc(Y,Z).");
   for (const Tuple& e : edges) p2.AddFact("edge", e);
   EvalStats scan_stats;
-  EvaluatePredicate(p2, "tc", Strategy::kSemiNaiveScan, &scan_stats);
+  EvaluatePredicate(p2, "tc", Strategy::kNaive, &scan_stats);
   EXPECT_GT(scan_stats.full_scans, 0u);
   EXPECT_EQ(scan_stats.index_probes, 0u);
 }
 
 TEST(EvalStatsCounters, DerivationCountsAgreeAcrossJoinOrders) {
-  // The indexed planner reorders literals; the set of satisfying
-  // assignments (and hence tuples_derived) must not change.
+  // Writing the recursive body in the other order changes the join order
+  // (kNaive follows the written order); the set of satisfying assignments
+  // (and hence tuples_derived) must not change.
   std::vector<Tuple> edges = benchutil::RandomGraph(20, 50, 11);
-  uint64_t derived[2];
-  int i = 0;
-  for (Strategy strategy : {Strategy::kSemiNaive, Strategy::kSemiNaiveScan}) {
-    Program p = ParseDatalog(
-        "tc(X,Y) :- edge(X,Y). tc(X,Z) :- edge(X,Y), tc(Y,Z).");
-    for (const Tuple& e : edges) p.AddFact("edge", e);
-    EvalStats stats;
-    EvaluatePredicate(p, "tc", strategy, &stats);
-    derived[i++] = stats.tuples_derived;
+  for (Strategy strategy : kAllStrategies) {
+    uint64_t derived[2];
+    int i = 0;
+    for (const char* body : {"edge(X,Y), tc(Y,Z)", "tc(Y,Z), edge(X,Y)"}) {
+      Program p = ParseDatalog(
+          std::string("tc(X,Y) :- edge(X,Y). tc(X,Z) :- ") + body + ".");
+      for (const Tuple& e : edges) p.AddFact("edge", e);
+      EvalStats stats;
+      EvaluatePredicate(p, "tc", strategy, &stats);
+      derived[i++] = stats.tuples_derived;
+    }
+    EXPECT_EQ(derived[0], derived[1]) << "strategy "
+                                      << static_cast<int>(strategy);
   }
-  EXPECT_EQ(derived[0], derived[1]);
 }
 
 TEST(CompareBinding, EqualityBindsLhsVariable) {
@@ -232,35 +235,57 @@ TEST(CompareBinding, OutputVariableBindingStillUsableInNegation) {
 
 TEST(CompareBinding, AssignTargetEqualityKeepsNumericSemantics) {
   // X is produced by an assignment, so `X = 5` must stay a numeric filter
-  // under the planner even though it is written first; with int facts all
-  // strategies agree.
+  // even though it is written first.
   for (Strategy strategy : kAllStrategies) {
     Program p = ParseDatalog("e(4). h(X) :- X = 5, e(Y), X = Y + 1.");
     EXPECT_EQ(EvaluatePredicate(p, "h", strategy).ToString(), "{(5)}")
         << "strategy " << static_cast<int>(strategy);
   }
-  // Mixed-type corner (documented in eval.h): the planner's filter
-  // semantics equate Int 5 with the computed Float 5.0.
-  Program p = ParseDatalog("e(4.0). h(X) :- X = 5, e(Y), X = Y + 1.");
-  EXPECT_EQ(EvaluatePredicate(p, "h", Strategy::kSemiNaive).ToString(),
-            "{(5.0)}");
 }
 
-TEST(Planner, ReorderableRulesAcceptedByPlannedStrategyOnly) {
-  // Documented divergence: the planner is literal-order-independent, so a
-  // filter written before its binding atom works under kSemiNaive; the
-  // scan baselines evaluate syntactically and throw kSafety.
-  Program p = ParseDatalog("q(1). q(-2). p(X) :- X > 0, q(X).");
-  EXPECT_EQ(EvaluatePredicate(p, "p", Strategy::kSemiNaive).ToString(),
-            "{(1)}");
-  Program p2 = ParseDatalog("q(1). q(-2). p(X) :- X > 0, q(X).");
-  EXPECT_THROW(EvaluatePredicate(p2, "p", Strategy::kSemiNaiveScan), RelError);
+TEST(OrderIndependence, LiteralsBeforeTheirBindingAtom) {
+  // A rule body is a conjunction: the order its literals are written in
+  // changes neither the answer nor the error, under every strategy and
+  // thread count.
+  struct Case {
+    const char* source;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"q(1). q(-2). h(X) :- X > 0, q(X).", "{(1)}"},
+      {"q(1). q(2). r(2). h(X) :- !r(X), q(X).", "{(1)}"},
+      {"q(1). q(2). h(Z) :- Z = X + 1, q(X).", "{(2); (3)}"},
+      // X is produced by the assignment, so `X = 5` waits and filters the
+      // computed Float 5.0 numerically instead of binding X to Int 5.
+      {"e(4.0). h(X) :- X = 5, e(Y), X = Y + 1.", "{(5.0)}"},
+  };
+  for (const Case& c : cases) {
+    for (Strategy strategy : kAllStrategies) {
+      for (int threads : {1, 4}) {
+        EvalOptions options;
+        options.strategy = strategy;
+        options.num_threads = threads;
+        EXPECT_EQ(
+            EvaluatePredicate(ParseDatalog(c.source), "h", options).ToString(),
+            c.want)
+            << c.source << " strategy " << static_cast<int>(strategy)
+            << " threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(CompareBinding, BothSidesUnboundStillRejected) {
+  // No literal order binds Y, so every strategy rejects the rule.
   for (Strategy strategy : kAllStrategies) {
     Program p = ParseDatalog("n(1). bad(X) :- n(_), X = Y.");
-    EXPECT_THROW(EvaluatePredicate(p, "bad", strategy), RelError);
+    try {
+      EvaluatePredicate(p, "bad", strategy);
+      ADD_FAILURE() << "strategy " << static_cast<int>(strategy)
+                    << " accepted an unsafe rule";
+    } catch (const RelError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kSafety);
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // (src/datalog/magic.h): for every program in the eval corpus and for
 // random monotone programs from a property generator, demand-driven
 // evaluation restricted to the goal must equal the goal-filtered full
-// fixpoint — across all three strategies, at threads {1, 4}, with
+// fixpoint — across both strategies, at threads {1, 4}, with
 // byte-identical sorted renderings. Plus structural tests of the transform
 // (adornments, magic seeds, the all-free no-op, the all-bound
 // reachability degeneration) and the cone-shrink stats.
@@ -29,8 +29,7 @@ Value I(int64_t v) { return Value::Int(v); }
 
 using Pattern = std::vector<std::optional<Value>>;
 
-const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive,
-                                   Strategy::kSemiNaiveScan};
+const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive};
 
 /// Independent reference filter (deliberately not FilterByPattern): the
 /// goal-matching tuples of `extent`, via the sorted row-oriented view.
@@ -220,8 +219,7 @@ TEST(MagicDifferential, BoundedPathArithmetic) {
 
 /// Random monotone recursive Datalog over an `edge` EDB — the Datalog-side
 /// twin of the Rel generator in tests/property/property_test.cc. Every
-/// generated program is scan-safe (literals in binding order), so all three
-/// strategies accept it.
+/// generated program is range-restricted, so both strategies accept it.
 struct Generated {
   std::string source;
   std::vector<std::pair<std::string, size_t>> preds;  // (pred, arity)

@@ -88,21 +88,17 @@ TEST(PlanOrderSeed, SameSeedIsReproducible) {
   EXPECT_EQ(a.tuples_derived, b.tuples_derived);
 }
 
-TEST(PlanOrderSeed, ScanStrategiesIgnoreTheKnob) {
-  for (Strategy strategy : {Strategy::kNaive, Strategy::kSemiNaiveScan}) {
-    EvalOptions plain;
-    plain.strategy = strategy;
-    EvalOptions seeded = plain;
-    seeded.plan_order_seed = 99;
-    EvalStats sp, ss;
-    std::map<std::string, Relation> rp =
-        Evaluate(BuildProgram(), plain, &sp);
-    std::map<std::string, Relation> rs =
-        Evaluate(BuildProgram(), seeded, &ss);
-    EXPECT_EQ(rp.at("tc"), rs.at("tc"));
-    EXPECT_EQ(sp.tuples_derived, ss.tuples_derived);
-    EXPECT_EQ(sp.full_scans, ss.full_scans);
-  }
+TEST(PlanOrderSeed, NaiveStrategyIgnoresTheKnob) {
+  EvalOptions plain;
+  plain.strategy = Strategy::kNaive;
+  EvalOptions seeded = plain;
+  seeded.plan_order_seed = 99;
+  EvalStats sp, ss;
+  std::map<std::string, Relation> rp = Evaluate(BuildProgram(), plain, &sp);
+  std::map<std::string, Relation> rs = Evaluate(BuildProgram(), seeded, &ss);
+  EXPECT_EQ(rp.at("tc"), rs.at("tc"));
+  EXPECT_EQ(sp.tuples_derived, ss.tuples_derived);
+  EXPECT_EQ(sp.full_scans, ss.full_scans);
 }
 
 }  // namespace

@@ -65,6 +65,17 @@ TEST(FuzzCorpus, EveryReproducerReplaysClean) {
   }
 }
 
+TEST(FuzzCorpus, FilterBeforeBindingAtomRunsTheFullLattice) {
+  // The oracle accepts a rule whose filter precedes its binding atom, so
+  // the case runs every configuration: the oracle, nine planned points and
+  // four Rel paths (no goal, so no demand lattice).
+  FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
+      REL_FUZZ_CORPUS_DIR) / "scan_order_safety.dl"));
+  RunResult result = RunCase(c);
+  EXPECT_TRUE(result.ok()) << FormatResult(c, result);
+  EXPECT_EQ(result.configs_run, 14);
+}
+
 TEST(FuzzCorpus, ReplayIsDeterministic) {
   for (const auto& path : CorpusFiles()) {
     FuzzCase c = CaseFromText(ReadFile(path));
