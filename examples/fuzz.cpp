@@ -107,12 +107,14 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
   int failures = 0;
+  int seeded_cases = 0;
   long long configs = 0;
   for (int i = 0; i < iters; ++i) {
     uint64_t case_seed = seed + static_cast<uint64_t>(i);
     rel::fuzz::FuzzCase c = rel::fuzz::GenerateCase(case_seed);
     rel::fuzz::RunResult result = rel::fuzz::RunCase(c, runner_options);
     configs += result.configs_run;
+    if (result.seeded_lookups > 0) ++seeded_cases;
     if (result.ok()) {
       if ((i + 1) % 100 == 0) {
         std::printf("[%d/%d] clean (%lld configs so far)\n", i + 1, iters,
@@ -136,7 +138,8 @@ int main(int argc, char** argv) {
       std::printf("--- reproducer written to %s\n", path.c_str());
     }
   }
-  std::printf("fuzz: %d/%d cases clean, %lld configuration runs\n",
-              iters - failures, iters, configs);
+  std::printf("fuzz: %d/%d cases clean, %lld configuration runs, %d cases "
+              "read a seeded slice\n",
+              iters - failures, iters, configs, seeded_cases);
   return failures == 0 ? 0 : 1;
 }

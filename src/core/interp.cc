@@ -523,23 +523,64 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
   return true;
 }
 
-bool Interp::DemandEligible(const std::string& name) const {
-  if (!options_.demand_transform || !options_.lower_recursion) return false;
-  return analysis_.IsRecursive(name) && !analysis_.UsesReplacement(name);
+const Interp::KeyedDef& Interp::KeyedInfo(const std::string& name) {
+  auto [it, inserted] = keyed_defs_.try_emplace(name);
+  KeyedDef& info = it->second;
+  if (!inserted) return info;
+  // A base relation is finite; a recursive component has no seeded path
+  // (and is not trusted as a binder: it may not converge); relation
+  // parameters need an instance per argument.
+  if (!HasDefs(name)) {
+    info.finite = true;
+    return info;
+  }
+  const auto& rules = DefsOf(name, 0);
+  if (analysis_.IsRecursive(name) || rules.empty()) return info;
+  bool finite = true;
+  for (const auto& def : rules) {
+    ParamSeeding seeding = solver_.AnalyzeParams(*def);
+    finite &= seeding.range_restricted;
+    for (SeedKind kind : seeding.kinds) {
+      info.seedable |= kind != SeedKind::kNever;
+    }
+    info.rule_kinds.push_back(std::move(seeding.kinds));
+  }
+  info.finite = finite;
+  return info;
+}
+
+bool Interp::FiniteStandalone(const std::string& name) {
+  return KeyedInfo(name).finite;
+}
+
+DemandPath Interp::DemandPathOf(const std::string& name) {
+  if (analysis_.IsRecursive(name)) {
+    return options_.demand_transform && options_.lower_recursion &&
+                   !analysis_.UsesReplacement(name)
+               ? DemandPath::kCone
+               : DemandPath::kFull;
+  }
+  return KeyedInfo(name).seedable ? DemandPath::kSlice : DemandPath::kFull;
 }
 
 const Relation& Interp::EvalInstanceDemand(
     const std::string& name,
-    const std::vector<std::optional<Value>>& pattern) {
+    const std::vector<std::optional<Value>>& pattern, bool open) {
   bool any_bound = false;
   for (const auto& p : pattern) any_bound |= p.has_value();
-  if (!any_bound || !DemandEligible(name)) return EvalInstance(name, 0, {});
-  // A memoized full extent is strictly cheaper than any demanded cone; and
-  // an in-progress instance must keep its partial-value semantics (the
-  // saturation loop's recursive references drive convergence through it).
+  const DemandPath path = DemandPathOf(name);
+  if (!any_bound || path == DemandPath::kFull ||
+      (path == DemandPath::kCone && open)) {
+    return EvalInstance(name, 0, {});
+  }
+  // A memoized full extent is strictly cheaper than any slice or cone; an
+  // in-progress instance must keep its partial-value semantics (the
+  // saturation loop's recursive references drive convergence through it);
+  // and a failed one must raise its cached error.
   auto inst = instances_.find(InstanceKey{name, 0, {}});
   if (inst != instances_.end() &&
-      (inst->second.done || inst->second.in_progress)) {
+      (inst->second.done || inst->second.in_progress ||
+       inst->second.failed_safety)) {
     return EvalInstance(name, 0, {});
   }
   int comp = analysis_.ComponentOf(name);
@@ -548,16 +589,104 @@ const Relation& Interp::EvalInstanceDemand(
   }
 
   // Memo key: bound positions and their values; the name is qualified by
-  // the pattern arity so tc(0, Y) and tc(0, Y, Z) never share an entry.
+  // the pattern arity ("+" when open) so tc(0, Y) and tc(0, Y, Z) never
+  // share an entry.
   std::vector<std::pair<size_t, Value>> bound;
   for (size_t i = 0; i < pattern.size(); ++i) {
     if (pattern[i]) bound.emplace_back(i, *pattern[i]);
   }
-  ExtentCache::Key key(name + "/" + std::to_string(pattern.size()),
-                       std::move(bound));
+  ExtentCache::Key key(
+      name + "/" + std::to_string(pattern.size()) + (open ? "+" : ""),
+      std::move(bound));
   auto memo = demand_memo_.find(key);
   if (memo != demand_memo_.end()) return memo->second;
+  if (path == DemandPath::kSlice) {
+    return EvalSlice(name, comp, pattern, open, std::move(key));
+  }
+  return EvalCone(name, comp, pattern, std::move(key));
+}
 
+namespace {
+
+/// The rows of `rel` matching `pattern`: arity equal to its length (at
+/// least, when `open`) and every bound position equal (type-exact). A
+/// bound position that could not seed leaves other rows in a rule's
+/// output; filtering keeps the memoized slice to what the read returns.
+Relation FilterSlice(const Relation& rel,
+                     const std::vector<std::optional<Value>>& pattern,
+                     bool open) {
+  Relation out;
+  rel.ForEach([&](const TupleRef& row) {
+    if (row.arity() < pattern.size()) return;
+    if (!open && row.arity() != pattern.size()) return;
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      if (pattern[i] && !(row[i] == *pattern[i])) return;
+    }
+    out.Insert(row);
+  });
+  return out;
+}
+
+bool IsNumber(const Value& v) {
+  return v.kind() == ValueKind::kInt || v.kind() == ValueKind::kFloat;
+}
+
+}  // namespace
+
+const Relation& Interp::EvalSlice(
+    const std::string& name, int comp,
+    const std::vector<std::optional<Value>>& pattern, bool open,
+    ExtentCache::Key key) {
+  const KeyedDef& info = KeyedInfo(name);
+  const auto& rules = DefsOf(name, 0);
+  std::vector<std::vector<Seed>> seeds(rules.size());
+  bool seeded = false;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const std::vector<SeedKind>& kinds = info.rule_kinds[r];
+    seeds[r].resize(std::min(pattern.size(), kinds.size()));
+    for (size_t i = 0; i < seeds[r].size(); ++i) {
+      if (!pattern[i] || kinds[i] == SeedKind::kNever) continue;
+      if (kinds[i] == SeedKind::kNonNumeric && IsNumber(*pattern[i])) continue;
+      seeds[r][i].value = pattern[i];
+      seeded = true;
+    }
+  }
+  // With nothing to seed the slice would cost the full evaluation anyway;
+  // past the cutoff one full evaluation serves every later key.
+  DemandComponent& dc = demand_components_[comp];
+  if (!seeded || dc.patterns >= kMaxDemandPatterns) {
+    return EvalInstance(name, 0, {});
+  }
+  ++dc.patterns;
+  const uint64_t partial_before = partial_reads_;
+  Relation slice;
+  try {
+    for (size_t r = 0; r < rules.size(); ++r) {
+      slice.InsertAll(FilterSlice(solver_.EvalRule(*rules[r], {}, &seeds[r]),
+                                  pattern, open));
+    }
+  } catch (const RelError&) {
+    // The full evaluation stays the authority on errors: it raises the
+    // same kind and message a full read would, or nothing if the error
+    // lies outside this slice's rows.
+    return EvalInstance(name, 0, {});
+  }
+  if (db_->Has(name)) {
+    slice.InsertAll(FilterSlice(db_->Get(name), pattern, open));
+  }
+  ++lowering_stats_.seeded_lookups;
+  lowering_stats_.seeded_tuples += slice.size();
+  if (partial_reads_ == partial_before) {
+    return demand_memo_[std::move(key)] = std::move(slice);
+  }
+  // Read an in-progress fixpoint value: valid for this lookup only.
+  scratch_.push_back(std::make_unique<Relation>(std::move(slice)));
+  return *scratch_.back();
+}
+
+const Relation& Interp::EvalCone(
+    const std::string& name, int comp,
+    const std::vector<std::optional<Value>>& pattern, ExtentCache::Key key) {
   // Cross-transaction cache, under the same gate as TryLowerComponent: a
   // cone already derived (or maintained forward) for this database version
   // is returned without touching the evaluator. The reference points into

@@ -68,7 +68,8 @@ struct InterpOptions {
   /// interplay — a query whose FULL fixpoint would exceed the cap can still
   /// succeed when its (smaller) demanded cone converges within it. Off by
   /// default until the differential suite has soaked in CI; flip via
-  /// Engine::options().demand_transform.
+  /// Engine::options().demand_transform. Bound lookups of non-recursive
+  /// defs take their seeded path regardless (see EvalInstanceDemand).
   bool demand_transform = false;
   /// How many leading entries of the def vector are session-shared
   /// persistent rules; everything after is transaction-local (the parsed
@@ -104,8 +105,10 @@ struct LoweringStats {
   int components_demanded = 0;  // demand-transformed (magic-set) evaluations
   int cone_cache_hits = 0;      // demanded cones served from the ExtentCache
   int extent_cache_hits = 0;    // components served from the ExtentCache
+  int seeded_lookups = 0;       // keyed reads answered by a seeded slice
   uint64_t lowered_tuples = 0;  // tuples spliced back into instances
   uint64_t demanded_tuples = 0; // tuples in demanded extents handed out
+  uint64_t seeded_tuples = 0;   // tuples in seeded slices handed out
   std::vector<std::string> lowered_names;    // members, evaluation order
   std::vector<std::string> rejection_notes;  // "name: reason" per rejection
 };
@@ -114,6 +117,14 @@ struct LoweringStats {
 /// splice, the demanded cone, and the owners' incremental maintenance of
 /// cached views — so recomputed and maintained extents can never diverge.
 datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options);
+
+/// How the solver answers a lookup of a first-order relation with bound
+/// positions (Interp::EvalInstanceDemand).
+enum class DemandPath : uint8_t {
+  kFull,   // evaluate the whole instance
+  kCone,   // magic-set cone of a recursive component (demand_transform)
+  kSlice,  // seeded evaluation of a non-recursive def's rules
+};
 
 /// One evaluation context: a database plus a set of rules. Create one per
 /// transaction; memoized results are valid for the lifetime of the object
@@ -160,29 +171,47 @@ class Interp {
   /// Demand-driven variant of EvalInstance for first-order instances
   /// queried through an application with a binding pattern: bound
   /// positions carry the querying atom's values (constants or variables
-  /// the solver has already bound). With options().demand_transform set
-  /// and a qualifying monotone recursive component, only the demanded cone
-  /// is evaluated (magic-set transform on the lowered Datalog program) and
-  /// the returned extent holds exactly the tuples of the full extent that
-  /// match the pattern — what the solver's enumeration would keep anyway.
+  /// the solver has already bound); `open` means a tuple pattern followed
+  /// the listed positions, so rows of any greater arity also match. The
+  /// returned extent holds exactly the tuples of the full extent that match
+  /// the pattern — what the solver's enumeration would keep anyway — and is
+  /// computed by the name's DemandPathOf:
+  ///   - kSlice (a non-recursive def): every rule is evaluated with its
+  ///     parameters seeded from the bound positions, as far as the rule's
+  ///     SeedKinds allow, and filtered to the pattern; matching base facts
+  ///     of the name are added. A RelError from the seeded evaluation
+  ///     falls back to the full instance, which raises its own error (or
+  ///     none, if the error lies outside the slice).
+  ///   - kCone (demand_transform on, a qualifying monotone recursive
+  ///     component): only the demanded cone is evaluated (magic-set
+  ///     transform on the lowered Datalog program). The component's
+  ///     translation + materialized EDB are built once and shared across
+  ///     patterns.
   /// Falls back to EvalInstance (the full extent) whenever no position is
-  /// bound, the full extent is already memoized, or the component does not
-  /// qualify for lowering. Demanded extents are memoized per (name,
-  /// pattern); references stay valid for the lifetime of this Interp. The
-  /// component's translation + materialized EDB are built once and shared
-  /// across patterns, and after kMaxDemandPatterns distinct patterns the
-  /// component stops demanding — one full evaluation then serves every
+  /// bound or seedable, the full instance is already done, in progress or
+  /// failed, or the path does not apply (open pattern on a cone, component
+  /// outside the lowering fragment). Results are memoized per (name/arity,
+  /// pattern) when they read no in-progress fixpoint value; references
+  /// stay valid for the lifetime of this Interp. After kMaxDemandPatterns
+  /// distinct patterns per component, one full evaluation serves every
   /// later lookup, so a join probing many distinct bindings can never run
-  /// many cone fixpoints where one closure would be cheaper.
+  /// many slices or cones where one full extent would be cheaper. Slices
+  /// never enter the extent cache.
   const Relation& EvalInstanceDemand(
       const std::string& name,
-      const std::vector<std::optional<Value>>& pattern);
+      const std::vector<std::optional<Value>>& pattern, bool open);
 
-  /// Cheap pre-filter for the solver's demand gate: true iff
-  /// demand_transform is on and `name` heads a monotone recursive
-  /// component. Lets ExecAtom skip binding-pattern construction entirely
-  /// for the (overwhelmingly common) atoms demand can never help.
-  bool DemandEligible(const std::string& name) const;
+  /// The demand path a bound lookup of the first-order relation `name`
+  /// takes. The solver resolves it once per compiled atom, so atoms with no
+  /// demand path never build a binding pattern.
+  DemandPath DemandPathOf(const std::string& name);
+
+  /// True iff the instance of `name` with no relation arguments can be
+  /// evaluated standalone without a safety error, as far as a static check
+  /// can tell: a base relation, or a non-recursive def every rule of which
+  /// has a finite binder for every parameter (Solver::AnalyzeParams).
+  /// Memoized per name.
+  bool FiniteStandalone(const std::string& name);
 
   /// Materializes a second-order value into a finite relation. Memoized for
   /// closures. Throws kSafety for builtins and unsafe closures.
@@ -297,6 +326,24 @@ class Interp {
   std::optional<LoweredComponent> BuildLoweredProgram(
       const std::string& name, const std::vector<SOValue>& so_args);
 
+  /// The kCone half of EvalInstanceDemand.
+  const Relation& EvalCone(const std::string& name, int comp,
+                           const std::vector<std::optional<Value>>& pattern,
+                           ExtentCache::Key key);
+  /// The kSlice half of EvalInstanceDemand.
+  const Relation& EvalSlice(const std::string& name, int comp,
+                            const std::vector<std::optional<Value>>& pattern,
+                            bool open, ExtentCache::Key key);
+
+  /// Per-name keyed-read facts: the SeedKinds of every rule of the name
+  /// (in DefsOf order) and the FiniteStandalone verdict.
+  struct KeyedDef {
+    std::vector<std::vector<SeedKind>> rule_kinds;
+    bool finite = false;
+    bool seedable = false;  // some rule seeds some position
+  };
+  const KeyedDef& KeyedInfo(const std::string& name);
+
   const Database* db_;
   std::vector<std::shared_ptr<Def>> all_defs_;
   // name -> sig -> rules
@@ -311,18 +358,20 @@ class Interp {
   std::vector<Instance*> stack_;
   LoweringStats lowering_stats_;
   std::set<int> lowering_failed_components_;
-  /// Demanded-cone extents that cannot enter the extent cache, memoized
-  /// per (name/arity, bound-position values). Pure functions of the (fixed)
-  /// database and rule set, so entries stay valid for the Interp's
-  /// lifetime; map nodes keep references stable.
+  /// Seeded slices and demanded cones that cannot enter the extent cache,
+  /// memoized per (name/arity, bound-position values). Pure functions of
+  /// the (fixed) database and rule set, so entries stay valid for the
+  /// Interp's lifetime; map nodes keep references stable.
   std::map<ExtentCache::Key, Relation> demand_memo_;
+  /// KeyedInfo per name, computed on first use.
+  std::map<std::string, KeyedDef> keyed_defs_;
   /// Names defined by transaction-local defs (index >= options.shared_defs)
   /// and the per-name SharedRulesOnly verdicts.
   std::set<std::string> txn_local_names_;
   std::map<std::string, bool> shared_rules_only_;
-  /// Per-component demand bookkeeping: the translation + materialized EDB
-  /// (built once, reused across patterns) and the distinct-pattern count
-  /// driving the kMaxDemandPatterns cutoff.
+  /// Per-component demand bookkeeping: the distinct-pattern count driving
+  /// the kMaxDemandPatterns cutoff and, for a cone, the translation +
+  /// materialized EDB (built once, reused across patterns).
   static constexpr int kMaxDemandPatterns = 8;
   struct DemandComponent {
     int patterns = 0;

@@ -170,6 +170,9 @@ struct Constraint {
   ScopeMap scope;
   // Lazily compiled guard bodies (one per so-arg / texpr), see ExecGuarded.
   mutable std::vector<BodyPtr> guard_cache;
+  // kAtom over a first-order named relation: which demand path a bound
+  // lookup takes, resolved on the first execution (see ExecAtom).
+  mutable std::optional<DemandPath> demand;
 
   std::string describe;
 };
@@ -1440,44 +1443,19 @@ class Executor {
         // An extent that read no in-progress fixpoint value is final.
         const uint64_t partial_reads = interp_->partial_reads();
         try {
-          if (c.sig == 0 && sovals.empty() &&
-              interp_->DemandEligible(c.name)) {
-            // Demand-driven lookup: hand the interpreter this atom's
-            // binding pattern (constants and already-bound variables), so
-            // a qualifying recursive component can evaluate just the
-            // demanded cone instead of its full fixpoint. The demanded
-            // extent contains exactly the full extent's tuples matching
-            // the bound positions — the ones the enumeration below would
-            // keep anyway. Tuple-variable arguments leave the atom's arity
-            // open, so they disable the pattern. DemandEligible pre-filters
-            // so this allocation-bearing block never runs for atoms demand
-            // cannot help (non-recursive or replacement-mode relations, or
-            // the toggle off).
-            std::vector<std::optional<Value>> pattern;
-            pattern.reserve(c.args.size());
-            bool usable = true;
-            bool some_bound = false;
-            for (const CTerm& t : c.args) {
-              if (t.kind == CTerm::Kind::kConst) {
-                pattern.emplace_back(t.cval);
-                some_bound = true;
-              } else if (t.kind == CTerm::Kind::kVar) {
-                const Value* v = LookupVar(frame, t.name);
-                if (v) {
-                  pattern.emplace_back(*v);
-                  some_bound = true;
-                } else {
-                  pattern.emplace_back(std::nullopt);
-                }
-              } else if (t.kind == CTerm::Kind::kWildcard) {
-                pattern.emplace_back(std::nullopt);
-              } else {
-                usable = false;
-                break;
-              }
-            }
-            if (usable && some_bound) {
-              r = &interp_->EvalInstanceDemand(c.name, pattern);
+          if (c.sig == 0 && sovals.empty()) {
+            if (!c.demand) c.demand = interp_->DemandPathOf(c.name);
+            if (*c.demand != DemandPath::kFull) {
+              // Keyed lookup: hand the interpreter this atom's binding
+              // pattern (constants and already-bound variables) up to the
+              // first tuple pattern, so it can evaluate only the part of
+              // the relation the enumeration below would keep — a seeded
+              // slice of a non-recursive def, or a recursive component's
+              // demanded cone.
+              bool open = false;
+              std::vector<std::optional<Value>> pattern =
+                  BoundPrefix(c.args, frame, &open);
+              r = &interp_->EvalInstanceDemand(c.name, pattern, open);
             }
           }
           if (r == nullptr) {
@@ -1610,10 +1588,32 @@ class Executor {
     return ExecResult::kDone;
   }
 
-  /// Inlines the rules of a defined relation whose instance cannot be
-  /// materialized (it is unsafe standalone, e.g. the stdlib arithmetic
-  /// wrappers or the paper's Cond12), seeding the rule parameters with the
-  /// bound arguments.
+  /// The values of the single-width arguments before the first tuple
+  /// pattern, in order: a constant or bound variable gives its value, an
+  /// unbound variable or `_` gives nullopt. `*open` (if non-null) is set
+  /// when a tuple pattern cut the list short (positions after it do not
+  /// align).
+  std::vector<std::optional<Value>> BoundPrefix(const std::vector<CTerm>& args,
+                                                const Frame& frame,
+                                                bool* open) const {
+    std::vector<std::optional<Value>> out;
+    out.reserve(args.size());
+    for (const CTerm& t : args) {
+      if (t.kind == CTerm::Kind::kConst) {
+        out.emplace_back(t.cval);
+      } else if (t.kind == CTerm::Kind::kVar) {
+        const Value* v = LookupVar(frame, t.name);
+        out.push_back(v ? std::optional<Value>(*v) : std::nullopt);
+      } else if (t.kind == CTerm::Kind::kWildcard) {
+        out.emplace_back(std::nullopt);
+      } else {
+        if (open != nullptr) *open = true;
+        break;
+      }
+    }
+    return out;
+  }
+
   /// Fully bound argument pattern as a concrete tuple, if possible.
   std::optional<Tuple> BoundArgsTuple(const std::vector<CTerm>& args,
                                       const Frame& frame) const {
@@ -1687,6 +1687,10 @@ class Executor {
     return seeds;
   }
 
+  /// Inlines the rules of a defined relation whose instance cannot be
+  /// materialized (it is unsafe standalone, e.g. the stdlib arithmetic
+  /// wrappers or the paper's Cond12), seeding the rule parameters with the
+  /// bound arguments.
   ExecResult InlineDefs(const Constraint& c, const std::vector<SOValue>& sovals,
                         const std::vector<const Constraint*>& rest,
                         const Frame& frame,
@@ -1713,18 +1717,9 @@ class Executor {
             // applies trailing seeds to the rule's body outputs, which is
             // what lets builtin inverses fire (e.g. add(y,5,z) with z bound
             // through the stdlib `add` wrapper).
-            for (const CTerm& t : c.args) {
-              Seed seed;
-              if (t.kind == CTerm::Kind::kConst) {
-                seed.value = t.cval;
-              } else if (t.kind == CTerm::Kind::kVar) {
-                const Value* v = LookupVar(frame, t.name);
-                if (v) seed.value = *v;
-              } else if (t.kind == CTerm::Kind::kTupleVar ||
-                         t.kind == CTerm::Kind::kWildcardTuple) {
-                break;  // positions after a tuple pattern do not align
-              }
-              seeds->push_back(seed);
+            for (std::optional<Value>& v :
+                 BoundPrefix(c.args, frame, nullptr)) {
+              seeds->push_back(Seed{std::move(v), std::nullopt});
             }
           }
         }
@@ -2070,19 +2065,129 @@ bool Solver::EvalFormula(const ExprPtr& formula, const Env& env) {
   return found;
 }
 
-Relation Solver::EvalRule(const Def& def, const std::vector<SOValue>& so_args,
-                          const std::vector<Seed>* seeds) {
-  // Compile (memoized by rule identity).
-  std::shared_ptr<CompiledRule> rule;
-  auto& cache = interp_->rule_cache();
+namespace {
+
+/// The compiled form of `def`, memoized in the Interp by rule identity.
+std::shared_ptr<CompiledRule> CompiledRuleFor(Interp* interp, const Def& def) {
+  auto& cache = interp->rule_cache();
   auto it = cache.find(&def);
   if (it != cache.end()) {
-    rule = std::static_pointer_cast<CompiledRule>(it->second);
-  } else {
-    Compiler compiler(interp_);
-    rule = std::make_shared<CompiledRule>(compiler.CompileRule(def));
-    cache[&def] = rule;
+    return std::static_pointer_cast<CompiledRule>(it->second);
   }
+  Compiler compiler(interp);
+  auto rule = std::make_shared<CompiledRule>(compiler.CompileRule(def));
+  cache[&def] = rule;
+  return rule;
+}
+
+/// How the constraints of a body can bind one variable (AnalyzeParams).
+struct VarBinders {
+  bool finite_atom = false;  // a top-level finite relation atom binds it
+  bool only_atoms = true;    // nothing else could bind it
+};
+
+bool Mentions(const std::vector<FreeVar>& frees, const std::string& var) {
+  for (const FreeVar& f : frees) {
+    if (f.internal == var) return true;
+  }
+  return false;
+}
+
+/// True iff `builtin` can run with argument `pos` unbound, i.e. bind it.
+bool BuiltinCanBind(const Builtin& builtin, size_t pos) {
+  const size_t arity = builtin.arity();
+  for (uint32_t mask = 0; mask < (1u << arity); ++mask) {
+    if (mask & (1u << pos)) continue;
+    std::vector<bool> bound(arity);
+    for (size_t i = 0; i < arity; ++i) bound[i] = (mask >> i) & 1u;
+    if (builtin.Supports(bound)) return true;
+  }
+  return false;
+}
+
+void ScanBinders(Interp* interp, const std::vector<ConstraintPtr>& body,
+                 const std::string& var, bool top, VarBinders* out) {
+  for (const ConstraintPtr& c : body) {
+    switch (c->kind) {
+      case Constraint::Kind::kNegated:
+        break;  // runs only once its free variables are bound: a filter
+      case Constraint::Kind::kDisj:
+        for (const BodyPtr& branch : c->branches) {
+          ScanBinders(interp, branch->constraints, var, false, out);
+        }
+        break;
+      case Constraint::Kind::kAgg:
+        // The result binds; a captured variable can be bound by guard
+        // extraction (ExecGuarded).
+        if ((c->agg_result.kind == CTerm::Kind::kVar &&
+             c->agg_result.name == var) ||
+            Mentions(c->so_free[0], var) || Mentions(c->so_free[1], var)) {
+          out->only_atoms = false;
+        }
+        break;
+      case Constraint::Kind::kAtom: {
+        bool captured = Mentions(c->texpr_free, var);
+        for (const auto& frees : c->so_free) captured |= Mentions(frees, var);
+        if (captured) out->only_atoms = false;
+        for (size_t i = 0; i < c->args.size(); ++i) {
+          const CTerm& t = c->args[i];
+          if ((t.kind != CTerm::Kind::kVar &&
+               t.kind != CTerm::Kind::kTupleVar) ||
+              t.name != var) {
+            continue;
+          }
+          if (c->target == Constraint::Target::kBuiltin) {
+            if (BuiltinCanBind(*c->builtin, i)) out->only_atoms = false;
+          } else if (c->target == Constraint::Target::kGlobal && c->sig == 0 &&
+                     interp->FiniteStandalone(c->name)) {
+            out->finite_atom |= top;
+          } else {
+            // A closure, relation argument or unsafe def may be inlined at
+            // this use site, where seeds match numerically.
+            out->only_atoms = false;
+          }
+        }
+        break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+ParamSeeding Solver::AnalyzeParams(const Def& def) {
+  ParamSeeding out;
+  std::shared_ptr<CompiledRule> rule;
+  try {
+    rule = CompiledRuleFor(interp_, def);
+  } catch (const RelError&) {
+    // Compile errors belong to evaluation, which raises them itself.
+    out.range_restricted = false;
+    return out;
+  }
+  // Positions after a tuple-variable parameter do not align with the key.
+  bool aligned = true;
+  for (const CTerm& t : rule->head_terms) {
+    SeedKind kind = SeedKind::kNever;
+    if (t.kind == CTerm::Kind::kConst) {
+      if (aligned) kind = SeedKind::kAny;
+    } else {
+      VarBinders binders;
+      ScanBinders(interp_, rule->body.constraints, t.name, true, &binders);
+      if (!binders.finite_atom) out.range_restricted = false;
+      if (t.kind == CTerm::Kind::kTupleVar) aligned = false;
+      if (aligned && binders.finite_atom) {
+        kind = binders.only_atoms ? SeedKind::kAny : SeedKind::kNonNumeric;
+      }
+    }
+    out.kinds.push_back(kind);
+  }
+  return out;
+}
+
+Relation Solver::EvalRule(const Def& def, const std::vector<SOValue>& so_args,
+                          const std::vector<Seed>* seeds) {
+  std::shared_ptr<CompiledRule> rule = CompiledRuleFor(interp_, def);
 
   InternalCheck(so_args.size() == rule->relvar_internals.size(),
                 "second-order argument count mismatch");

@@ -18,6 +18,7 @@
 #ifndef REL_CORE_SOLVER_H_
 #define REL_CORE_SOLVER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -74,13 +75,38 @@ struct Env {
   size_t Hash() const;
 };
 
-/// A pre-bound rule parameter used when an unsafe definition is inlined at
-/// a call site whose arguments are already bound. At most one of the fields
-/// is set (value for ordinary parameters, tuple for tuple-variable
-/// parameters); both empty means "unbound".
+/// A pre-bound position of the head tuple a rule evaluation must produce.
+/// Two callers pre-bind: use-site inlining of a definition that is unsafe
+/// standalone (every bound call-site argument — parameters and, for
+/// square-headed rules, trailing body outputs), and the keyed read of a
+/// non-recursive definition (Interp::EvalInstanceDemand; parameters only,
+/// as SeedKind allows). At most one of the fields is set (value for
+/// ordinary positions, tuple for tuple-variable parameters); both empty
+/// means "unbound".
 struct Seed {
   std::optional<Value> value;
   std::optional<Tuple> tuple;
+};
+
+/// Which bound values a keyed read may pre-bind into one first-order
+/// parameter of a rule without changing the rule's answers or its safety.
+/// A parameter seeds only when a finite relation atom at the top level of
+/// the body binds it (so seeding never makes an unsafe rule safe). A number
+/// additionally needs every literal that could bind the parameter to be
+/// such an atom: `=`, arithmetic and `range` compare Int and Float
+/// numerically, while atom matching is kind-strict, so seeding 2.0 where
+/// `x = 2` binds would admit a row the full extent does not hold.
+enum class SeedKind : uint8_t {
+  kNever,       // do not pre-bind this position
+  kNonNumeric,  // strings and entities only
+  kAny,         // any value (also a head literal: a mismatch skips the rule)
+};
+
+/// SeedKind per first-order parameter of one rule, and whether every
+/// parameter variable has a finite binder (Interp::FiniteStandalone).
+struct ParamSeeding {
+  std::vector<SeedKind> kinds;
+  bool range_restricted = true;
 };
 
 /// The solver. Stateless apart from its link to the interpreter (which owns
@@ -100,11 +126,17 @@ class Solver {
   /// rule's leading {A} parameters, in order). Returns the head tuples
   /// (first-order parameter values concatenated with body outputs).
   ///
-  /// `seeds`, when non-null, pre-binds first-order parameters by position
-  /// (used when an unsafe definition is inlined at a call site whose
-  /// arguments are already bound). seeds->at(i) may be empty (unbound).
+  /// `seeds`, when non-null, pre-binds head positions: seeds->at(i) aligns
+  /// with the i-th first-order parameter, then (square-headed rules) with
+  /// the body outputs, and may be empty (unbound). A seed that disagrees
+  /// with a literal parameter yields no tuples.
   Relation EvalRule(const Def& def, const std::vector<SOValue>& so_args,
                     const std::vector<Seed>* seeds);
+
+  /// How a keyed read may seed each first-order parameter of `def`, a rule
+  /// without relation parameters. Conservative on anything it cannot
+  /// classify: a rule that fails to compile seeds nothing.
+  ParamSeeding AnalyzeParams(const Def& def);
 
   /// Number of second-order (leading {A}) parameters of `def`.
   static size_t CountSOParams(const Def& def);

@@ -253,25 +253,31 @@ class CaseRunner {
       CompareAnswers(ref, out);
     };
 
+    auto engine_query = [&](const std::string& q) {
+      Relation answer = engine.Query(q);
+      result_.seeded_lookups += engine.last_lowering_stats().seeded_lookups;
+      return answer;
+    };
     engine.options().lower_recursion = false;
-    query_all("rel/interp",
-              [&](const std::string& q) { return engine.Query(q); });
+    query_all("rel/interp", engine_query);
 
     engine.options().lower_recursion = true;
-    query_all("rel/lowered",
-              [&](const std::string& q) { return engine.Query(q); });
+    query_all("rel/lowered", engine_query);
 
     if (!opts_.plan_seeds.empty()) {
       engine.options().plan_order_seed = opts_.plan_seeds.front();
       query_all("rel/lowered/s" + std::to_string(opts_.plan_seeds.front()),
-                [&](const std::string& q) { return engine.Query(q); });
+                engine_query);
       engine.options().plan_order_seed = 0;
     }
 
     {
       auto session = engine.OpenSession();
-      query_all("rel/session",
-                [&](const std::string& q) { return session->Query(q); });
+      query_all("rel/session", [&](const std::string& q) {
+        Relation answer = session->Query(q);
+        result_.seeded_lookups += session->last_lowering_stats().seeded_lookups;
+        return answer;
+      });
     }
 
     RunRelDemand(ref, engine);
@@ -323,6 +329,7 @@ class CaseRunner {
     ++result_.configs_run;
     try {
       Relation have = engine.Query(query);
+      result_.seeded_lookups += engine.last_lowering_stats().seeded_lookups;
       if (have != want) {
         Report("rel/demand", "answer",
                c_.goal->pred + " via `" + query + "`: " +

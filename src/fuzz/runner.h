@@ -84,6 +84,10 @@ struct Discrepancy {
 struct RunResult {
   std::vector<Discrepancy> discrepancies;
   int configs_run = 0;
+  /// Keyed reads the Rel paths answered with a seeded slice of a
+  /// non-recursive predicate (LoweringStats::seeded_lookups, summed over
+  /// every query the case ran).
+  int seeded_lookups = 0;
   bool ok() const { return discrepancies.empty(); }
 };
 

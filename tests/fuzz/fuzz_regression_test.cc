@@ -76,6 +76,16 @@ TEST(FuzzCorpus, FilterBeforeBindingAtomRunsTheFullLattice) {
   EXPECT_EQ(result.configs_run, 14);
 }
 
+TEST(FuzzCorpus, NonRecursiveGoalReadsASeededSlice) {
+  // Keyed reads of the non-recursive p1 (the demand goal and p2's body
+  // atoms with a constant) evaluate seeded slices on the Rel paths.
+  FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
+      REL_FUZZ_CORPUS_DIR) / "seeded_point_lookup.dl"));
+  RunResult result = RunCase(c);
+  EXPECT_TRUE(result.ok()) << FormatResult(c, result);
+  EXPECT_GT(result.seeded_lookups, 0);
+}
+
 TEST(FuzzCorpus, ReplayIsDeterministic) {
   for (const auto& path : CorpusFiles()) {
     FuzzCase c = CaseFromText(ReadFile(path));
