@@ -277,8 +277,9 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   // TC[E]) lowers the same way, its arguments becoming EDB. On success every
   // member instance of the component (including this one) is already
   // finished; on failure fall through to the saturation loop unchanged.
+  const bool recursive = analysis_.IsRecursive(key.name);
   const bool lowerable =
-      analysis_.IsRecursive(key.name)
+      recursive
           ? (!analysis_.UsesReplacement(key.name) ||
              analysis_.AggregationRecursive(key.name))
           : key.so_args.empty() && analysis_.UsesAggregation(key.name);
@@ -291,7 +292,7 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   inst.provisional = false;
   inst.stack_pos = static_cast<int>(stack_.size());
   stack_.push_back(&inst);
-  bool replacement = analysis_.UsesReplacement(key.name);
+  const bool replacement = analysis_.UsesReplacement(key.name);
   // Start from scratch: a re-evaluation (of a previously provisional
   // instance) must not keep results derived from stale partial values.
   Relation previous = std::move(inst.value);
@@ -321,6 +322,8 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
                 "; the partial extent is discarded");
       }
       uint64_t tick = change_tick_;
+      const uint64_t partial_before = partial_reads_;
+      ++instance_passes_;
       Relation derived = base;
       for (const auto& def : rules) {
         derived.InsertAll(solver_.EvalRule(*def, key.so_args, nullptr));
@@ -334,6 +337,10 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
         inst.value.InsertAll(derived);
         changed = inst.value.size() != before;
       }
+      // A name outside every cycle whose pass read no in-progress value
+      // has its final value after one pass: every instance it read was
+      // finished, so a second pass would derive the same rows.
+      if (!recursive && partial_reads_ == partial_before) break;
       // Iterate until this instance is stable AND no nested instance
       // changed its (final) value during the pass — nested provisional
       // instances are re-evaluated inside EvalRule and drive this loop

@@ -245,6 +245,11 @@ class Interp {
   /// memo tables use it to detect results that must not be cached.
   uint64_t partial_reads() const { return partial_reads_; }
 
+  /// Saturation-loop passes run so far, over every instance: a
+  /// non-recursive instance takes one, a recursive one iterates to its
+  /// fixpoint.
+  uint64_t instance_passes() const { return instance_passes_; }
+
   /// Compile cache slot used by the solver (keyed by rule identity).
   std::map<const Def*, std::shared_ptr<void>>& rule_cache() {
     return rule_cache_;
@@ -380,6 +385,7 @@ class Interp {
   std::map<int, DemandComponent> demand_components_;
   uint64_t change_tick_ = 0;
   uint64_t partial_reads_ = 0;
+  uint64_t instance_passes_ = 0;
   int fresh_counter_ = 0;
 
   // Closure materialization memo: (env, result) entries keyed by closure

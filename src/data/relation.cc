@@ -8,16 +8,6 @@
 
 namespace rel {
 
-namespace {
-
-size_t HashSpan(const Value* vals, size_t n) {
-  size_t seed = kTupleHashSeed;
-  for (size_t i = 0; i < n; ++i) seed = HashCombine(seed, vals[i].Hash());
-  return seed;
-}
-
-}  // namespace
-
 // --- ColumnArena -------------------------------------------------------------
 
 uint64_t ColumnArena::NextId() {
@@ -95,38 +85,45 @@ void ColumnArena::AppendRow(size_t h, GetFn&& get) {
 }
 
 template <typename GetFn>
-bool ColumnArena::InsertImpl(size_t h, GetFn&& get) {
+size_t ColumnArena::InsertImpl(size_t h, GetFn&& get) {
   MaybeGrowTable();
   size_t existing = FindRow(h, [&](size_t row) { return RowEquals(row, get); });
-  if (existing != kNoRow) return false;
+  if (existing != kNoRow) return kNoRow;
   AppendRow(h, get);
   ++version_;
   Invalidate();
-  return true;
+  return num_rows_ - 1;
 }
 
 bool ColumnArena::Insert(const Value* vals) {
-  return InsertImpl(HashSpan(vals, arity_),
-                    [vals](size_t c) -> const Value& { return vals[c]; });
+  return InsertHashed(vals, HashRow(vals, arity_)) != kNoRow;
 }
 
 bool ColumnArena::Insert(const TupleRef& ref) {
   InternalCheck(ref.arity() == arity_, "arena insert arity mismatch");
-  return InsertImpl(ref.Hash(),
-                    [&ref](size_t c) -> const Value& { return ref[c]; });
+  return InsertImpl(ref.Hash(), [&ref](size_t c) -> const Value& {
+           return ref[c];
+         }) != kNoRow;
 }
 
 bool ColumnArena::InsertRowOf(const ColumnArena& src, size_t row) {
   InternalCheck(src.arity_ == arity_, "arena insert arity mismatch");
   return InsertImpl(src.hashes_[row], [&src, row](size_t c) -> const Value& {
-    return src.columns_[c][row];
-  });
+           return src.columns_[c][row];
+         }) != kNoRow;
+}
+
+size_t ColumnArena::InsertHashed(const Value* vals, size_t hash) {
+  return InsertImpl(hash, [vals](size_t c) -> const Value& { return vals[c]; });
 }
 
 bool ColumnArena::Contains(const Value* vals) const {
-  return FindRow(HashSpan(vals, arity_), [&](size_t row) {
-           return RowEqualsSpan(row, vals);
-         }) != kNoRow;
+  return ContainsHashed(vals, HashRow(vals, arity_));
+}
+
+bool ColumnArena::ContainsHashed(const Value* vals, size_t hash) const {
+  return FindRow(hash, [&](size_t row) { return RowEqualsSpan(row, vals); }) !=
+         kNoRow;
 }
 
 bool ColumnArena::Contains(const TupleRef& ref) const {
@@ -153,7 +150,7 @@ size_t ColumnArena::SlotOf(size_t row) const {
 }
 
 bool ColumnArena::Erase(const Value* vals) {
-  size_t h = HashSpan(vals, arity_);
+  size_t h = HashRow(vals, arity_);
   size_t row =
       FindRow(h, [&](size_t r) { return RowEqualsSpan(r, vals); });
   if (row == kNoRow) return false;
@@ -265,9 +262,13 @@ bool Relation::Insert(const Tuple& t) {
 }
 
 bool Relation::Insert(const Value* vals, size_t arity) {
-  bool inserted = ArenaFor(arity).Insert(vals);
-  if (inserted) ++size_;
-  return inserted;
+  return InsertHashed(vals, arity, HashRow(vals, arity)) != ColumnArena::kNoRow;
+}
+
+size_t Relation::InsertHashed(const Value* vals, size_t arity, size_t hash) {
+  size_t row = ArenaFor(arity).InsertHashed(vals, hash);
+  if (row != ColumnArena::kNoRow) ++size_;
+  return row;
 }
 
 bool Relation::Insert(const TupleRef& ref) {
@@ -294,9 +295,13 @@ bool Relation::InsertAll(const Relation& other) {
 }
 
 bool Relation::Erase(const Tuple& t) {
-  auto it = blocks_.find(t.arity());
+  return Erase(t.values().data(), t.arity());
+}
+
+bool Relation::Erase(const Value* vals, size_t arity) {
+  auto it = blocks_.find(arity);
   if (it == blocks_.end()) return false;
-  if (!it->second.Erase(t.values().data())) return false;
+  if (!it->second.Erase(vals)) return false;
   --size_;
   if (it->second.empty()) blocks_.erase(it);
   return true;
@@ -309,6 +314,12 @@ bool Relation::Contains(const Tuple& t) const {
 bool Relation::Contains(const Value* vals, size_t arity) const {
   auto it = blocks_.find(arity);
   return it != blocks_.end() && it->second.Contains(vals);
+}
+
+bool Relation::ContainsHashed(const Value* vals, size_t arity,
+                              size_t hash) const {
+  auto it = blocks_.find(arity);
+  return it != blocks_.end() && it->second.ContainsHashed(vals, hash);
 }
 
 bool Relation::Contains(const TupleRef& ref) const {

@@ -60,15 +60,25 @@ class ColumnArena {
   /// The cached content hash of a row (equals Tuple::Hash of the row).
   size_t RowHash(size_t row) const { return hashes_[row]; }
 
+  /// Row index meaning "absent": what InsertHashed returns for a row that
+  /// was already present.
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
+
   /// Inserts the row `vals[0..arity)`; returns false if already present.
   bool Insert(const Value* vals);
   bool Insert(const TupleRef& ref);
   /// Inserts row `row` of `src` (same arity); reuses src's cached hash.
   bool InsertRowOf(const ColumnArena& src, size_t row);
+  /// Insert with the row's precomputed `hash` (must equal HashRow(vals,
+  /// arity())). Returns the index the new row landed at — the row
+  /// ForEachRow visits there — or kNoRow if the row was already present.
+  size_t InsertHashed(const Value* vals, size_t hash);
 
   bool Contains(const Value* vals) const;
   bool Contains(const TupleRef& ref) const;
   bool ContainsRowOf(const ColumnArena& src, size_t row) const;
+  /// Contains with a precomputed `hash` (must equal HashRow(vals, arity())).
+  bool ContainsHashed(const Value* vals, size_t hash) const;
 
   /// Removes the row equal to `vals`, swapping the last row into its slot
   /// (row indices of the moved row change; all views are invalidated).
@@ -119,7 +129,6 @@ class ColumnArena {
  private:
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
   static constexpr uint32_t kTombstone = 0xfffffffeu;
-  static constexpr size_t kNoRow = static_cast<size_t>(-1);
 
   // True iff row `row` equals the candidate whose value at column c is
   // get(c) — the single definition of row equality.
@@ -132,8 +141,9 @@ class ColumnArena {
   // Appends a row (values provided by get(col)) and links it into the table.
   template <typename GetFn>
   void AppendRow(size_t h, GetFn&& get);
+  // Returns the new row's index, or kNoRow if the row was present.
   template <typename GetFn>
-  bool InsertImpl(size_t h, GetFn&& get);
+  size_t InsertImpl(size_t h, GetFn&& get);
   bool RowEqualsSpan(size_t row, const Value* vals) const;
   void MaybeGrowTable();
   void Rehash(size_t min_slots);
@@ -181,14 +191,21 @@ class Relation {
   /// zero-allocation emit path of the Datalog evaluator.
   bool Insert(const Value* vals, size_t arity);
   bool Insert(const TupleRef& ref);
+  /// Insert with a precomputed `hash` (must equal HashRow(vals, arity)), so
+  /// a caller that already probed the row hashes it once. Returns the row
+  /// index in ArenaOfArity(arity), or ColumnArena::kNoRow if present.
+  size_t InsertHashed(const Value* vals, size_t arity, size_t hash);
   /// Inserts every tuple of `other`; returns true if anything was added.
   bool InsertAll(const Relation& other);
   /// Removes `t`; returns true if it was present.
   bool Erase(const Tuple& t);
+  bool Erase(const Value* vals, size_t arity);
 
   bool Contains(const Tuple& t) const;
   bool Contains(const Value* vals, size_t arity) const;
   bool Contains(const TupleRef& ref) const;
+  /// Contains with a precomputed `hash` (must equal HashRow(vals, arity)).
+  bool ContainsHashed(const Value* vals, size_t arity, size_t hash) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -5,6 +5,12 @@
 
 namespace rel {
 
+size_t HashRow(const Value* vals, size_t n) {
+  size_t seed = kTupleHashSeed;
+  for (size_t i = 0; i < n; ++i) seed = HashCombine(seed, vals[i].Hash());
+  return seed;
+}
+
 Tuple TupleRef::ToTuple() const { return Slice(0, arity_); }
 
 Tuple TupleRef::Slice(size_t begin, size_t end) const {
@@ -82,13 +88,7 @@ int Tuple::Compare(const Tuple& other) const {
   return 0;
 }
 
-size_t Tuple::Hash() const {
-  size_t seed = kTupleHashSeed;
-  for (const Value& v : values_) {
-    seed = HashCombine(seed, v.Hash());
-  }
-  return seed;
-}
+size_t Tuple::Hash() const { return HashRow(values_.data(), values_.size()); }
 
 std::string Tuple::ToString() const {
   std::string out = "(";

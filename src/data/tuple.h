@@ -19,6 +19,12 @@ namespace rel {
 /// content.
 inline constexpr size_t kTupleHashSeed = 0xa1b2c3d4;
 
+/// Content hash of the row vals[0..n): equals Tuple::Hash of a tuple with
+/// those values, and the arena's cached row hash. Callers that probe and
+/// insert the same row compute it once and pass it to the *Hashed calls of
+/// ColumnArena and Relation.
+size_t HashRow(const Value* vals, size_t n);
+
 class Tuple;
 
 /// A non-owning view of one row of column-major relation storage.

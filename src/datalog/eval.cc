@@ -198,25 +198,42 @@ std::optional<Value> FoldStep(AggOp op, const Value& acc, const Value& v) {
   return std::nullopt;
 }
 
+/// One contribution row of an aggregate predicate: row `row` of one of its
+/// `seen` relation's arenas (one arena per witness arity). `seen` is the
+/// only copy of a contribution; groups hold these references into it.
+struct SeenRow {
+  const ColumnArena* arena;
+  uint32_t row;
+
+  const Value& At(size_t col) const { return arena->At(row, col); }
+  size_t arity() const { return arena->arity(); }
+};
+
 /// The order a group folds its contributions in: the order the Rel
 /// interpreter's `reduce` consumes a materialized abstraction, i.e.
-/// Relation::SortedTuples — arity first (witness arities may differ between
-/// a predicate's rules), then lexicographic. Plain Tuple::operator< would
-/// interleave arities.
-bool FoldOrderLess(const Tuple& a, const Tuple& b) {
+/// Relation::SortedTuples of the (witness..., value) payloads — arity first
+/// (witness arities may differ between a predicate's rules), then
+/// lexicographic. A group's rows share their first `group_arity` columns,
+/// so the comparison starts after them.
+bool FoldOrderLess(const SeenRow& a, const SeenRow& b, size_t group_arity) {
   if (a.arity() != b.arity()) return a.arity() < b.arity();
-  return a < b;
+  for (size_t c = group_arity; c < a.arity(); ++c) {
+    int cmp = a.At(c).Compare(b.At(c));
+    if (cmp != 0) return cmp < 0;
+  }
+  return false;
 }
 
-/// Folds one group's (witness..., value) payloads, already in fold order:
-/// the accumulator starts from the first payload's value (its last column)
-/// and steps through the rest. A step with no result (mixed non-numeric
-/// payloads, NaN under min/max) makes the whole group's result absent — an
-/// empty or undefined group emits NO row, never a default.
-std::optional<Value> FoldPayloads(AggOp op, const std::vector<Tuple>& payloads) {
+/// Folds one group's contributions, already in fold order: the accumulator
+/// starts from the first row's value (its last column) and steps through
+/// the rest. A step with no result (mixed non-numeric payloads, NaN under
+/// min/max) makes the whole group's result absent — an empty or undefined
+/// group emits NO row, never a default.
+std::optional<Value> FoldPayloads(AggOp op,
+                                  const std::vector<SeenRow>& payloads) {
   std::optional<Value> acc;
-  for (const Tuple& t : payloads) {
-    const Value& v = t[t.arity() - 1];
+  for (const SeenRow& p : payloads) {
+    const Value& v = p.At(p.arity() - 1);
     if (!acc) {
       acc = v;
       continue;
@@ -415,11 +432,23 @@ void RequireRangeRestricted(const Rule& rule, const std::vector<bool>& done,
   }
 }
 
+/// Inserts one gathered head row into `out` unless `dedup_against` (when
+/// non-null) already holds it — the fixpoint diff happens here, with no
+/// intermediate relation and no copy-and-sort. The row is hashed once, for
+/// both the probe and the insert.
+void EmitRow(const std::vector<Value>& row, Relation* out,
+             const Relation* dedup_against) {
+  const size_t h = HashRow(row.data(), row.size());
+  if (dedup_against &&
+      dedup_against->ContainsHashed(row.data(), row.size(), h)) {
+    return;
+  }
+  out->InsertHashed(row.data(), row.size(), h);
+}
+
 /// Emits one derivation: gathers the head values into the caller's reusable
 /// scratch buffer and inserts the span straight into `out`'s column arena —
-/// no per-candidate Tuple allocation. When `dedup_against` is non-null,
-/// tuples already in that extent are dropped at the source — the fixpoint
-/// diff happens here, with no intermediate relation and no copy-and-sort.
+/// no per-candidate Tuple allocation — through EmitRow.
 void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
                       std::vector<Value>& scratch, Relation* out,
                       EvalStats* stats, const Relation* dedup_against) {
@@ -437,11 +466,7 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
     }
   }
   if (stats) ++stats->tuples_derived;
-  if (dedup_against &&
-      dedup_against->Contains(scratch.data(), scratch.size())) {
-    return;
-  }
-  out->Insert(scratch.data(), scratch.size());
+  EmitRow(scratch, out, dedup_against);
 }
 
 // --- naive evaluation (kNaive, the fuzzer's oracle) --------------------------
@@ -791,11 +816,7 @@ void ExecLeapfrog(const Rule& rule, const RulePlan& plan, const State& state,
           scratch.push_back(t.is_var() ? binding[t.var] : t.constant);
         }
         if (stats) ++stats->tuples_derived;
-        if (dedup_against &&
-            dedup_against->Contains(scratch.data(), scratch.size())) {
-          return;
-        }
-        out->Insert(scratch.data(), scratch.size());
+        EmitRow(scratch, out, dedup_against);
       });
 }
 
@@ -1285,40 +1306,82 @@ void CheckMonotoneRule(const Rule& rule, const std::set<std::string>& recursive,
   // ones under the unit's single min/max direction.
 }
 
-/// One aggregate group: its key columns, its contributions, and its
-/// currently published result (absent until the first fold yields a value).
-/// `payloads[0, sorted)` is in fold order; rows appended since the last
-/// fold follow it unsorted.
+/// One aggregate group: its contributions and its currently published
+/// result (absent until the first fold yields a value). The group key is
+/// the leading sig.group_arity columns of any contribution, so none is
+/// stored apart. `payloads[0, sorted)` is in fold order; rows appended since
+/// the last fold follow it unsorted.
 struct AggGroup {
-  Tuple key;
-  std::vector<Tuple> payloads;  // (witness..., value)
+  std::vector<SeenRow> payloads;  // never empty
   size_t sorted = 0;
-  size_t hash = 0;  // Tuple::Hash of `key`
+  size_t hash = 0;  // HashRow of the key columns
   std::optional<Value> value;
   bool dirty = false;
+
+  const Value& Key(size_t col) const { return payloads[0].At(col); }
 };
 
-/// Unit-local aggregate state for one aggregate predicate. `seen` is the
-/// dedup authority across ALL rules of the predicate (mixed witness arities
-/// included): a contribution row that ever entered a group never re-enters,
-/// which both keeps set semantics (sum counts a deduplicated row once) and
-/// makes the semi-naive re-derivations idempotent — so a group's payloads
-/// need no dedup of their own. Groups live in one flat vector, found by
-/// an open-addressing table over their indices; `dirty` lists the groups
-/// that received contributions this round.
+/// Unit-local aggregate state for one aggregate predicate. `seen` holds
+/// every contribution row once and is the dedup authority across ALL rules
+/// of the predicate (mixed witness arities included): a contribution row
+/// that ever entered a group never re-enters, which both keeps set
+/// semantics (sum counts a deduplicated row once) and makes the semi-naive
+/// re-derivations idempotent — so a group's payloads need no dedup of their
+/// own. Rows are appended to `seen` during a round (by the emit itself in a
+/// sequential round, by the barrier merge in a parallel one) and routed to
+/// their groups at the round barrier; `routed` counts, per arity, the rows
+/// already routed. Groups live in one flat vector, found by an
+/// open-addressing table over their indices; `dirty` lists the groups that
+/// received contributions this round.
 struct AggPredState {
   AggSig sig;
   Relation seen;
+  std::map<size_t, size_t> routed;  // arity -> rows of seen already routed
   std::vector<AggGroup> groups;
   std::vector<uint32_t> table;  // group index + 1; 0 = empty slot
   std::vector<uint32_t> dirty;
 
-  /// The group keyed by `row`'s first sig.group_arity columns, created if
-  /// new. The key Tuple is built only for a new group.
-  AggGroup& GroupOf(const TupleRef& row) {
+  /// Routes the rows appended to `seen` since the last call into their
+  /// groups, marking each receiving group dirty; returns how many.
+  size_t RouteNewRows() {
+    size_t routed_now = 0;
+    for (size_t arity : seen.Arities()) {
+      // SeenRow keeps this address for the unit's lifetime: `seen` only
+      // grows, so the arity stays populated, and AggPredState is never
+      // copied or moved once rounds start (see Relation::ArenaOfArity).
+      const ColumnArena* arena = seen.ArenaOfArity(arity);
+      size_t& done = routed[arity];
+      for (size_t r = done; r < arena->size(); ++r) {
+        SeenRow row{arena, static_cast<uint32_t>(r)};
+        AggGroup& grp = GroupOf(row);
+        grp.payloads.push_back(row);
+        if (!grp.dirty) {
+          grp.dirty = true;
+          dirty.push_back(static_cast<uint32_t>(&grp - groups.data()));
+        }
+      }
+      routed_now += arena->size() - done;
+      done = arena->size();
+    }
+    return routed_now;
+  }
+
+  /// Group-key order over group indices.
+  bool KeyLess(uint32_t a, uint32_t b) const {
+    for (size_t c = 0; c < sig.group_arity; ++c) {
+      int cmp = groups[a].Key(c).Compare(groups[b].Key(c));
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  }
+
+ private:
+  /// The group keyed by `row`'s first sig.group_arity columns, created
+  /// (empty) if new.
+  AggGroup& GroupOf(const SeenRow& row) {
     const size_t g = sig.group_arity;
     size_t h = kTupleHashSeed;
-    for (size_t i = 0; i < g; ++i) h = HashCombine(h, row[i].Hash());
+    for (size_t i = 0; i < g; ++i) h = HashCombine(h, row.At(i).Hash());
     if (2 * (groups.size() + 1) > table.size()) Grow();
     const size_t mask = table.size() - 1;
     for (size_t pos = MixHash(h) & mask;; pos = (pos + 1) & mask) {
@@ -1326,19 +1389,17 @@ struct AggPredState {
       if (entry == 0) {
         table[pos] = static_cast<uint32_t>(groups.size() + 1);
         AggGroup& grp = groups.emplace_back();
-        grp.key = row.Slice(0, g);
         grp.hash = h;
         return grp;
       }
       AggGroup& grp = groups[entry - 1];
       if (grp.hash != h) continue;
       bool equal = true;
-      for (size_t i = 0; i < g && equal; ++i) equal = grp.key[i] == row[i];
+      for (size_t i = 0; i < g && equal; ++i) equal = grp.Key(i) == row.At(i);
       if (equal) return grp;
     }
   }
 
- private:
   void Grow() {
     table.assign(table.empty() ? 16 : 2 * table.size(), 0);
     const size_t mask = table.size() - 1;
@@ -1570,14 +1631,28 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
     return it == agg.end() ? &state->full->at(rule->head.pred)
                            : &it->second.seen;
   };
+  // Where a sequential emit goes: plain heads into the round's `added`,
+  // deduplicated against the full extent; aggregate heads straight into
+  // `seen`, whose only reader during a round is this emit — so the insert
+  // itself is the dedup, and the barrier routes the appended rows.
+  struct EmitTarget {
+    Relation* out;
+    const Relation* dedup_against;
+  };
+  auto target_for = [&](const Rule* rule, DeltaMap* added) -> EmitTarget {
+    auto it = agg.find(rule->head.pred);
+    if (it != agg.end()) return {&it->second.seen, nullptr};
+    return {&(*added)[rule->head.pred], &state->full->at(rule->head.pred)};
+  };
 
-  // Evaluates the round's (rule, delta-occurrence) pairs into `added`.
+  // Evaluates the round's (rule, delta-occurrence) pairs: plain derivations
+  // into `added`, aggregate contributions into their predicate's `seen`.
   auto run_round = [&](const std::vector<Pair>& pairs, DeltaMap* added) {
     if (!indexed) {
       for (const auto& pr : pairs) {
-        EvalRuleNaive(*pr.rule, naive_orders.at(pr.rule), *state,
-                      &(*added)[pr.rule->head.pred], &local,
-                      dedup_for(pr.rule));
+        EmitTarget t = target_for(pr.rule, added);
+        EvalRuleNaive(*pr.rule, naive_orders.at(pr.rule), *state, t.out,
+                      &local, t.dedup_against);
       }
       return;
     }
@@ -1626,16 +1701,17 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
 
     if (pool == nullptr) {
       for (const Task& t : tasks) {
-        ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache,
-                 &(*added)[t.rule->head.pred], &local, dedup_for(t.rule),
-                 t.begin, t.end);
+        EmitTarget target = target_for(t.rule, added);
+        ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache, target.out,
+                 &local, target.dedup_against, t.begin, t.end);
       }
       return;
     }
 
     // Per-thread staging: each slot is written by at most one thread at a
     // time (a thread runs one task at a time and every task addresses its
-    // own slot), so no emit ever takes a lock.
+    // own slot), so no emit ever takes a lock. Aggregate contributions stage
+    // too, deduplicated against the frozen `seen`.
     struct SlotStage {
       std::map<std::string, Relation> rels;
       EvalStats stats;
@@ -1658,13 +1734,16 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
       }
       group.Wait();
     }
-    // Round barrier: merge the staging buffers (slot order, deterministic).
-    // Emit-site dedup already dropped tuples present in the full extents;
+    // Round barrier: merge the staging buffers (slot order, deterministic)
+    // into `added`, or into `seen` for aggregate contributions. Emit-site
+    // dedup already dropped tuples present in the full extents (or `seen`);
     // InsertAll collapses duplicates derived by different tasks.
     for (SlotStage& stage : staging) {
       for (auto& [pred, rel] : stage.rels) {
         if (rel.empty()) continue;
-        (*added)[pred].InsertAll(rel);
+        auto agg_it = agg.find(pred);
+        (agg_it == agg.end() ? (*added)[pred] : agg_it->second.seen)
+            .InsertAll(rel);
         ++local.par_merges;
       }
       AccumulateCounters(&local, stage.stats);
@@ -1673,36 +1752,27 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
 
   // Round barrier, part two: publishes `added` into the canonical state and
   // returns the next delta. Plain predicates merge tuple-wise. Aggregate
-  // predicates route their new contribution rows into the per-group
-  // accumulators, refold the dirty groups in group-key order, and replace
-  // each changed (group..., result) extent row — the changed rows ARE the
-  // aggregate predicate's next delta. Runs sequentially on the unit's
-  // thread, so the single-writer extent discipline holds.
+  // predicates route the contribution rows appended to `seen` this round
+  // into their groups, refold the dirty groups in group-key order, and
+  // replace each changed (group..., result) extent row — the changed rows
+  // ARE the aggregate predicate's next delta. Runs sequentially on the
+  // unit's thread, so the single-writer extent discipline holds.
+  std::vector<Value> row_buf;  // one result row at a time
   auto publish_round = [&](DeltaMap added) -> DeltaMap {
     for (auto& [pred, rel] : added) {
-      auto agg_it = agg.find(pred);
-      if (agg_it == agg.end()) {
-        state->full->at(pred).InsertAll(rel);
-        if (collect) (*collect)[pred].InsertAll(rel);
-        continue;
-      }
-      AggPredState& ap = agg_it->second;
+      state->full->at(pred).InsertAll(rel);
+      if (collect) (*collect)[pred].InsertAll(rel);
+    }
+    for (auto& [pred, ap] : agg) {
+      local.aggregate_updates += ap.RouteNewRows();
+      if (ap.dirty.empty()) continue;
       const size_t g = ap.sig.group_arity;
-      rel.ForEach([&](const TupleRef& row) {
-        if (!ap.seen.Insert(row)) return;  // set semantics: counted once
-        ++local.aggregate_updates;
-        AggGroup& grp = ap.GroupOf(row);
-        grp.payloads.push_back(row.Slice(g, row.arity()));
-        if (!grp.dirty) {
-          grp.dirty = true;
-          ap.dirty.push_back(static_cast<uint32_t>(&grp - ap.groups.data()));
-        }
-      });
       // Group-key order makes the first error raised deterministic.
       std::sort(ap.dirty.begin(), ap.dirty.end(),
-                [&ap](uint32_t a, uint32_t b) {
-                  return ap.groups[a].key < ap.groups[b].key;
-                });
+                [&ap](uint32_t a, uint32_t b) { return ap.KeyLess(a, b); });
+      auto fold_less = [g](const SeenRow& a, const SeenRow& b) {
+        return FoldOrderLess(a, b, g);
+      };
       Relation changed;
       Relation& extent = state->full->at(pred);
       for (uint32_t index : ap.dirty) {
@@ -1726,9 +1796,9 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
         // Sort only this round's payloads, then merge them into the sorted
         // prefix.
         auto mid = grp.payloads.begin() + static_cast<ptrdiff_t>(grp.sorted);
-        std::sort(mid, grp.payloads.end(), FoldOrderLess);
+        std::sort(mid, grp.payloads.end(), fold_less);
         std::inplace_merge(grp.payloads.begin(), mid, grp.payloads.end(),
-                           FoldOrderLess);
+                           fold_less);
         grp.sorted = grp.payloads.size();
         std::optional<Value> folded = FoldPayloads(ap.sig.op, grp.payloads);
         if (!folded.has_value()) {
@@ -1740,6 +1810,8 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
           }
           continue;  // empty-or-undefined group: no row, never a default
         }
+        row_buf.clear();
+        for (size_t c = 0; c < g; ++c) row_buf.push_back(grp.Key(c));
         if (grp.value.has_value()) {
           if (*grp.value == *folded) continue;
           // The refold ran over a superset of the old payloads, so min can
@@ -1756,19 +1828,19 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
                                "' regressed during the fixpoint; "
                                "non-monotone recursion");
           }
-          Tuple old_row = grp.key;
-          old_row.Append(*grp.value);
-          extent.Erase(old_row);
+          row_buf.push_back(*grp.value);
+          extent.Erase(row_buf.data(), row_buf.size());
+          row_buf.pop_back();
         }
-        Tuple new_row = grp.key;
-        new_row.Append(*folded);
-        extent.Insert(new_row);
-        changed.Insert(std::move(new_row));
+        row_buf.push_back(*folded);
+        const size_t h = HashRow(row_buf.data(), row_buf.size());
+        extent.InsertHashed(row_buf.data(), row_buf.size(), h);
+        changed.InsertHashed(row_buf.data(), row_buf.size(), h);
         grp.value = std::move(folded);
         ++local.groups_improved;
       }
       ap.dirty.clear();
-      rel = std::move(changed);
+      added[pred] = std::move(changed);
     }
     return added;
   };

@@ -1,7 +1,9 @@
 #include "datalog/to_rel.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "base/error.h"
 
@@ -132,14 +134,18 @@ bool AllDigits(const std::string& s) {
 }
 
 /// A variable prefix that cannot capture a relation name referenced by the
-/// rule: in Rel an unscoped identifier denotes a relation, so a predicate
-/// named `v2` would silently shadow the variable rendering.
-std::string VarPrefixFor(const Rule& rule) {
-  std::set<std::string> preds = {rule.head.pred};
-  for (const Literal& lit : rule.body) {
-    if (lit.kind == Literal::Kind::kPositive ||
-        lit.kind == Literal::Kind::kNegative) {
-      preds.insert(lit.atom.pred);
+/// rules rendered with it: in Rel an unscoped identifier denotes a
+/// relation, so a predicate named `v2` would silently shadow the variable
+/// rendering.
+std::string VarPrefixFor(const std::vector<const Rule*>& rules) {
+  std::set<std::string> preds;
+  for (const Rule* rule : rules) {
+    preds.insert(rule->head.pred);
+    for (const Literal& lit : rule->body) {
+      if (lit.kind == Literal::Kind::kPositive ||
+          lit.kind == Literal::Kind::kNegative) {
+        preds.insert(lit.atom.pred);
+      }
     }
   }
   std::string prefix = "v";
@@ -157,11 +163,16 @@ std::string VarPrefixFor(const Rule& rule) {
   }
 }
 
-}  // namespace
+/// A rule rendered up to, but not including, its `def` line.
+struct RenderedRule {
+  std::string head_args;  // the head (for an aggregate: group) parameters
+  /// A plain rule's body; an aggregate rule's contribution abstraction,
+  /// "(binders) : body".
+  std::string body;
+  int max_var = -1;  // the largest variable id rendered; larger ids are free
+};
 
-std::string RuleToRel(const Rule& rule) {
-  const std::string prefix = VarPrefixFor(rule);
-
+RenderedRule Render(const Rule& rule, const std::string& prefix) {
   std::set<int> body_vars;
   int max_var = -1;
   for (const Literal& lit : rule.body) {
@@ -185,18 +196,18 @@ std::string RuleToRel(const Rule& rule) {
   // body: p(X, X) :- q(X)  =>  def p(v0, v1) : q(v0) and v1 = v0.
   std::set<int> head_vars;
   std::vector<std::pair<int, int>> aliases;  // (alias, original)
-  std::string head_args;
+  RenderedRule out;
   for (size_t i = 0; i < rule.head.terms.size(); ++i) {
-    if (i) head_args += ", ";
+    if (i) out.head_args += ", ";
     const Term& t = rule.head.terms[i];
     if (t.is_var() && !head_vars.insert(t.var).second) {
       int alias = ++max_var;
       head_vars.insert(alias);
       aliases.emplace_back(alias, t.var);
-      head_args += prefix + std::to_string(alias);
+      out.head_args += prefix + std::to_string(alias);
       continue;
     }
-    head_args += TermToRel(t, prefix);
+    out.head_args += TermToRel(t, prefix);
   }
 
   std::string body;
@@ -224,7 +235,9 @@ std::string RuleToRel(const Rule& rule) {
       }
       body = "exists((" + binders + ") | " + body + ")";
     }
-    return "def " + rule.head.pred + "(" + head_args + ") : " + body;
+    out.body = std::move(body);
+    out.max_var = max_var;
+    return out;
   }
 
   // Aggregate rule: the extent row is (group..., result), so the Rel def
@@ -273,34 +286,95 @@ std::string RuleToRel(const Rule& rule) {
     }
     body = "exists((" + ebinders + ") | " + body + ")";
   }
+  out.body = "(" + binders + ") : " + body;
+  out.max_var = max_var;
+  return out;
+}
 
-  const char* op_name = agg.op == AggOp::kMin   ? "min"
-                        : agg.op == AggOp::kMax ? "max"
-                        : agg.op == AggOp::kSum ? "sum"
-                                                : "count";
-  int result_var = ++max_var;
+/// The `def` of an aggregate predicate: a fresh result parameter bound by
+/// one aggregate application over the union of the contribution
+/// abstractions — one per rule, all folded as one bucket per group.
+std::string AggregateDef(const std::string& pred, AggOp op,
+                         const std::string& prefix,
+                         const std::string& head_args,
+                         const std::vector<std::string>& abstractions,
+                         int result_var) {
+  const char* op_name = op == AggOp::kMin   ? "min"
+                        : op == AggOp::kMax ? "max"
+                        : op == AggOp::kSum ? "sum"
+                                            : "count";
   const std::string rv = prefix + std::to_string(result_var);
-  if (!head_args.empty()) head_args += ", ";
-  head_args += rv;
-  return "def " + rule.head.pred + "(" + head_args + ") : " + rv + " = " +
-         op_name + "[(" + binders + ") : " + body + "]";
+  std::string arg = abstractions[0];
+  if (abstractions.size() > 1) {
+    arg.clear();
+    for (const std::string& a : abstractions) {
+      arg += arg.empty() ? "{{" : "} ; {";
+      arg += a;
+    }
+    arg += "}}";
+  }
+  return "def " + pred + "(" + (head_args.empty() ? rv : head_args + ", " + rv) +
+         ") : " + rv + " = " + op_name + "[" + arg + "]";
+}
+
+/// `rule` with its variables renamed so that its head reads variables
+/// 0..k-1 in order, as every rule of a merged aggregate def must: the first
+/// occurrence of a head variable at position j becomes variable j, every
+/// other variable moves up by k, and a head constant or repeated head
+/// variable at position j becomes the body equality `j = term`.
+Rule WithCanonicalHead(const Rule& rule) {
+  const int k = static_cast<int>(rule.head.terms.size());
+  std::map<int, int> head_pos;  // original variable -> head position
+  std::vector<std::pair<int, Term>> equalities;
+  for (int j = 0; j < k; ++j) {
+    const Term& t = rule.head.terms[j];
+    if (t.is_var() && head_pos.emplace(t.var, j).second) continue;
+    equalities.emplace_back(j, t);
+  }
+  auto rename = [&](Term t) {
+    if (t.is_var()) {
+      auto it = head_pos.find(t.var);
+      t.var = it != head_pos.end() ? it->second : t.var + k;
+    }
+    return t;
+  };
+  Rule out = rule;
+  for (int j = 0; j < k; ++j) out.head.terms[j] = Term::Var(j);
+  for (Literal& lit : out.body) {
+    for (Term& t : lit.atom.terms) t = rename(t);
+    lit.lhs = rename(lit.lhs);
+    lit.rhs = rename(lit.rhs);
+    if (lit.target >= 0) lit.target = rename(Term::Var(lit.target)).var;
+  }
+  for (const auto& [j, t] : equalities) {
+    out.body.push_back(Literal::Compare(CmpOp::kEq, Term::Var(j), rename(t)));
+  }
+  for (Term& t : out.agg->witness) t = rename(t);
+  out.agg->value = rename(out.agg->value);
+  return out;
+}
+
+}  // namespace
+
+std::string RuleToRel(const Rule& rule) {
+  const std::string prefix = VarPrefixFor({&rule});
+  RenderedRule r = Render(rule, prefix);
+  if (!rule.agg.has_value()) {
+    return "def " + rule.head.pred + "(" + r.head_args + ") : " + r.body;
+  }
+  return AggregateDef(rule.head.pred, rule.agg->op, prefix, r.head_args,
+                      {r.body}, r.max_var + 1);
 }
 
 std::string ProgramToRel(const Program& program) {
   // Multiple aggregate rules for one predicate fold a SINGLE merged bucket
-  // per group in the classical engine, but each rendered Rel def would fold
-  // its own abstraction separately (the union of per-rule folds — a
-  // different, wrong answer whenever two rules feed the same group).
-  // Refuse rather than translate unfaithfully.
-  std::map<std::string, int> agg_rule_count;
+  // per group, so they render as one def whose aggregate ranges over the
+  // union of the rules' abstractions, not as one def per rule (the union
+  // of per-rule folds — a different, wrong answer whenever two rules feed
+  // the same group).
+  std::map<std::string, std::vector<const Rule*>> agg_rules;
   for (const Rule& rule : program.rules()) {
-    if (rule.agg.has_value() && ++agg_rule_count[rule.head.pred] > 1) {
-      throw RelError(ErrorKind::kType,
-                     "cannot translate '" + rule.head.pred +
-                         "' to Rel: multiple aggregate rules fold one merged "
-                         "bucket per group, which per-rule defs cannot "
-                         "express");
-    }
+    if (rule.agg.has_value()) agg_rules[rule.head.pred].push_back(&rule);
   }
   std::string out;
   for (const auto& [pred, facts] : program.facts()) {
@@ -319,7 +393,34 @@ std::string ProgramToRel(const Program& program) {
     out += "}\n";
   }
   for (const Rule& rule : program.rules()) {
-    out += RuleToRel(rule) + "\n";
+    auto it = rule.agg.has_value() ? agg_rules.find(rule.head.pred)
+                                   : agg_rules.end();
+    if (it == agg_rules.end() || it->second.size() == 1) {
+      out += RuleToRel(rule) + "\n";
+      continue;
+    }
+    if (it->second[0] != &rule) continue;  // rendered with the first rule
+    std::vector<Rule> canonical;
+    for (const Rule* r : it->second) canonical.push_back(WithCanonicalHead(*r));
+    const std::string prefix = VarPrefixFor(it->second);
+    std::string head_args;
+    std::vector<std::string> abstractions;
+    int max_var = -1;
+    for (const Rule& r : canonical) {
+      if (r.agg->op != rule.agg->op) {
+        throw RelError(ErrorKind::kType,
+                       "cannot translate '" + rule.head.pred +
+                           "' to Rel: its aggregate rules use different "
+                           "operators");
+      }
+      RenderedRule rendered = Render(r, prefix);
+      head_args = rendered.head_args;  // v0, ..., v(k-1) for every rule
+      abstractions.push_back(std::move(rendered.body));
+      max_var = std::max(max_var, rendered.max_var);
+    }
+    out += AggregateDef(rule.head.pred, rule.agg->op, prefix, head_args,
+                        abstractions, max_var + 1) +
+           "\n";
   }
   return out;
 }

@@ -19,8 +19,12 @@ namespace datalog {
 std::string RuleToRel(const Rule& rule);
 
 /// Renders a whole program: facts become relation-constant definitions
-/// (`def pred {(...) ; ...}`), rules become `def`s. The result evaluates on
-/// the Rel engine to the same extents as this engine computes.
+/// (`def pred {(...) ; ...}`), rules become `def`s. The aggregate rules of
+/// one predicate become a single `def` folding the union of their
+/// contribution abstractions, since they fold one bucket per group. The
+/// result evaluates on the Rel engine to the same extents as this engine
+/// computes. Throws kType for aggregate rules of one predicate that use
+/// different operators (this engine refuses those too).
 std::string ProgramToRel(const Program& program);
 
 }  // namespace datalog

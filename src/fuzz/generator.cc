@@ -337,13 +337,11 @@ FuzzCase GenerateCase(uint64_t seed, const GeneratorOptions& opts) {
       }
       if (level[j] < level[i]) neg.push_back(idb[j]);
     }
-    // One rule per aggregate predicate: the classical engine folds multiple
-    // rules' contributions into a single bucket per group, which the
-    // per-rule Rel rendering cannot express (to_rel.cc refuses it).
-    int num_rules =
-        agg_op[i].has_value()
-            ? 1
-            : 1 + static_cast<int>(rng.NextBelow(opts.max_rules_per_idb));
+    // An aggregate predicate's rules fold one bucket per group, each rule
+    // with its own witness count, so a group can hold contributions of
+    // several arities (to_rel.cc renders the union of the rules'
+    // abstractions).
+    int num_rules = 1 + static_cast<int>(rng.NextBelow(opts.max_rules_per_idb));
     for (int r = 0; r < num_rules; ++r) {
       c.program.AddRule(GenerateRule(rng, opts, idb[i].first, idb[i].second,
                                      pos, neg, agg_op[i]));

@@ -56,10 +56,9 @@ struct GeneratorOptions {
   /// read strictly lower levels (no recursion through the aggregate) and
   /// only strictly higher levels read their extents — so every
   /// configuration, including the Rel translation bridge, accepts the
-  /// program without monotone-recursion analysis. Each aggregate predicate
-  /// gets exactly one rule: the classical engine folds multi-rule
-  /// contributions into one bucket per group, which the per-rule Rel
-  /// rendering cannot express (datalog/to_rel.cc refuses it).
+  /// program without monotone-recursion analysis. An aggregate predicate
+  /// may get several rules, whose contributions fold as one bucket per
+  /// group, witness arities mixed.
   bool allow_aggregates = true;
   /// Probability that the case carries a DemandGoal (point query). The
   /// pattern itself may still come out all-free — that degenerate goal is

@@ -380,5 +380,86 @@ TEST(ForEachRangeErase, ErasingTheLastTupleOfAnArityDropsTheArena) {
   EXPECT_NE(r.ArenaOfArity(2)->id(), old_id);
 }
 
+// --- precomputed-hash calls ------------------------------------------------
+//
+// The Datalog emit path hashes a head row once and hands the hash to both
+// the dedup probe and the insert. These pin that the hashed calls are the
+// unhashed ones with the hash supplied, and that the returned row index is
+// the row the arena holds there.
+
+TEST(HashedCalls, HashRowEqualsTupleHash) {
+  const std::vector<Value> vals = {I(3), Value::String("x"), Value::Float(2.5)};
+  Tuple t(vals);
+  EXPECT_EQ(HashRow(vals.data(), vals.size()), t.Hash());
+  EXPECT_EQ(HashRow(nullptr, 0), Tuple().Hash());
+  Relation r;
+  r.Insert(t);
+  EXPECT_EQ(r.ArenaOfArity(3)->RowHash(0), t.Hash());
+}
+
+TEST(HashedCalls, AgreeWithUnhashedInsertAndContains) {
+  // Two relations fed the same rows, one through each call family, end up
+  // equal, and every membership answer agrees across both families.
+  Relation hashed, plain;
+  for (int i = 0; i < 200; ++i) {
+    const Value row[3] = {I(i % 7), I(i % 13), I(i % 5)};
+    const size_t h = HashRow(row, 3);
+    EXPECT_EQ(hashed.ContainsHashed(row, 3, h), plain.Contains(row, 3));
+    const bool landed = hashed.InsertHashed(row, 3, h) != ColumnArena::kNoRow;
+    EXPECT_EQ(landed, plain.Insert(row, 3)) << "row " << i;
+    EXPECT_TRUE(hashed.ContainsHashed(row, 3, h));
+  }
+  EXPECT_EQ(hashed, plain);
+  EXPECT_EQ(hashed.ToString(), plain.ToString());
+  const Value absent[3] = {I(99), I(0), I(0)};
+  EXPECT_FALSE(hashed.ContainsHashed(absent, 3, HashRow(absent, 3)));
+  // A probe for an arity the relation lacks is a miss, not an error.
+  EXPECT_FALSE(hashed.ContainsHashed(absent, 2, HashRow(absent, 2)));
+}
+
+TEST(HashedCalls, InsertReturnsTheRowForEachRowVisits) {
+  ColumnArena arena(2);
+  std::vector<size_t> landed;
+  for (int i = 0; i < 50; ++i) {
+    const Value row[2] = {I(i), I(i * i)};
+    size_t at = arena.InsertHashed(row, HashRow(row, 2));
+    ASSERT_NE(at, ColumnArena::kNoRow);
+    EXPECT_EQ(at, arena.size() - 1);
+    landed.push_back(at);
+  }
+  size_t visited = 0;
+  arena.ForEachRow([&](const TupleRef& ref) {
+    const int i = static_cast<int>(ref[0].AsInt());
+    EXPECT_EQ(landed[i], ref.row());
+    EXPECT_EQ(arena.At(landed[i], 1), I(i * i));
+    ++visited;
+  });
+  EXPECT_EQ(visited, landed.size());
+}
+
+TEST(HashedCalls, DuplicateReportsAbsentAndLeavesTheArenaAlone) {
+  Relation r;
+  const Value row[2] = {I(1), I(2)};
+  const size_t h = HashRow(row, 2);
+  ASSERT_EQ(r.InsertHashed(row, 2, h), 0u);
+  const uint64_t version = r.ArenaOfArity(2)->version();
+  EXPECT_EQ(r.InsertHashed(row, 2, h), ColumnArena::kNoRow);
+  EXPECT_TRUE(r.ArenaOfArity(2)->ContainsHashed(row, h));
+  EXPECT_FALSE(r.Insert(Tuple({I(1), I(2)})));
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.ArenaOfArity(2)->version(), version);
+}
+
+TEST(HashedCalls, EraseBySpanMatchesEraseByTuple) {
+  Relation r;
+  r.Insert(Tuple({I(1), I(2)}));
+  r.Insert(Tuple({I(3)}));
+  const Value row[2] = {I(1), I(2)};
+  EXPECT_TRUE(r.Erase(row, 2));
+  EXPECT_FALSE(r.Erase(row, 2));
+  EXPECT_EQ(r.ArenaOfArity(2), nullptr);  // the emptied arity is dropped
+  EXPECT_EQ(r.ToString(), "{(3)}");
+}
+
 }  // namespace
 }  // namespace rel

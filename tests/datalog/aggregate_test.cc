@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -439,10 +440,10 @@ constexpr uint64_t kPageRankIterations = 12;
 constexpr size_t kPageRankRows = 2122;
 constexpr uint64_t kPageRankDigest = 4490225006389083538ULL;
 
-TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
-  // The relbench pagerank_levels shape as a Datalog program: 200 nodes, 600
-  // distinct non-loop edges, weight 1/outdeg, ten levels of power iteration
-  // from unit start mass. Every level's groups fill in one round.
+/// The relbench pagerank_levels shape as a Datalog program: 200 nodes, 600
+/// distinct non-loop edges, weight 1/outdeg, ten levels of power iteration
+/// from unit start mass. Every level's groups fill in one round.
+Program PageRankProgram() {
   constexpr int kN = 200, kM = 600, kLevels = 10;
   std::set<std::pair<int, int>> edges;
   uint64_t state = 12345;
@@ -456,24 +457,27 @@ TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
   }
   std::map<int, int> outdeg;
   for (const auto& [u, v] : edges) ++outdeg[u];
-  const std::string source =
+  Program p = ParseDatalog(
       "pr(V, T, sum(X; U)) :- init(V, T, U, X). "
       "pr(V, T, sum(X; U)) :- level(T), S = T - 1, g(V, U, W), "
-      "pr(U, S, RR), X = W * RR.";
+      "pr(U, S, RR), X = W * RR.");
+  for (int v = 1; v <= kN; ++v) {
+    p.AddFact("init", Tuple({I(v), I(0), I(0), F(1.0)}));
+  }
+  for (int t = 1; t <= kLevels; ++t) p.AddFact("level", Tuple({I(t)}));
+  for (const auto& [u, v] : edges) {
+    p.AddFact("g", Tuple({I(v), I(u), F(1.0 / outdeg[u])}));
+  }
+  return p;
+}
+
+TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
   std::string text_at_1;
   for (int threads : {1, 4}) {
-    Program p = ParseDatalog(source);
-    for (int v = 1; v <= kN; ++v) {
-      p.AddFact("init", Tuple({I(v), I(0), I(0), F(1.0)}));
-    }
-    for (int t = 1; t <= kLevels; ++t) p.AddFact("level", Tuple({I(t)}));
-    for (const auto& [u, v] : edges) {
-      p.AddFact("g", Tuple({I(v), I(u), F(1.0 / outdeg[u])}));
-    }
     EvalOptions options;
     options.num_threads = threads;
     EvalStats stats;
-    Relation pr = EvaluatePredicate(p, "pr", options, &stats);
+    Relation pr = EvaluatePredicate(PageRankProgram(), "pr", options, &stats);
     EXPECT_EQ(stats.aggregate_updates, kPageRankAggregateUpdates)
         << "threads " << threads;
     EXPECT_EQ(stats.groups_improved, kPageRankGroupsImproved)
@@ -488,6 +492,132 @@ TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
       text_at_1 = text;
     } else {
       EXPECT_EQ(text, text_at_1);
+    }
+  }
+}
+
+// --- where contributions are stored ------------------------------------------
+//
+// A contribution row is stored once, in its predicate's `seen` relation:
+// a sequential round emits into it directly, a parallel round stages per
+// thread and merges at the barrier. Both must fold, count and fail alike.
+
+TEST(Aggregate, ThreadsAndPlanSeedsAgreeOnExtentAndCounters) {
+  const std::string sp_rules =
+      "sp(X, Y, min(D)) :- edge(X, Y, D). "
+      "sp(X, Z, min(D)) :- edge(X, Y, W), sp(Y, Z, D2), D = W + D2.";
+  struct Case {
+    std::string pred;
+    std::function<Program()> make;
+  };
+  const std::vector<Case> cases = {
+      {"pr", PageRankProgram},
+      {"sp", [&sp_rules] {
+         Program p = ParseDatalog(sp_rules);
+         for (const Tuple& t : WeightedGraph(24)) p.AddFact("edge", t);
+         return p;
+       }}};
+  for (const Case& c : cases) {
+    std::string reference;
+    EvalStats first;
+    bool have_reference = false;
+    for (uint64_t plan_seed : {0ULL, 977ULL}) {
+      for (int threads : {1, 2, 8}) {
+        EvalOptions options;
+        options.num_threads = threads;
+        options.plan_order_seed = plan_seed;
+        EvalStats stats;
+        std::string text =
+            ExactText(EvaluatePredicate(c.make(), c.pred, options, &stats));
+        if (!have_reference) {
+          reference = text;
+          first = stats;
+          have_reference = true;
+          continue;
+        }
+        const std::string where = c.pred + " threads " +
+                                  std::to_string(threads) + " seed " +
+                                  std::to_string(plan_seed);
+        EXPECT_EQ(text, reference) << where;
+        EXPECT_EQ(stats.aggregate_updates, first.aggregate_updates) << where;
+        EXPECT_EQ(stats.groups_improved, first.groups_improved) << where;
+      }
+    }
+  }
+}
+
+TEST(Aggregate, RecursiveSumOverTwoWitnessAritiesFoldsArityFirst) {
+  // Level 1 of `s` is fed by a one-witness and a two-witness rule, so its
+  // contributions live in two arenas of `seen`. Arity-first order folds
+  // (5, 1e16), (9, 1.0), then (1, 1, -1e16): 0.0. A plain lexicographic
+  // order would start from (1, 1, -1e16) and give 1.0. Level 2 scales
+  // level 1's 0.0 the same way and folds (5, 0.0), (9, 0.0), (1, 1, -0.0).
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"seed", {Tuple({I(0), I(0), F(1.0)})}},
+      {"level", {Tuple({I(1)}), Tuple({I(2)})}},
+      {"a", {Tuple({I(9), F(1.0)}), Tuple({I(5), F(1e16)})}},
+      {"b", {Tuple({I(1), I(1), F(-1e16)})}}};
+  EvalStats stats;
+  Relation s = EvalAllConfigs(
+      "s(L, sum(V; W)) :- seed(L, W, V). "
+      "s(L, sum(V; W)) :- level(L), K = L - 1, s(K, X), a(W, M), V = X * M. "
+      "s(L, sum(V; W1, W2)) :- level(L), K = L - 1, s(K, X), b(W1, W2, M), "
+      "V = X * M.",
+      "s", facts, &stats);
+  EXPECT_EQ(ExactText(s),
+            "(0, f3ff0000000000000)\n(1, f0000000000000000)\n"
+            "(2, f0000000000000000)\n");
+  EXPECT_EQ(stats.aggregate_updates, 7u);
+  EXPECT_EQ(stats.groups_improved, 3u);
+}
+
+TEST(Aggregate, ContributionRederivedInALaterRoundCountsOnce) {
+  // The step rule derives (5, U, 3) for both U in round 1, through either
+  // s occurrence over s(0). In round 2 s(1) arrives, and its second
+  // occurrence derives the same two rows again through step(0, 1, 5).
+  // `seen` drops them: group 5 already published, and a duplicate is not a
+  // contribution, so neither the sum nor the emit-once guard sees them.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"seed", {Tuple({I(0), I(0), I(3)})}},
+      {"next", {Tuple({I(0), I(1)})}},
+      {"step", {Tuple({I(0), I(0), I(5)}), Tuple({I(0), I(1), I(5)})}},
+      {"u", {Tuple({I(0)}), Tuple({I(1)})}}};
+  EvalStats stats;
+  Relation s = EvalAllConfigs(
+      "s(L, sum(V; U)) :- seed(L, U, V). "
+      "s(L, sum(V; U)) :- s(K, X), next(K, L), u(U), V = X + 0. "
+      "s(L, sum(V; U)) :- s(K, X), s(J, Y), step(K, J, L), u(U), V = X + 0.",
+      "s", facts, &stats);
+  EXPECT_EQ(s.ToString(), "{(0, 3); (1, 6); (5, 6)}");
+  EXPECT_EQ(stats.aggregate_updates, 5u);
+  EXPECT_EQ(stats.groups_improved, 3u);
+}
+
+TEST(Aggregate, EmitOnceErrorIsTheSameSequentialAndParallel) {
+  std::string reference;
+  for (Strategy strategy : kAllStrategies) {
+    for (int threads : {1, 2, 8}) {
+      if (strategy != Strategy::kSemiNaive && threads != 1) continue;
+      Program p = ParseDatalog(
+          "s(G, sum(V)) :- seed(G, V). "
+          "s(G, sum(V)) :- s(G, W), V = W + 1.");
+      for (int g = 0; g < 300; ++g) p.AddFact("seed", Tuple({I(g), I(g)}));
+      EvalOptions options;
+      options.strategy = strategy;
+      options.num_threads = threads;
+      try {
+        EvaluatePredicate(p, "s", options);
+        ADD_FAILURE() << "expected kType, threads " << threads;
+      } catch (const RelError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kType);
+        if (reference.empty()) {
+          reference = e.what();
+          EXPECT_NE(reference.find("after its group published"),
+                    std::string::npos);
+        } else {
+          EXPECT_EQ(e.what(), reference) << "threads " << threads;
+        }
+      }
     }
   }
 }

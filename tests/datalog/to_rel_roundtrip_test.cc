@@ -228,6 +228,38 @@ TEST(ToRelRoundTrip, NegativeConstants) {
       "negative-constants");
 }
 
+// --- aggregate predicates with several rules ---------------------------------
+
+TEST(ToRelRoundTrip, MultiRuleAggregateFoldsOneMergedBucket) {
+  // Both rules feed group 1 of `t`, with witnesses of different arity. The
+  // translation must fold the union of their contributions once per group,
+  // arity first: (5, 1e16), (9, 1.0), then (1, 1, -1e16) sums to 0.0,
+  // where folding each rule apart would give two rows for group 1. The
+  // second predicate has a head constant and a repeated head variable,
+  // which the merged def must state as body equalities.
+  Program p = ParseDatalog(
+      "t(G, sum(V; W)) :- a(G, W, V).\n"
+      "t(G, sum(V; W1, W2)) :- b(G, W1, W2, V).\n"
+      "c(G, G, count(W)) :- a(G, W, V).\n"
+      "c(7, G, count(W1, W2)) :- b(G, W1, W2, V).");
+  p.AddFact("a", Tuple({I(1), I(9), Value::Float(1.0)}));
+  p.AddFact("a", Tuple({I(1), I(5), Value::Float(1e16)}));
+  p.AddFact("a", Tuple({I(2), I(3), Value::Float(2.0)}));
+  p.AddFact("b", Tuple({I(1), I(1), I(1), Value::Float(-1e16)}));
+  ExpectRoundTrip(p, "multi-rule-aggregate");
+  EXPECT_EQ(EvaluatePredicate(p, "t", Strategy::kSemiNaive).ToString(),
+            "{(1, 0.0); (2, 2.0)}");
+}
+
+TEST(ToRelRoundTrip, MultiRuleAggregateRendering) {
+  Program p = ParseDatalog(
+      "t(G, sum(V; W)) :- a(G, W, V).\n"
+      "t(1, sum(V; W1, W2)) :- b(W1, W2, V).");
+  EXPECT_EQ(ProgramToRel(p),
+            "def t(v0, v4) : v4 = sum[{{(v3, v2) : a(v0, v3, v2)} ; "
+            "{(v2, v3, v1) : b(v2, v3, v1) and v0 = 1}}]\n");
+}
+
 }  // namespace
 }  // namespace datalog
 }  // namespace rel
