@@ -1,10 +1,18 @@
 // E12 — transactions and integrity constraints (Sections 3.4 and 3.5):
 // insert/delete throughput through the control relations, with and without
 // installed constraints, plus the cost of an aborting transaction.
+//
+// The one-row series (BM_OneRowInsertCommit, BM_OneRowDeleteCommit, next to
+// BM_PointQuery) commit a single-tuple delta into a relation of 1k, 16k and
+// 128k rows. A commit should cost what its delta costs; the gap between
+// the rows=1024 and rows=131072 lines is what the per-commit work that
+// still scales with the relation (publish, copy-on-write) costs.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "base/error.h"
 #include "bench_common.h"
@@ -105,6 +113,83 @@ void BM_DeleteTxn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeleteTxn)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
+
+// --- one-row commits into a relation of n rows ------------------------------
+
+void RowsArgs(benchmark::internal::Benchmark* b) {
+  b->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->ArgName("rows");
+}
+
+/// An engine whose base relation Rows holds n (int, string) rows — strings,
+/// so sorted views pay the interned-string compares real data does.
+std::unique_ptr<Engine> RowsEngine(int n) {
+  std::vector<Tuple> rows;
+  rows.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(Tuple({Value::Int(i),
+                          Value::String("item" + std::to_string(i % 997))}));
+  }
+  auto engine = std::make_unique<Engine>();
+  engine->Insert("Rows", rows);
+  return engine;
+}
+
+std::string RowCommit(const char* verb, int key) {
+  return std::string("def ") + verb + "(:Rows, x, y) : x = " +
+         std::to_string(key) + " and y = \"fresh\"";
+}
+
+/// Timed: a commit inserting one row. Untimed: the commit deleting it again,
+/// so every iteration starts from the same n rows.
+void BM_OneRowInsertCommit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = RowsEngine(n);
+  const std::string ins = RowCommit("insert", n);
+  const std::string del = RowCommit("delete", n);
+  for (auto _ : state) {
+    TxnResult txn = engine->Exec(ins);
+    benchmark::DoNotOptimize(txn.inserted);
+    state.PauseTiming();
+    engine->Exec(del);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_OneRowInsertCommit)
+    ->Apply(RowsArgs)
+    ->Unit(benchmark::kMillisecond);
+
+/// Timed: a commit deleting one row from the middle of the relation.
+/// Untimed: the commit restoring it.
+void BM_OneRowDeleteCommit(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = RowsEngine(n);
+  engine->Exec(RowCommit("insert", n / 2 + n));
+  const std::string del = RowCommit("delete", n / 2 + n);
+  const std::string ins = RowCommit("insert", n / 2 + n);
+  for (auto _ : state) {
+    TxnResult txn = engine->Exec(del);
+    benchmark::DoNotOptimize(txn.deleted);
+    state.PauseTiming();
+    engine->Exec(ins);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_OneRowDeleteCommit)
+    ->Apply(RowsArgs)
+    ->Unit(benchmark::kMillisecond);
+
+/// The point query the commits are measured against.
+void BM_PointQuery(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = RowsEngine(n);
+  const std::string query =
+      "def output(y) : Rows(" + std::to_string(n / 3) + ", y)";
+  for (auto _ : state) {
+    Relation out = engine->Query(query);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_PointQuery)->Apply(RowsArgs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rel

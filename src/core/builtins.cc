@@ -43,7 +43,7 @@ std::optional<Value> NumAdd(const Value& a, const Value& b) {
     bool o = __builtin_add_overflow(a.AsInt(), b.AsInt(), &r);
     return Value::Int(CheckedInt(a.AsInt(), "+", b.AsInt(), o, r));
   }
-  return Value::Float(a.AsDouble() + b.AsDouble());
+  return Value::FloatResult(a.AsDouble() + b.AsDouble());
 }
 
 std::optional<Value> NumSub(const Value& a, const Value& b) {
@@ -53,7 +53,7 @@ std::optional<Value> NumSub(const Value& a, const Value& b) {
     bool o = __builtin_sub_overflow(a.AsInt(), b.AsInt(), &r);
     return Value::Int(CheckedInt(a.AsInt(), "-", b.AsInt(), o, r));
   }
-  return Value::Float(a.AsDouble() - b.AsDouble());
+  return Value::FloatResult(a.AsDouble() - b.AsDouble());
 }
 
 std::optional<Value> NumMul(const Value& a, const Value& b) {
@@ -63,7 +63,7 @@ std::optional<Value> NumMul(const Value& a, const Value& b) {
     bool o = __builtin_mul_overflow(a.AsInt(), b.AsInt(), &r);
     return Value::Int(CheckedInt(a.AsInt(), "*", b.AsInt(), o, r));
   }
-  return Value::Float(a.AsDouble() * b.AsDouble());
+  return Value::FloatResult(a.AsDouble() * b.AsDouble());
 }
 
 // Division: exact integer division stays an Int so that integer workloads
@@ -85,7 +85,7 @@ std::optional<Value> NumDiv(const Value& a, const Value& b) {
     return Value::Float(a.AsDouble() / b.AsDouble());
   }
   if (b.AsDouble() == 0.0) return std::nullopt;
-  return Value::Float(a.AsDouble() / b.AsDouble());
+  return Value::FloatResult(a.AsDouble() / b.AsDouble());
 }
 
 std::optional<Value> NumMod(const Value& a, const Value& b) {
@@ -106,7 +106,7 @@ std::optional<Value> NumPow(const Value& a, const Value& b) {
     }
     return Value::Int(result);
   }
-  return Value::Float(std::pow(a.AsDouble(), b.AsDouble()));
+  return Value::FloatResult(std::pow(a.AsDouble(), b.AsDouble()));
 }
 
 std::optional<Value> NumMin(const Value& a, const Value& b) {
@@ -368,9 +368,7 @@ void EmitChecked(const std::vector<std::optional<Value>>& args, Value r,
 
 std::optional<Value> FloatFn(const Value& v, double (*fn)(double)) {
   if (!v.is_number()) return std::nullopt;
-  double r = fn(v.AsDouble());
-  if (std::isnan(r)) return std::nullopt;
-  return Value::Float(r);
+  return Value::FloatResult(fn(v.AsDouble()));
 }
 
 // --- registry ---------------------------------------------------------------
@@ -611,7 +609,8 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
           size_t consumed = 0;
           double v = std::stod(args[0]->AsString(), &consumed);
           if (consumed != args[0]->AsString().size()) return;
-          EmitChecked(args, Value::Float(v), emit);
+          std::optional<Value> f = Value::FloatResult(v);
+          if (f) EmitChecked(args, *f, emit);
         } catch (const std::exception&) {
         }
       }));

@@ -44,7 +44,7 @@
 //     numbers alias the old one's).
 //
 // Maintenance is failure-atomic per entry: an entry whose maintenance throws
-// may be half-mutated (extents, base facts, IndexCache appends), so it is
+// may be half-mutated (extents, base facts, IndexCache repairs), so it is
 // dropped and the next query recomputes — and raises the error itself,
 // exactly as a fresh session would.
 //
@@ -104,9 +104,11 @@ struct MaintainableExtents {
   /// its EDB snapshot is a derived value a base delta changes opaquely).
   /// Such entries survive irrelevant deltas but drop on relevant ones.
   bool maintainable = false;
-  /// Persistent across maintenance calls so indexes over grown extents take
-  /// the pure-append fast path (EvalStats::index_appends) instead of
-  /// rebuilding. unique_ptr: IndexCache holds mutexes and cannot move.
+  /// Persistent across maintenance calls, so an index over a maintained
+  /// extent repairs itself from the extent's erase journal — inserts and
+  /// deletes alike, O(delta) — instead of rebuilding
+  /// (EvalStats::index_repairs; index_builds stays flat after warm-up).
+  /// unique_ptr: IndexCache holds mutexes and cannot move.
   std::unique_ptr<datalog::IndexCache> cache =
       std::make_unique<datalog::IndexCache>();
 };
@@ -182,7 +184,7 @@ class ExtentCache {
   uint64_t restamped() const { return restamped_; }
   uint64_t dropped() const { return dropped_; }
   /// Accumulated counters of every incremental evaluation this cache ran
-  /// (delta_inserts / delta_deletes / rederived / index_appends ...).
+  /// (delta_inserts / delta_deletes / rederived / index_repairs ...).
   const datalog::EvalStats& maintain_stats() const { return maintain_stats_; }
 
  private:

@@ -122,7 +122,9 @@ class Database {
   /// are write-free. The commit pipeline calls this before publishing a
   /// snapshot: afterwards any number of sessions can evaluate against the
   /// snapshot concurrently without touching a lock. Idempotent; already-
-  /// valid views cost one flag check.
+  /// current views cost one version check, and views a commit made stale
+  /// are repaired from their arena's erase journal — value compares only
+  /// for the commit's rows (see src/data/README.md) — rather than re-sorted.
   void FreezeViews() const;
 
  private:

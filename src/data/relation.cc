@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "base/error.h"
 #include "base/hash.h"
@@ -34,10 +35,16 @@ ColumnArena& ColumnArena::operator=(const ColumnArena& other) {
   hashes_ = other.hashes_;
   slots_ = other.slots_;
   tombstones_ = other.tombstones_;
+  // No history leads here from this storage's earlier versions.
+  journal_.Reset(version_);
+  // A view current in `other` is current here; a stale one could only be
+  // repaired from other's journal, so it is dropped.
   sorted_rows_ = other.sorted_rows_;
-  sorted_valid_ = other.sorted_valid_;
+  sorted_version_ =
+      other.sorted_version_ == other.version_ ? version_ : kNoView;
   sorted_tuples_ = other.sorted_tuples_;
-  tuples_valid_ = other.tuples_valid_;
+  tuples_version_ =
+      other.tuples_version_ == other.version_ ? version_ : kNoView;
   id_ = id;
   return *this;
 }
@@ -91,7 +98,6 @@ size_t ColumnArena::InsertImpl(size_t h, GetFn&& get) {
   if (existing != kNoRow) return kNoRow;
   AppendRow(h, get);
   ++version_;
-  Invalidate();
   return num_rows_ - 1;
 }
 
@@ -170,10 +176,7 @@ bool ColumnArena::Erase(const Value* vals) {
   hashes_.pop_back();
   --num_rows_;
   ++version_;
-  Invalidate();
-  // Row indices moved; stale sorted views would dangle past the new end.
-  sorted_rows_.clear();
-  sorted_tuples_.clear();
+  journal_.RecordErase(version_, static_cast<uint32_t>(row), num_rows_);
   return true;
 }
 
@@ -200,37 +203,92 @@ void ColumnArena::Rehash(size_t min_slots) {
   }
 }
 
-void ColumnArena::Invalidate() {
-  sorted_valid_ = false;
-  tuples_valid_ = false;
+bool ColumnArena::RowLess(uint32_t a, uint32_t b) const {
+  for (size_t c = 0; c < arity_; ++c) {
+    int cmp = columns_[c][a].Compare(columns_[c][b]);
+    if (cmp != 0) return cmp < 0;
+  }
+  return false;
 }
 
 const std::vector<uint32_t>& ColumnArena::SortedRows() const {
-  if (!sorted_valid_) {
+  if (sorted_version_ == version_) return sorted_rows_;
+  RowChanges changes;
+  if (sorted_version_ != kNoView &&
+      ChangesSince(sorted_version_, sorted_rows_.size(), &changes)) {
+    RepairSortedViews(changes);
+  } else {
     sorted_rows_.resize(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      sorted_rows_[r] = static_cast<uint32_t>(r);
-    }
+    std::iota(sorted_rows_.begin(), sorted_rows_.end(), 0u);
     std::sort(sorted_rows_.begin(), sorted_rows_.end(),
-              [this](uint32_t a, uint32_t b) {
-                for (size_t c = 0; c < arity_; ++c) {
-                  int cmp = columns_[c][a].Compare(columns_[c][b]);
-                  if (cmp != 0) return cmp < 0;
-                }
-                return false;
-              });
-    sorted_valid_ = true;
+              [this](uint32_t a, uint32_t b) { return RowLess(a, b); });
   }
+  sorted_version_ = version_;
   return sorted_rows_;
 }
 
+void ColumnArena::RepairSortedViews(const RowChanges& changes) const {
+  // The tuple view follows position for position when it was current too.
+  const bool tuples = tuples_version_ == sorted_version_;
+  if (!changes.erased.empty() || !changes.moved.empty()) {
+    // One integer pass: rename moved survivors, drop erased rows. Moved rows
+    // keep their place, since their contents did not change.
+    constexpr uint32_t kDropped = 0xffffffffu;
+    std::vector<uint32_t> rename(changes.old_size);
+    std::iota(rename.begin(), rename.end(), 0u);
+    for (uint32_t row : changes.erased) rename[row] = kDropped;
+    for (const auto& [from, to] : changes.moved) rename[from] = to;
+    size_t kept = 0;
+    for (size_t i = 0; i < sorted_rows_.size(); ++i) {
+      const uint32_t row = rename[sorted_rows_[i]];
+      if (row == kDropped) continue;
+      if (tuples && kept != i) {
+        sorted_tuples_[kept] = std::move(sorted_tuples_[i]);
+      }
+      sorted_rows_[kept++] = row;
+    }
+    sorted_rows_.resize(kept);
+    if (tuples) sorted_tuples_.resize(kept);
+  }
+  if (!changes.added.empty()) {
+    // Value compares only for the added rows: sort them, binary-search each
+    // one's place among the survivors, then merge from the back.
+    std::vector<uint32_t> added = changes.added;
+    auto less = [this](uint32_t a, uint32_t b) { return RowLess(a, b); };
+    std::sort(added.begin(), added.end(), less);
+    std::vector<size_t> place(added.size());
+    auto from = sorted_rows_.begin();
+    for (size_t k = 0; k < added.size(); ++k) {
+      from = std::lower_bound(from, sorted_rows_.end(), added[k], less);
+      place[k] = static_cast<size_t>(from - sorted_rows_.begin());
+    }
+    size_t src = sorted_rows_.size();
+    size_t dst = src + added.size();
+    sorted_rows_.resize(dst);
+    if (tuples) sorted_tuples_.resize(dst);
+    for (size_t k = added.size(); k-- > 0;) {
+      while (src > place[k]) {
+        --src;
+        --dst;
+        sorted_rows_[dst] = sorted_rows_[src];
+        if (tuples) sorted_tuples_[dst] = std::move(sorted_tuples_[src]);
+      }
+      --dst;
+      sorted_rows_[dst] = added[k];
+      if (tuples) sorted_tuples_[dst] = Row(added[k]).ToTuple();
+    }
+  }
+  if (tuples) tuples_version_ = version_;
+}
+
 const std::vector<Tuple>& ColumnArena::SortedTuples() const {
-  if (!tuples_valid_) {
-    const std::vector<uint32_t>& order = SortedRows();
+  if (tuples_version_ == version_) return sorted_tuples_;
+  const std::vector<uint32_t>& order = SortedRows();
+  if (tuples_version_ != version_) {
     sorted_tuples_.clear();
     sorted_tuples_.reserve(order.size());
     for (uint32_t r : order) sorted_tuples_.push_back(Row(r).ToTuple());
-    tuples_valid_ = true;
+    tuples_version_ = version_;
   }
   return sorted_tuples_;
 }

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base/row_journal.h"
 #include "data/tuple.h"
 
 namespace rel {
@@ -28,6 +29,9 @@ namespace rel {
 /// parallel column vectors, per-row cached content hashes, an open-addressing
 /// row-index table for dedup, and lazy sorted views. Append-only except for
 /// Erase (which swaps the last row into the hole, renumbering that one row).
+/// Erases are recorded in a bounded journal (base/row_journal.h), from which
+/// derived structures — the sorted views here, the Datalog hash indexes —
+/// repair themselves instead of rebuilding.
 class ColumnArena {
  public:
   explicit ColumnArena(size_t arity);
@@ -43,9 +47,10 @@ class ColumnArena {
   size_t arity() const { return arity_; }
   size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
-  /// Bumped on every successful mutation; consumers (index caches) use it to
-  /// detect staleness — unlike a size comparison it also catches erase+insert
-  /// sequences that return to a previous size.
+  /// Bumped by exactly one on every successful Insert or Erase (and moved
+  /// past every recorded version by copy-assignment); consumers (index
+  /// caches) use it to detect staleness — unlike a size comparison it also
+  /// catches erase+insert sequences that return to a previous size.
   uint64_t version() const { return version_; }
   /// Process-unique, never reused. Caches key on (id, version) rather than
   /// the arena address: a new arena allocated where a freed one lived (the
@@ -81,15 +86,27 @@ class ColumnArena {
   bool ContainsHashed(const Value* vals, size_t hash) const;
 
   /// Removes the row equal to `vals`, swapping the last row into its slot
-  /// (row indices of the moved row change; all views are invalidated).
+  /// (row indices of the moved row change) and journaling the slot.
   bool Erase(const Value* vals);
 
-  /// Row indices in lexicographic tuple order. Rebuilt lazily; the returned
-  /// vector is stable across Insert (stale but safe), not across Erase.
+  /// The net row changes since a structure was built over this arena at
+  /// (`version`, `size`): see EraseJournal::ChangesSince. False when the
+  /// journal no longer reaches back that far — the structure must rebuild.
+  bool ChangesSince(uint64_t version, size_t size, RowChanges* out) const {
+    return journal_.ChangesSince(version, size, version_, num_rows_, out);
+  }
+
+  /// Row indices in lexicographic tuple order. Brought up to date lazily:
+  /// from the erase journal when it reaches back to the view's version (the
+  /// survivors are renamed and filtered in one integer pass, and only the
+  /// added rows are sorted and merged in), else by a full sort. The
+  /// returned vector is stable across Insert (stale but safe), not across
+  /// Erase.
   const std::vector<uint32_t>& SortedRows() const;
 
   /// Materialized sorted tuples — the row-oriented view behind
-  /// Relation::TuplesOfArity. Built lazily; the columnar fast paths never
+  /// Relation::TuplesOfArity. Built lazily, and repaired in lockstep with
+  /// SortedRows when both were current; the columnar fast paths never
   /// force it.
   const std::vector<Tuple>& SortedTuples() const;
 
@@ -149,7 +166,10 @@ class ColumnArena {
   void Rehash(size_t min_slots);
   // The slot holding row index `row` (which must be present).
   size_t SlotOf(size_t row) const;
-  void Invalidate();
+  // Lexicographic order of two rows of this arena.
+  bool RowLess(uint32_t a, uint32_t b) const;
+  // Brings the sorted views from sorted_version_ to version_ via `changes`.
+  void RepairSortedViews(const RowChanges& changes) const;
 
   static uint64_t NextId();
 
@@ -161,14 +181,17 @@ class ColumnArena {
   std::vector<size_t> hashes_;               // per-row content hash
   std::vector<uint32_t> slots_;              // open addressing; power of two
   size_t tombstones_ = 0;
+  EraseJournal journal_;
 
-  // Lazy views. Invalidation only flips the flags — the vectors keep their
-  // previous (stale) contents so iteration in flight during an Insert stays
-  // memory-safe.
+  // Lazy views, each stamped with the version it is current for (kNoView:
+  // none). A mutation leaves them stale, contents intact — iteration in
+  // flight during an Insert stays memory-safe, and the next read repairs
+  // them from the journal.
+  static constexpr uint64_t kNoView = ~uint64_t{0};
   mutable std::vector<uint32_t> sorted_rows_;
-  mutable bool sorted_valid_ = true;
+  mutable uint64_t sorted_version_ = kNoView;
   mutable std::vector<Tuple> sorted_tuples_;
-  mutable bool tuples_valid_ = false;
+  mutable uint64_t tuples_version_ = kNoView;
 };
 
 /// A (first-order) relation: a finite set of tuples of mixed arity.

@@ -35,6 +35,11 @@ Value Value::Float(double v) {
   return value;
 }
 
+std::optional<Value> Value::FloatResult(double v) {
+  if (std::isnan(v)) return std::nullopt;
+  return Float(v);
+}
+
 Value Value::String(std::string_view s) {
   Value value;
   value.kind_ = ValueKind::kString;

@@ -12,6 +12,7 @@
 #define REL_DATA_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -39,6 +40,12 @@ class Value {
 
   static Value Int(int64_t v);
   static Value Float(double v);
+  /// The result of float arithmetic: Float(v), or no value when v is NaN.
+  /// Like x / 0, an operation whose result is not a number is undefined and
+  /// yields no tuple — a NaN Value would be unequal to itself, breaking set
+  /// semantics and the storage order. Every arithmetic kernel of both
+  /// engines returns its float results through here.
+  static std::optional<Value> FloatResult(double v);
   static Value String(std::string_view s);
   /// An entity identifier `id` belonging to `concept` (both interned).
   static Value Entity(std::string_view concept_name, std::string_view id);

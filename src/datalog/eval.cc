@@ -96,13 +96,13 @@ std::optional<Value> EvalArith(ArithOp op, const Value& a, const Value& b) {
   switch (op) {
     case ArithOp::kAdd:
       return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() + b.AsDouble());
+                      : Value::FloatResult(a.AsDouble() + b.AsDouble());
     case ArithOp::kSub:
       return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() - b.AsDouble());
+                      : Value::FloatResult(a.AsDouble() - b.AsDouble());
     case ArithOp::kMul:
       return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() * b.AsDouble());
+                      : Value::FloatResult(a.AsDouble() * b.AsDouble());
     case ArithOp::kDiv: {
       if (b.AsDouble() == 0) return std::nullopt;
       if (both_int) {
@@ -115,7 +115,7 @@ std::optional<Value> EvalArith(ArithOp op, const Value& a, const Value& b) {
         }
         if (x % y == 0) return Value::Int(x / y);
       }
-      return Value::Float(a.AsDouble() / b.AsDouble());
+      return Value::FloatResult(a.AsDouble() / b.AsDouble());
     }
     case ArithOp::kMod: {
       if (!both_int || b.AsInt() == 0) return std::nullopt;
@@ -182,7 +182,7 @@ std::optional<Value> FoldStep(AggOp op, const Value& acc, const Value& v) {
         return Value::Int(CheckedI64(ArithOp::kAdd, acc.AsInt(), v.AsInt()));
       }
       if (!acc.is_number() || !v.is_number()) return std::nullopt;
-      return Value::Float(acc.AsDouble() + v.AsDouble());
+      return Value::FloatResult(acc.AsDouble() + v.AsDouble());
     }
     case AggOp::kMin: {
       Value::Ordering c = acc.NumericCompare(v);
@@ -630,10 +630,49 @@ struct RulePlan {
   bool leapfrog = false;  // route the whole body through LeapfrogJoin
 };
 
+/// True if the atoms' variable sets form a cyclic hypergraph: GYO reduction
+/// — repeatedly drop variables that occur in one atom only, and atoms whose
+/// variables another atom covers — leaves more than one atom standing.
+bool CyclicBody(const std::vector<Literal>& body, int num_vars) {
+  std::vector<std::vector<int>> atoms;
+  for (const Literal& lit : body) {
+    std::vector<int> vars;
+    for (const Term& t : lit.atom.terms) vars.push_back(t.var);
+    std::sort(vars.begin(), vars.end());
+    atoms.push_back(std::move(vars));
+  }
+  for (bool changed = true; changed && atoms.size() > 1;) {
+    changed = false;
+    std::vector<int> count(num_vars, 0);
+    for (const auto& vars : atoms) {
+      for (int v : vars) ++count[v];
+    }
+    for (auto& vars : atoms) {
+      auto lone = std::remove_if(vars.begin(), vars.end(),
+                                 [&](int v) { return count[v] == 1; });
+      changed |= lone != vars.end();
+      vars.erase(lone, vars.end());
+    }
+    for (size_t i = 0; i < atoms.size() && !changed; ++i) {
+      for (size_t j = 0; j < atoms.size(); ++j) {
+        if (i != j && std::includes(atoms[j].begin(), atoms[j].end(),
+                                    atoms[i].begin(), atoms[i].end())) {
+          atoms.erase(atoms.begin() + static_cast<ptrdiff_t>(i));
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+  return atoms.size() > 1;
+}
+
 /// True if the rule body is a pure conjunction of >= 2 all-variable positive
-/// atoms with no repeated variables inside an atom and every rule variable
-/// covered — the shape LeapfrogJoin handles once columns are permuted into
-/// the global variable order.
+/// atoms with no repeated variables inside an atom, every rule variable
+/// covered, and a cyclic join hypergraph — the shape LeapfrogJoin handles
+/// once columns are permuted into the global variable order, and the only
+/// one where it beats the hash plan. An acyclic body (every two-atom body
+/// among them) is joined by probes, with no sorted column copies to build.
 bool LeapfrogEligible(const Rule& rule, int num_vars) {
   if (rule.body.size() < 2 || num_vars == 0) return false;
   std::vector<bool> covered(num_vars, false);
@@ -654,7 +693,7 @@ bool LeapfrogEligible(const Rule& rule, int num_vars) {
   for (const Term& t : rule.head.terms) {
     if (t.is_var() && !covered[t.var]) return false;
   }
-  return true;
+  return CyclicBody(rule.body, num_vars);
 }
 
 /// Compiles the join plan for one (rule, delta-occurrence) pair: delta atom
@@ -919,7 +958,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
           step_index[si] = &cache->Get(
               lit.atom.pred, state.Full(lit.atom.pred), lit.atom.terms.size(),
               ps.key_positions, stats ? &stats->index_builds : nullptr,
-              stats ? &stats->index_appends : nullptr);
+              stats ? &stats->index_repairs : nullptr);
         }
         const HashIndex& index = *step_index[si];
         std::vector<Value>& key = key_bufs[si];
@@ -1417,7 +1456,7 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
   into->iterations += from.iterations;
   into->tuples_derived += from.tuples_derived;
   into->index_builds += from.index_builds;
-  into->index_appends += from.index_appends;
+  into->index_repairs += from.index_repairs;
   into->sorted_builds += from.sorted_builds;
   into->index_probes += from.index_probes;
   into->full_scans += from.full_scans;
@@ -1911,7 +1950,7 @@ std::string EvalStats::ToString() const {
   std::ostringstream os;
   os << "strata=" << strata << " units=" << units << " threads=" << threads
      << " iterations=" << iterations << " tuples_derived=" << tuples_derived
-     << " index_builds=" << index_builds << " index_appends=" << index_appends
+     << " index_builds=" << index_builds << " index_repairs=" << index_repairs
      << " sorted_builds=" << sorted_builds
      << " index_probes=" << index_probes << " full_scans=" << full_scans
      << " driver_scans=" << driver_scans << " delta_scans=" << delta_scans

@@ -19,10 +19,13 @@
 //     across rules. Only leading all-free atoms and delta atoms are scanned.
 //
 //   * Worst-case optimal routing. Rules whose bodies are pure all-variable
-//     conjunctions of two or more atoms (triangle-style self-joins) are
-//     routed through joins::LeapfrogJoin; column-permuted sorted copies are
-//     materialized where an atom's column order disagrees with the global
-//     variable order, so the triejoin precondition always holds.
+//     conjunctions of atoms forming a *cyclic* hypergraph (triangle-style
+//     self-joins; GYO reduction decides) are routed through
+//     joins::LeapfrogJoin; column-permuted sorted copies are materialized
+//     where an atom's column order disagrees with the global variable
+//     order, so the triejoin precondition always holds. Acyclic bodies —
+//     every two-atom body among them — take the hash plan, which needs no
+//     sorted copies.
 //
 //   * Parallel evaluation. With EvalOptions::num_threads > 1 the indexed
 //     strategy runs on a work-stealing ThreadPool (src/base/thread_pool.h).
@@ -141,10 +144,10 @@ struct EvalStats {
   int iterations = 0;           // total fixpoint iterations across units
   uint64_t tuples_derived = 0;  // insertions attempted (incl. duplicates)
   uint64_t index_builds = 0;    // hash indexes fully (re)built by the cache
-  uint64_t index_appends = 0;   // hash indexes extended in place after
-                                // provably append-only arena growth (the
-                                // incremental fast path; a fresh evaluation
-                                // with a fresh cache never takes it)
+  uint64_t index_repairs = 0;   // hash indexes brought up to date from the
+                                // arena's erase journal instead (the
+                                // incremental path; a fresh evaluation with
+                                // a fresh cache never takes it)
   uint64_t sorted_builds = 0;   // column-permuted sorted copies (re)built
                                 // by the cache for LeapfrogJoin
   uint64_t index_probes = 0;    // indexed lookups of bound-column literals
@@ -241,8 +244,8 @@ struct DeltaResult {
 /// `options` — return supported=false without touching anything.
 /// options.strategy is ignored (the planned engine is the only maintained
 /// path). Pass a persistent `cache` keyed to these extents to amortize
-/// index builds across updates (indexes extend in place on append-only
-/// growth; see index_appends).
+/// index builds across updates (indexes repair themselves from the extents'
+/// erase journals, inserts and deletes alike; see index_repairs).
 DeltaResult EvaluateDelta(const Program& program,
                           const std::map<std::string, Relation>& base_facts,
                           const EdbDelta& delta,

@@ -21,13 +21,16 @@ void HashIndex::Build(const ColumnArena* arena,
   entries_.Build(arena->size(), [this](size_t row) { return RowKeyHash(row); });
 }
 
-void HashIndex::Append(const ColumnArena* arena) {
-  size_t old_size = built_size_;
-  arena_ = arena;  // may be a different object with the same storage id
+bool HashIndex::Repair(const ColumnArena* arena) {
+  RowChanges changes;
+  if (!arena->ChangesSince(built_version_, built_size_, &changes)) {
+    return false;
+  }
+  arena_ = arena;
   built_version_ = arena->version();
   built_size_ = arena->size();
-  entries_.Append(old_size, arena->size(),
-                  [this](size_t row) { return RowKeyHash(row); });
+  entries_.Repair(changes, [this](size_t row) { return RowKeyHash(row); });
+  return true;
 }
 
 void HashIndex::Clear() {
@@ -54,7 +57,7 @@ const HashIndex& IndexCache::Get(const std::string& pred, const Relation& rel,
                                  size_t arity,
                                  const std::vector<size_t>& key_positions,
                                  uint64_t* build_counter,
-                                 uint64_t* append_counter) {
+                                 uint64_t* repair_counter) {
   IndexEntry* entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -74,25 +77,15 @@ const HashIndex& IndexCache::Get(const std::string& pred, const Relation& rel,
     if (index.built()) index.Clear();
     return index;
   }
-  if (!index.built() || index.built_id() != arena->id()) {
-    index.Build(arena, key_positions);
-    if (build_counter) ++*build_counter;
-  } else if (index.built_version() != arena->version()) {
-    // Same storage, moved version. The arena bumps its version exactly once
-    // per effective insert or erase, so growth where every version tick is
-    // accounted for by a new row proves the rows already indexed are
-    // untouched — extend instead of rebuilding.
-    uint64_t version_delta = arena->version() - index.built_version();
-    bool pure_append = arena->size() >= index.built_size() &&
-                       version_delta == arena->size() - index.built_size();
-    if (pure_append) {
-      index.Append(arena);
-      if (append_counter) ++*append_counter;
-    } else {
-      index.Build(arena, key_positions);
-      if (build_counter) ++*build_counter;
+  if (index.built() && index.built_id() == arena->id()) {
+    if (index.built_version() == arena->version()) return index;
+    if (index.Repair(arena)) {
+      if (repair_counter) ++*repair_counter;
+      return index;
     }
   }
+  index.Build(arena, key_positions);
+  if (build_counter) ++*build_counter;
   return index;
 }
 

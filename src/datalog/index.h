@@ -14,9 +14,11 @@
 //   * column-permuted sorted copies (joins::SortedColumns) keyed by
 //     (predicate, arity, column order) — the triejoin inputs, previously
 //     rebuilt on every LeapfrogJoin call.
-// Both invalidate on the arena's version counter, which advances on every
-// mutation (growth between fixpoint rounds, but also erase+reinsert cycles
-// a size check would miss).
+// Both notice change through the arena's version counter, which advances on
+// every mutation (growth between fixpoint rounds, but also erase+reinsert
+// cycles a size check would miss). A hash index then repairs itself from
+// the arena's erase journal (base/row_journal.h) and rebuilds only when the
+// journal no longer reaches back to its version; a sorted copy rebuilds.
 //
 // Thread safety: the cache may be shared by concurrent evaluation tasks.
 // Entry lookup/creation happens under the cache mutex; each entry then
@@ -26,7 +28,7 @@
 // parallel. Probing the returned reference is lock-free; this is sound
 // because relations only mutate at evaluation round barriers (the
 // single-writer discipline in src/datalog/eval.cc), so an index can never
-// be rebuilt while probes of it are in flight.
+// be repaired or rebuilt while probes of it are in flight.
 //
 // The Rel solver keeps one IndexCache per Interp (Interp::SolverIndex) and
 // uses it from one thread. It passes the arena id as `pred`, since several
@@ -57,13 +59,14 @@ class HashIndex {
 
   /// Builds over `arena` keyed on `key_positions`. `arena` is not owned; it
   /// must outlive the index and keep its rows stable while the index is in
-  /// use (the cache rebuilds whenever the arena's version moves).
+  /// use (the cache repairs or rebuilds whenever the arena's version moves).
   void Build(const ColumnArena* arena, std::vector<size_t> key_positions);
-  /// Extends a built index over rows the arena gained since Build/Append —
-  /// callers must have proven the growth was append-only (no erase touched
-  /// the rows already indexed; see IndexCache::Get for the version
-  /// arithmetic that certifies this). Same key positions, same arena id.
-  void Append(const ColumnArena* arena);
+  /// Brings a built index up to `arena`'s current version by replaying the
+  /// arena's erase journal (ColumnArena::ChangesSince): erased rows are
+  /// unlinked, moved rows relinked, added rows linked. Same arena id as the
+  /// build. Returns false, touching nothing, when the journal no longer
+  /// reaches back to the index's version; the caller then rebuilds.
+  bool Repair(const ColumnArena* arena);
   /// Resets to the unbuilt state (used when the indexed arity vanishes).
   void Clear();
 
@@ -71,12 +74,13 @@ class HashIndex {
   const ColumnArena* arena() const { return arena_; }
   uint64_t built_id() const { return built_id_; }
   uint64_t built_version() const { return built_version_; }
-  size_t built_size() const { return built_size_; }
   const std::vector<size_t>& key_positions() const { return keys_; }
 
   /// Invokes fn(TupleRef) for every row whose key columns equal `key`; `key`
-  /// is ordered like the key_positions passed to Build. Storage is a shared
-  /// FlatHashIndex (base/flat_index.h); key columns are verified here.
+  /// is ordered like the key_positions passed to Build. Rows are visited in
+  /// ascending row order — the same order for a repaired index as for one
+  /// built fresh over the same arena. Storage is a shared FlatHashIndex
+  /// (base/flat_index.h); key columns are verified here.
   template <typename Fn>
   void Probe(const std::vector<Value>& key, Fn&& fn) const {
     if (!arena_) return;
@@ -100,30 +104,25 @@ class HashIndex {
   FlatHashIndex entries_;
 };
 
-/// Cache of derived access structures, rebuilt lazily when the backing
-/// arena's version has moved (relations only change between fixpoint
+/// Cache of derived access structures, repaired or rebuilt lazily when the
+/// backing arena's version has moved (relations only change between fixpoint
 /// rounds, so entries live for at least a whole round). Safe to share
 /// across evaluation tasks; see the threading notes at the top of the file.
 class IndexCache {
  public:
   /// Returns the (built) index over `rel`'s tuples of `arity` keyed on
-  /// `key_positions`, building or rebuilding it first when needed.
-  /// Increments *build_counter on every full (re)build when non-null (the
-  /// counter is incremented under the entry latch).
-  ///
-  /// Incremental fast path: when the arena is the same storage the entry
-  /// was built over and has only *grown by appends* since, the stale index
-  /// is extended instead of rebuilt — O(new) instead of O(total). The arena
-  /// version counter advances exactly once per effective insert or erase
-  /// (data/relation.cc), so `version_delta == size_delta` with a grown size
-  /// certifies that every version tick was an insert — append-only growth.
-  /// Such extensions increment *append_counter (when non-null) rather than
-  /// build_counter, keeping the documented cross-config equality of
-  /// index_builds intact for evaluations that never take the fast path.
+  /// `key_positions`, building, repairing or rebuilding it first when
+  /// needed. When the arena is the storage the entry was built over and its
+  /// version moved, the index replays the arena's erase journal
+  /// (HashIndex::Repair, O(delta x chain)) and *repair_counter is
+  /// incremented (when non-null). Only a first build, a different arena id,
+  /// or a journal that no longer reaches back rebuilds in full and
+  /// increments *build_counter, so index_builds means full builds in every
+  /// configuration. Both counters are incremented under the entry latch.
   const HashIndex& Get(const std::string& pred, const Relation& rel,
                        size_t arity, const std::vector<size_t>& key_positions,
                        uint64_t* build_counter,
-                       uint64_t* append_counter = nullptr);
+                       uint64_t* repair_counter = nullptr);
 
   /// Returns `rel`'s tuples of `arity` with columns permuted into
   /// `col_order` (output column k = stored column col_order[k]) and rows

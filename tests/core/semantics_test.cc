@@ -147,6 +147,31 @@ TEST_F(Semantics, Reduce) {
   EXPECT_EQ(Eval("reduce[rel_primitive_add, {}]"), "{}");
 }
 
+// Float arithmetic whose result is not a number is undefined — no tuple,
+// exactly like x / 0. A NaN value would be unequal to itself: the union
+// below used to hold the same row twice, and sorting a relation holding
+// one is undefined behaviour.
+TEST_F(Semantics, NaNResultsAreUndefined) {
+  engine_.Define("def n(y) : y = (-1.0) ^ 0.5");
+  EXPECT_EQ(Eval("n"), "{}");
+  EXPECT_EQ(engine_
+                .Query("def output(a) : n(a) or "
+                       "exists((b) | n(b) and a = b + 0.0)")
+                .ToString(),
+            "{}");
+  // inf is a number; inf - inf, inf / inf and inf * 0 are not.
+  engine_.Define("def inf(x) : x = 10.0 ^ 400.0");
+  EXPECT_EQ(Eval("inf"), "{(inf)}");
+  EXPECT_EQ(Eval("(x) : exists((i) | inf(i) and x = i - i)"), "{}");
+  EXPECT_EQ(Eval("(x) : exists((i) | inf(i) and x = i / i)"), "{}");
+  EXPECT_EQ(Eval("(x) : exists((i) | inf(i) and x = i * 0)"), "{}");
+  // A sum whose fold reaches NaN is undefined, like an empty one.
+  engine_.Define("def v(w, x) : inf(x) and w = 1\n"
+                 "def v(w, x) : exists((i) | inf(i) and x = 0.0 - i) and "
+                 "w = 2");
+  EXPECT_EQ(Eval("reduce[rel_primitive_add, v]"), "{}");
+}
+
 // Non-functional reduce operators are a type error.
 TEST_F(Semantics, ReduceRejectsNonFunctionalOperator) {
   // The fold applies the operator to (1, 2); two results for that key.

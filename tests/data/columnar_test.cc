@@ -1,9 +1,16 @@
 // Tests for the column-major relation storage: arena growth, row-index
 // dedup across erase/swap rewrites, iteration stability while inserting,
-// TupleRef view validity, and version-based index invalidation.
+// TupleRef view validity, version-based index invalidation, and the erase
+// journal: hash indexes and sorted views repaired from it must equal ones
+// built fresh.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "data/relation.h"
@@ -187,16 +194,19 @@ TEST(Relation, MixedArityRoundTrip) {
   EXPECT_EQ(copy.Hash(), r.Hash());
 }
 
-TEST(IndexCache, RebuildsOnVersionNotSize) {
+TEST(IndexCache, RepairsAfterEraseAndInsert) {
   // Indexes store row indices into the arena; an erase+insert cycle that
-  // returns to the same size must still invalidate them.
+  // returns to the same size must still be noticed — and is repaired from
+  // the arena's erase journal rather than rebuilt.
   Relation r;
   r.Insert(Tuple({I(1), I(10)}));
   r.Insert(Tuple({I(2), I(20)}));
 
   datalog::IndexCache cache;
   uint64_t builds = 0;
-  const datalog::HashIndex& index = cache.Get("p", r, 2, {0}, &builds);
+  uint64_t repairs = 0;
+  const datalog::HashIndex& index = cache.Get("p", r, 2, {0}, &builds,
+                                              &repairs);
   EXPECT_EQ(builds, 1u);
   int hits = 0;
   index.Probe({I(2)}, [&](const TupleRef& row) {
@@ -208,8 +218,10 @@ TEST(IndexCache, RebuildsOnVersionNotSize) {
   r.Erase(Tuple({I(2), I(20)}));
   r.Insert(Tuple({I(2), I(99)}));  // same size, different content
 
-  const datalog::HashIndex& again = cache.Get("p", r, 2, {0}, &builds);
-  EXPECT_EQ(builds, 2u);
+  const datalog::HashIndex& again = cache.Get("p", r, 2, {0}, &builds,
+                                              &repairs);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(repairs, 1u);
   hits = 0;
   again.Probe({I(2)}, [&](const TupleRef& row) {
     EXPECT_EQ(row[1], I(99));
@@ -459,6 +471,143 @@ TEST(HashedCalls, EraseBySpanMatchesEraseByTuple) {
   EXPECT_FALSE(r.Erase(row, 2));
   EXPECT_EQ(r.ArenaOfArity(2), nullptr);  // the emptied arity is dropped
   EXPECT_EQ(r.ToString(), "{(3)}");
+}
+
+// --- Erase journal: repaired structures equal fresh ones ---------------------
+
+constexpr int kKeys = 6;
+
+/// Every key's probe result, rendered in visit order.
+std::vector<std::string> ProbeAll(const datalog::HashIndex& index) {
+  std::vector<std::string> out(kKeys);
+  for (int k = 0; k < kKeys; ++k) {
+    index.Probe({I(k)}, [&](const TupleRef& row) {
+      out[k] += row.ToTuple().ToString();
+    });
+  }
+  return out;
+}
+
+/// `arena`'s row indices sorted from scratch.
+std::vector<uint32_t> FreshSort(const ColumnArena& arena) {
+  std::vector<uint32_t> rows(arena.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+    return arena.Row(a).ToTuple() < arena.Row(b).ToTuple();
+  });
+  return rows;
+}
+
+/// Checks `index` (repairing it first, or rebuilding when the journal is
+/// too short) and the arena's sorted views against fresh ones. Returns
+/// whether the repair succeeded.
+bool RepairAndCompare(const ColumnArena& arena, datalog::HashIndex* index) {
+  bool repaired = index->Repair(&arena);
+  if (!repaired) index->Build(&arena, {0});
+  datalog::HashIndex fresh;
+  fresh.Build(&arena, {0});
+  EXPECT_EQ(ProbeAll(*index), ProbeAll(fresh));
+  std::vector<uint32_t> sorted = FreshSort(arena);
+  EXPECT_EQ(arena.SortedRows(), sorted);
+  std::string want;
+  for (uint32_t r : sorted) want += arena.Row(r).ToTuple().ToString();
+  std::string got;
+  for (const Tuple& t : arena.SortedTuples()) got += t.ToString();
+  EXPECT_EQ(got, want);
+  return repaired;
+}
+
+void InsertRow(ColumnArena* arena, int64_t k, int64_t v) {
+  Value vals[2] = {I(k), I(v)};
+  arena->Insert(vals);
+}
+
+void EraseRow(ColumnArena* arena, size_t row) {
+  Tuple t = arena->Row(row).ToTuple();
+  ASSERT_TRUE(arena->Erase(t.values().data()));
+}
+
+TEST(EraseJournal, RepairedIndexAndSortedViewsMatchFreshOnes) {
+  // Random insert/erase streams, checked at random intervals so a repair
+  // spans several steps: erasing the last row, erasing everything and
+  // refilling, and erasing rows appended since the last repair all occur.
+  int repairs = 0;
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    ColumnArena arena(2);
+    datalog::HashIndex index;
+    index.Build(&arena, {0});
+    (void)arena.SortedTuples();
+    for (int step = 0; step < 300; ++step) {
+      const uint32_t op = rng() % 16;
+      if (arena.empty() || op < 8) {
+        InsertRow(&arena, rng() % kKeys, rng() % 30);
+      } else if (op < 12) {
+        EraseRow(&arena, rng() % arena.size());
+      } else if (op < 14) {
+        EraseRow(&arena, arena.size() - 1);
+      } else if (op == 14 && rng() % 4 == 0) {
+        while (!arena.empty()) EraseRow(&arena, rng() % arena.size());
+      }
+      if (rng() % 3 == 0) repairs += RepairAndCompare(arena, &index);
+    }
+    repairs += RepairAndCompare(arena, &index);
+  }
+  EXPECT_GT(repairs, 0);
+}
+
+TEST(EraseJournal, RepairsRowsAppendedAndErasedBetweenRepairs) {
+  ColumnArena arena(2);
+  for (int i = 0; i < 20; ++i) InsertRow(&arena, i % kKeys, i);
+  datalog::HashIndex index;
+  index.Build(&arena, {0});
+  (void)arena.SortedTuples();
+  // Appended, then erased (the last row), then appended again; plus an
+  // old row erased with the appended row swapped into its slot.
+  InsertRow(&arena, 1, 100);
+  InsertRow(&arena, 2, 101);
+  EraseRow(&arena, arena.size() - 1);
+  EraseRow(&arena, 3);
+  InsertRow(&arena, 3, 102);
+  EXPECT_TRUE(RepairAndCompare(arena, &index));
+}
+
+TEST(EraseJournal, OverflowFallsBackToRebuild) {
+  // The journal keeps max(64, rows / 8) erases; a structure further behind
+  // must rebuild, and the rebuilt structures are still exact.
+  ColumnArena arena(2);
+  for (int i = 0; i < 100; ++i) InsertRow(&arena, i % kKeys, i);
+  datalog::HashIndex index;
+  index.Build(&arena, {0});
+  (void)arena.SortedTuples();
+  for (int i = 0; i < 40; ++i) {
+    EraseRow(&arena, 0);
+    InsertRow(&arena, i % kKeys, 1000 + i);
+  }
+  EXPECT_TRUE(RepairAndCompare(arena, &index));  // 40 erases: within the cap
+  for (int i = 0; i < 200; ++i) {
+    EraseRow(&arena, i % arena.size());
+    InsertRow(&arena, i % kKeys, 2000 + i);
+  }
+  EXPECT_FALSE(RepairAndCompare(arena, &index));  // 200 erases: past it
+  EXPECT_TRUE(RepairAndCompare(arena, &index));   // caught up again
+}
+
+TEST(EraseJournal, CopiesStartAFreshHistory) {
+  // A copy's content is wholesale new to its own id; a structure built
+  // over the original cannot replay onto it, but the copied sorted views
+  // stay usable and repair from the copy's own journal.
+  ColumnArena arena(2);
+  for (int i = 0; i < 10; ++i) InsertRow(&arena, i % kKeys, i);
+  (void)arena.SortedTuples();
+  ColumnArena copy(arena);
+  RowChanges changes;
+  EXPECT_FALSE(copy.ChangesSince(arena.version(), arena.size(), &changes));
+  datalog::HashIndex index;
+  index.Build(&copy, {0});
+  EraseRow(&copy, 2);
+  InsertRow(&copy, 5, 50);
+  EXPECT_TRUE(RepairAndCompare(copy, &index));
 }
 
 }  // namespace

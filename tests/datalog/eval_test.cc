@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,33 @@ TEST(EvalEquivalence, TriangleRuleMatchesScanAndLeapfrogFires) {
   EvalStats stats;
   EvaluatePredicate(p, "tri", Strategy::kSemiNaive, &stats);
   EXPECT_GT(stats.leapfrog_joins, 0u);
+}
+
+TEST(EvalStatsCounters, AcyclicBodiesTakeTheHashPlan) {
+  // Leapfrog pays for sorted column copies and wins only on cyclic bodies.
+  // A two-atom body (and any acyclic one, like a three-atom chain) is
+  // joined by probes on the full pass too — including the first round of
+  // a recursive rule.
+  std::vector<Tuple> edges = benchutil::RandomGraph(24, 60, 3);
+  const char* programs[] = {
+      "path2(X, Z) :- e(X, Y), e(Y, Z).",
+      "path3(X, W) :- e(X, Y), e(Y, Z), e(Z, W).",
+      "reach(X) :- e(0, X). reach(Y) :- reach(X), e(X, Y).",
+  };
+  const char* heads[] = {"path2", "path3", "reach"};
+  for (int i = 0; i < 3; ++i) {
+    Program p = ParseDatalog(programs[i]);
+    for (const Tuple& e : edges) p.AddFact("e", e);
+    EvalStats stats;
+    Relation planned =
+        EvaluatePredicate(p, heads[i], Strategy::kSemiNaive, &stats);
+    EXPECT_EQ(stats.leapfrog_joins, 0u) << programs[i];
+    EXPECT_EQ(stats.sorted_builds, 0u) << programs[i];
+    EXPECT_GT(stats.index_probes, 0u) << programs[i];
+    EXPECT_EQ(planned.ToString(),
+              EvaluatePredicate(p, heads[i], Strategy::kNaive).ToString())
+        << programs[i];
+  }
 }
 
 TEST(EvalStatsCounters, IndexedTCUsesProbesNeverBoundScans) {
@@ -324,6 +352,27 @@ TEST(ArithGuards, PlainDivisionStillWorks) {
     EXPECT_EQ(EvaluatePredicate(p, "third", strategy).ToString(), "{(1.5)}");
     EXPECT_TRUE(EvaluatePredicate(p, "none", strategy).empty());
     EXPECT_EQ(EvaluatePredicate(p, "neg", strategy).ToString(), "{(-6)}");
+  }
+}
+
+TEST(ArithGuards, NaNResultsAreUndefined) {
+  // Float arithmetic whose result is not a number derives nothing, like
+  // X / 0; so does a sum whose fold reaches NaN. inf itself is a number.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Strategy strategy : kAllStrategies) {
+    Program p = ParseDatalog(
+        "sub(Y) :- n(X), Y = X - X. quo(Y) :- n(X), Y = X / X.\n"
+        "mul(Y) :- n(X), Y = X * 0. dbl(Y) :- n(X), Y = X + X.\n"
+        "v(1, X) :- n(X). v(2, Y) :- n(X), Y = 0 - X.\n"
+        "total(sum(V; W)) :- v(W, V).");
+    p.AddFact("n", Tuple({Value::Float(inf)}));
+    p.AddFact("n", Tuple({Value::Float(2.0)}));
+    EXPECT_EQ(EvaluatePredicate(p, "sub", strategy).ToString(), "{(0.0)}");
+    EXPECT_EQ(EvaluatePredicate(p, "quo", strategy).ToString(), "{(1.0)}");
+    EXPECT_EQ(EvaluatePredicate(p, "mul", strategy).ToString(), "{(0.0)}");
+    EXPECT_EQ(EvaluatePredicate(p, "dbl", strategy).ToString(),
+              "{(4.0); (inf)}");
+    EXPECT_TRUE(EvaluatePredicate(p, "total", strategy).empty());
   }
 }
 
