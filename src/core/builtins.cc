@@ -292,13 +292,19 @@ class RangeBuiltin : public Builtin {
     if (args[3]) {
       if (!args[3]->is_int()) return;
       int64_t x = args[3]->AsInt();
-      if (x >= lo && x <= hi && (x - lo) % step == 0) {
+      // x - lo can exceed INT64_MAX; the modulus is exact in uint64.
+      if (x >= lo && x <= hi &&
+          (static_cast<uint64_t>(x) - static_cast<uint64_t>(lo)) %
+                  static_cast<uint64_t>(step) ==
+              0) {
         emit({*args[0], *args[1], *args[2], *args[3]});
       }
       return;
     }
-    for (int64_t x = lo; x <= hi; x += step) {
+    // Stop before the increment wraps past INT64_MAX.
+    for (int64_t x = lo; x <= hi;) {
       emit({*args[0], *args[1], *args[2], Value::Int(x)});
+      if (__builtin_add_overflow(x, step, &x)) break;
     }
   }
 };

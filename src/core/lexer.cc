@@ -1,6 +1,9 @@
 #include "core/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_map>
 
 #include "base/error.h"
@@ -163,13 +166,21 @@ class LexerImpl {
         pos_ = save;  // 'e' was the start of an identifier, not an exponent
       }
     }
+    // A literal past the int64 range (INT64_MIN included: the lexer sees
+    // no sign) or past the largest double is a parse error. A float literal
+    // that underflows keeps its nearest double.
+    errno = 0;
     if (is_float) {
       Token t = MakeToken(TokenKind::kFloat);
-      t.float_value = std::stod(text);
+      t.float_value = std::strtod(text.c_str(), nullptr);
+      if (errno == ERANGE && std::isinf(t.float_value)) {
+        Fail("float literal " + text + " is out of range");
+      }
       return t;
     }
     Token t = MakeToken(TokenKind::kInt);
-    t.int_value = std::stoll(text);
+    t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+    if (errno == ERANGE) Fail("integer literal " + text + " is out of range");
     return t;
   }
 

@@ -275,6 +275,51 @@ void EvalRange(const Value& lo_v, const Value& hi_v, const Value& step_v,
   }
 }
 
+/// How an equality pins a kRange step's output x to one value, so the step
+/// can test one candidate instead of enumerating (SolvePinnedRange). The
+/// pin is z = x + c (`add`) or z = x - c, with z bound when the range runs
+/// and c an Int constant, in one of two written forms:
+///   1. `t := x ± c` then `t = z` — the assignment reads x (`reads_x`);
+///   2. `y := z ± c` then `x = y` — the assignment reads z.
+struct RangePin {
+  Term z;
+  bool add = false;
+  int64_t c = 0;
+  bool reads_x = false;
+};
+
+/// Solves a range step whose output x is pinned by `pin`, z = x + c or
+/// z = x - c: the one candidate is x = z - c or x = z + c. Returns false
+/// when the step must enumerate as written instead — z, lo, hi or step is
+/// not an Int, or lo ± c or hi ± c overflows (the enumeration's own x ± c
+/// assignment would throw). Otherwise returns true, with `*x` empty when the
+/// candidate overflows: then no Int x satisfies the pin, unless the
+/// assignment computes the candidate itself (z ± c), whose overflow the
+/// enumeration must raise — that case enumerates too.
+bool SolvePinnedRange(const RangePin& pin, const Value& lo, const Value& hi,
+                      const Value& step, const Value& z,
+                      std::optional<int64_t>* x) {
+  if (!z.is_int() || !lo.is_int() || !hi.is_int() || !step.is_int()) {
+    return false;
+  }
+  auto shift = [&pin](bool plus, int64_t v, int64_t* out) {
+    return plus ? __builtin_add_overflow(v, pin.c, out)
+                : __builtin_sub_overflow(v, pin.c, out);
+  };
+  int64_t unused;
+  if (shift(pin.add, lo.AsInt(), &unused) ||
+      shift(pin.add, hi.AsInt(), &unused)) {
+    return false;
+  }
+  int64_t candidate;
+  if (shift(!pin.add, z.AsInt(), &candidate)) {
+    x->reset();
+    return pin.reads_x;
+  }
+  *x = candidate;
+  return true;
+}
+
 /// Mutable per-rule binding vector (variables are dense ids).
 using Bindings = std::vector<std::optional<Value>>;
 
@@ -339,6 +384,7 @@ struct PlanStep {
   size_t lit_index = 0;
   std::vector<size_t> key_positions;  // kProbe: columns bound at entry
   bool bind_lhs = false;              // kBind: the lhs is the unbound side
+  std::optional<RangePin> pin;        // kRange: solvable from this pin
 };
 
 /// Decides whether body literal `i` of `rule`, other than a positive atom,
@@ -378,28 +424,28 @@ std::optional<PlanStep> ReadyStep(const Rule& rule, size_t i,
       for (const Term& t : lit.atom.terms) {
         if (!known(t)) return std::nullopt;
       }
-      return PlanStep{PlanStep::Kind::kNegation, i, {}, false};
+      return PlanStep{PlanStep::Kind::kNegation, i, {}, false, {}};
     case Literal::Kind::kCompare: {
       const bool lk = known(lit.lhs);
       const bool rk = known(lit.rhs);
-      if (lk && rk) return PlanStep{PlanStep::Kind::kFilter, i, {}, false};
+      if (lk && rk) return PlanStep{PlanStep::Kind::kFilter, i, {}, false, {}};
       if (lit.cmp_op != CmpOp::kEq || lit.negated || lk == rk) break;
       const int var = (lk ? lit.rhs : lit.lhs).var;
       if (produced_elsewhere(var)) break;
       (*bound)[var] = true;
-      return PlanStep{PlanStep::Kind::kBind, i, {}, !lk};
+      return PlanStep{PlanStep::Kind::kBind, i, {}, !lk, {}};
     }
     case Literal::Kind::kAssign:
       if (!known(lit.lhs) || !known(lit.rhs)) break;
       (*bound)[lit.target] = true;
-      return PlanStep{PlanStep::Kind::kAssign, i, {}, false};
+      return PlanStep{PlanStep::Kind::kAssign, i, {}, false, {}};
     case Literal::Kind::kRange: {
       for (size_t p = 0; p < 3; ++p) {
         if (!known(lit.atom.terms[p])) return std::nullopt;
       }
       const Term& x = lit.atom.terms[3];
       if (x.is_var()) (*bound)[x.var] = true;
-      return PlanStep{PlanStep::Kind::kRange, i, {}, false};
+      return PlanStep{PlanStep::Kind::kRange, i, {}, false, {}};
     }
   }
   return std::nullopt;
@@ -696,6 +742,103 @@ bool LeapfrogEligible(const Rule& rule, int num_vars) {
   return CyclicBody(rule.body, num_vars);
 }
 
+/// The equality, if any, that pins the output x of range step `s` to one
+/// value (RangePin); `bound` holds the variables bound when the step runs.
+/// From the range to its equality the steps run unchanged on the solved
+/// candidate alone, so none of them may throw on a value the enumeration
+/// would have discarded: an assignment between them other than the pinning
+/// one leaves the range enumerating.
+std::optional<RangePin> FindRangePin(const Rule& rule,
+                                     const std::vector<PlanStep>& steps,
+                                     size_t s, const std::vector<bool>& bound) {
+  const Term& x = rule.body[steps[s].lit_index].atom.terms[3];
+  if (!x.is_var() || bound[x.var]) return std::nullopt;
+  auto known = [&](const Term& t) { return !t.is_var() || bound[t.var]; };
+  auto is_x = [&](const Term& t) { return t.is_var() && t.var == x.var; };
+  auto int_const = [](const Term& t) {
+    return !t.is_var() && t.constant.is_int();
+  };
+  std::optional<size_t> between;  // the assignment step seen since s
+  for (size_t e = s + 1; e < steps.size(); ++e) {
+    const PlanStep& ps = steps[e];
+    const Literal& eq = rule.body[ps.lit_index];
+    switch (ps.kind) {
+      case PlanStep::Kind::kScanDelta:
+      case PlanStep::Kind::kScanFull:
+      case PlanStep::Kind::kProbe:
+        return std::nullopt;
+      case PlanStep::Kind::kAssign:
+        if (between) return std::nullopt;  // one of the two is not the pin
+        between = e;
+        continue;
+      case PlanStep::Kind::kFilter:
+        break;
+      case PlanStep::Kind::kNegation:
+      case PlanStep::Kind::kBind:
+      case PlanStep::Kind::kRange:
+        continue;
+    }
+    if (eq.cmp_op != CmpOp::kEq || eq.negated) continue;
+    for (int side = 0; side < 2; ++side) {
+      const Term& a = side == 0 ? eq.lhs : eq.rhs;
+      const Term& b = side == 0 ? eq.rhs : eq.lhs;
+      if (!a.is_var()) continue;
+      // `a` must be the target of an assignment `v + c`, `c + v` or
+      // `v - c` with c an Int constant, placed before the equality.
+      size_t p = 0;
+      while (p < e && (steps[p].kind != PlanStep::Kind::kAssign ||
+                       rule.body[steps[p].lit_index].target != a.var)) {
+        ++p;
+      }
+      if (p == e || (between && *between != p)) continue;
+      const Literal& assign = rule.body[steps[p].lit_index];
+      const bool add = assign.arith_op == ArithOp::kAdd;
+      if (!add && assign.arith_op != ArithOp::kSub) continue;
+      const bool c_left = add && int_const(assign.lhs);
+      if (!c_left && !int_const(assign.rhs)) continue;
+      const Term& v = c_left ? assign.rhs : assign.lhs;
+      const int64_t c = (c_left ? assign.lhs : assign.rhs).constant.AsInt();
+      if (p > s && is_x(v) && known(b)) {
+        return RangePin{b, add, c, true};  // a := x ± c, a = z
+      }
+      if (is_x(b) && known(v)) {
+        return RangePin{v, !add, c, false};  // a := z ± c, x = a
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// Records on each kRange step of `plan` its pin, if any (FindRangePin).
+/// `bound` holds the variables bound before the first step. kNaive never
+/// reads the pin.
+void PinRanges(const Rule& rule, std::vector<bool> bound, RulePlan* plan) {
+  std::vector<PlanStep>& steps = plan->steps;
+  auto mark = [&bound](const Term& t) {
+    if (t.is_var()) bound[t.var] = true;
+  };
+  for (size_t s = 0; s < steps.size(); ++s) {
+    const Literal& lit = rule.body[steps[s].lit_index];
+    switch (steps[s].kind) {
+      case PlanStep::Kind::kScanDelta:
+      case PlanStep::Kind::kScanFull:
+      case PlanStep::Kind::kProbe:
+        for (const Term& t : lit.atom.terms) mark(t);
+        break;
+      case PlanStep::Kind::kBind:
+        mark(steps[s].bind_lhs ? lit.lhs : lit.rhs);
+        break;
+      case PlanStep::Kind::kAssign: bound[lit.target] = true; break;
+      case PlanStep::Kind::kRange:
+        steps[s].pin = FindRangePin(rule, steps, s, bound);
+        mark(lit.atom.terms[3]);
+        break;
+      case PlanStep::Kind::kNegation:
+      case PlanStep::Kind::kFilter: break;
+    }
+  }
+}
+
 /// Compiles the join plan for one (rule, delta-occurrence) pair: delta atom
 /// first, filters/bindings/assignments/negations hoisted as early as their
 /// variables allow, remaining positive atoms ordered greedily by bound-column
@@ -750,7 +893,7 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
   if (delta_index >= 0) {
     plan.steps.push_back(
         {PlanStep::Kind::kScanDelta, static_cast<size_t>(delta_index), {},
-         false});
+         false, {}});
     bind_atom_vars(rule.body[delta_index].atom);
     done[delta_index] = true;
   }
@@ -799,7 +942,8 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
     }
     if (best < 0) break;
     const Atom& atom = rule.body[best].atom;
-    PlanStep s{PlanStep::Kind::kProbe, static_cast<size_t>(best), {}, false};
+    PlanStep s{PlanStep::Kind::kProbe, static_cast<size_t>(best), {}, false,
+               {}};
     for (size_t p = 0; p < atom.terms.size(); ++p) {
       if (term_known(atom.terms[p])) s.key_positions.push_back(p);
     }
@@ -811,6 +955,10 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
   }
 
   RequireRangeRestricted(rule, done, bound);
+  PinRanges(rule, prebound != nullptr
+                      ? *prebound
+                      : std::vector<bool>(plan.num_vars, false),
+            &plan);
   return plan;
 }
 
@@ -1012,11 +1160,19 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
         const Value& st = value_of(lit.atom.terms[2]);
         const Term& xt = lit.atom.terms[3];
         if (xt.is_var() && !bindings[xt.var]) {
-          EvalRange(lo, hi, st, std::nullopt, [&](const Value& v) {
+          auto yield = [&](const Value& v) {
             bindings[xt.var] = v;
             self(self, si + 1);
             bindings[xt.var].reset();
-          });
+          };
+          std::optional<int64_t> x;
+          if (ps.pin &&
+              SolvePinnedRange(*ps.pin, lo, hi, st, value_of(ps.pin->z), &x)) {
+            if (stats) ++stats->ranges_solved;
+            if (x) EvalRange(lo, hi, st, Value::Int(*x), yield);
+          } else {
+            EvalRange(lo, hi, st, std::nullopt, yield);
+          }
         } else {
           std::optional<Value> x =
               xt.is_var() ? bindings[xt.var]
@@ -1345,19 +1501,19 @@ void CheckMonotoneRule(const Rule& rule, const std::set<std::string>& recursive,
   // ones under the unit's single min/max direction.
 }
 
-/// One aggregate group: its contributions and its currently published
+/// One aggregate group: the chain of its contributions through the
+/// predicate's payload store (AggPredState), and its currently published
 /// result (absent until the first fold yields a value). The group key is
 /// the leading sig.group_arity columns of any contribution, so none is
-/// stored apart. `payloads[0, sorted)` is in fold order; rows appended since
-/// the last fold follow it unsorted.
+/// stored apart.
 struct AggGroup {
-  std::vector<SeenRow> payloads;  // never empty
-  size_t sorted = 0;
-  size_t hash = 0;  // HashRow of the key columns
+  static constexpr uint32_t kEnd = UINT32_MAX;  // end of a payload chain
+
+  uint32_t head = kEnd;  // first payload; set as the group is created
+  uint32_t tail = kEnd;  // last payload, where routing appends
+  size_t hash = 0;    // HashRow of the key columns
   std::optional<Value> value;
   bool dirty = false;
-
-  const Value& Key(size_t col) const { return payloads[0].At(col); }
 };
 
 /// Unit-local aggregate state for one aggregate predicate. `seen` holds
@@ -1369,13 +1525,17 @@ struct AggGroup {
 /// own. Rows are appended to `seen` during a round (by the emit itself in a
 /// sequential round, by the barrier merge in a parallel one) and routed to
 /// their groups at the round barrier; `routed` counts, per arity, the rows
-/// already routed. Groups live in one flat vector, found by an
-/// open-addressing table over their indices; `dirty` lists the groups that
-/// received contributions this round.
+/// already routed. Routing appends a reference to the row to one flat
+/// payload store shared by all groups, chained per group through `next`.
+/// Groups live in one flat vector, found by an open-addressing table over
+/// their indices; `dirty` lists the groups that received contributions this
+/// round.
 struct AggPredState {
   AggSig sig;
   Relation seen;
   std::map<size_t, size_t> routed;  // arity -> rows of seen already routed
+  std::vector<SeenRow> payloads;    // routed contributions, routing order
+  std::vector<uint32_t> next;  // payload -> next of its group, or kEnd
   std::vector<AggGroup> groups;
   std::vector<uint32_t> table;  // group index + 1; 0 = empty slot
   std::vector<uint32_t> dirty;
@@ -1392,8 +1552,16 @@ struct AggPredState {
       size_t& done = routed[arity];
       for (size_t r = done; r < arena->size(); ++r) {
         SeenRow row{arena, static_cast<uint32_t>(r)};
+        const uint32_t id = static_cast<uint32_t>(payloads.size());
+        payloads.push_back(row);
+        next.push_back(AggGroup::kEnd);
         AggGroup& grp = GroupOf(row);
-        grp.payloads.push_back(row);
+        if (grp.head == AggGroup::kEnd) {
+          grp.head = id;
+        } else {
+          next[grp.tail] = id;
+        }
+        grp.tail = id;
         if (!grp.dirty) {
           grp.dirty = true;
           dirty.push_back(static_cast<uint32_t>(&grp - groups.data()));
@@ -1405,18 +1573,36 @@ struct AggPredState {
     return routed_now;
   }
 
+  /// Column `col` of group `g`'s key.
+  const Value& Key(const AggGroup& g, size_t col) const {
+    return payloads[g.head].At(col);
+  }
+
   /// Group-key order over group indices.
   bool KeyLess(uint32_t a, uint32_t b) const {
     for (size_t c = 0; c < sig.group_arity; ++c) {
-      int cmp = groups[a].Key(c).Compare(groups[b].Key(c));
+      int cmp = Key(groups[a], c).Compare(Key(groups[b], c));
       if (cmp != 0) return cmp < 0;
     }
     return false;
   }
 
+  /// Gathers `g`'s contributions into `out` in fold order (FoldOrderLess).
+  void Gather(const AggGroup& g, std::vector<SeenRow>* out) const {
+    out->clear();
+    for (uint32_t p = g.head; p != AggGroup::kEnd; p = next[p]) {
+      out->push_back(payloads[p]);
+    }
+    const size_t group_arity = sig.group_arity;
+    std::sort(out->begin(), out->end(),
+              [group_arity](const SeenRow& a, const SeenRow& b) {
+                return FoldOrderLess(a, b, group_arity);
+              });
+  }
+
  private:
   /// The group keyed by `row`'s first sig.group_arity columns, created
-  /// (empty) if new.
+  /// (with no payloads) if new.
   AggGroup& GroupOf(const SeenRow& row) {
     const size_t g = sig.group_arity;
     size_t h = kTupleHashSeed;
@@ -1434,7 +1620,7 @@ struct AggPredState {
       AggGroup& grp = groups[entry - 1];
       if (grp.hash != h) continue;
       bool equal = true;
-      for (size_t i = 0; i < g && equal; ++i) equal = grp.Key(i) == row.At(i);
+      for (size_t i = 0; i < g && equal; ++i) equal = Key(grp, i) == row.At(i);
       if (equal) return grp;
     }
   }
@@ -1463,6 +1649,7 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
   into->driver_scans += from.driver_scans;
   into->delta_scans += from.delta_scans;
   into->leapfrog_joins += from.leapfrog_joins;
+  into->ranges_solved += from.ranges_solved;
   into->aggregate_updates += from.aggregate_updates;
   into->groups_improved += from.groups_improved;
   into->par_tasks += from.par_tasks;
@@ -1796,7 +1983,8 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
   // replace each changed (group..., result) extent row — the changed rows
   // ARE the aggregate predicate's next delta. Runs sequentially on the
   // unit's thread, so the single-writer extent discipline holds.
-  std::vector<Value> row_buf;  // one result row at a time
+  std::vector<Value> row_buf;       // one result row at a time
+  std::vector<SeenRow> fold_buf;    // one group's payloads at a time
   auto publish_round = [&](DeltaMap added) -> DeltaMap {
     for (auto& [pred, rel] : added) {
       state->full->at(pred).InsertAll(rel);
@@ -1809,9 +1997,6 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
       // Group-key order makes the first error raised deterministic.
       std::sort(ap.dirty.begin(), ap.dirty.end(),
                 [&ap](uint32_t a, uint32_t b) { return ap.KeyLess(a, b); });
-      auto fold_less = [g](const SeenRow& a, const SeenRow& b) {
-        return FoldOrderLess(a, b, g);
-      };
       Relation changed;
       Relation& extent = state->full->at(pred);
       for (uint32_t index : ap.dirty) {
@@ -1832,14 +2017,8 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
                   "' received a contribution after its group published; "
                   "only level-indexed recursive sums are monotone");
         }
-        // Sort only this round's payloads, then merge them into the sorted
-        // prefix.
-        auto mid = grp.payloads.begin() + static_cast<ptrdiff_t>(grp.sorted);
-        std::sort(mid, grp.payloads.end(), fold_less);
-        std::inplace_merge(grp.payloads.begin(), mid, grp.payloads.end(),
-                           fold_less);
-        grp.sorted = grp.payloads.size();
-        std::optional<Value> folded = FoldPayloads(ap.sig.op, grp.payloads);
+        ap.Gather(grp, &fold_buf);
+        std::optional<Value> folded = FoldPayloads(ap.sig.op, fold_buf);
         if (!folded.has_value()) {
           if (grp.value.has_value()) {
             throw RelError(ErrorKind::kType,
@@ -1850,7 +2029,7 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
           continue;  // empty-or-undefined group: no row, never a default
         }
         row_buf.clear();
-        for (size_t c = 0; c < g; ++c) row_buf.push_back(grp.Key(c));
+        for (size_t c = 0; c < g; ++c) row_buf.push_back(ap.Key(grp, c));
         if (grp.value.has_value()) {
           if (*grp.value == *folded) continue;
           // The refold ran over a superset of the old payloads, so min can
@@ -1955,6 +2134,7 @@ std::string EvalStats::ToString() const {
      << " index_probes=" << index_probes << " full_scans=" << full_scans
      << " driver_scans=" << driver_scans << " delta_scans=" << delta_scans
      << " leapfrog_joins=" << leapfrog_joins
+     << " ranges_solved=" << ranges_solved
      << " aggregate_updates=" << aggregate_updates
      << " groups_improved=" << groups_improved << " par_tasks=" << par_tasks
      << " par_steals=" << par_steals << " par_merges=" << par_merges

@@ -9,8 +9,11 @@
 //     of bound columns (descending) with estimated cardinality as the
 //     tie-break — sideways information passing. Comparisons, assignments and
 //     negations are hoisted to the earliest point at which their variables
-//     are bound, so they prune the join as soon as possible. Safety (range
-//     restriction) is checked at plan time.
+//     are bound, so they prune the join as soon as possible. A range
+//     generator whose output a later equality pins to one value (the
+//     `s = t - 1` of a level-indexed recursion, with s already bound) tests
+//     that value instead of enumerating (EvalStats::ranges_solved). Safety
+//     (range restriction) is checked at plan time.
 //
 //   * Indexed access paths. Every positive literal with at least one bound
 //     column is evaluated by probing a generalized hash index mapping
@@ -156,6 +159,9 @@ struct EvalStats {
   uint64_t driver_scans = 0;    // unavoidable scans of all-free leading atoms
   uint64_t delta_scans = 0;     // scans of the semi-naive delta occurrence
   uint64_t leapfrog_joins = 0;  // rules routed through LeapfrogJoin
+  uint64_t ranges_solved = 0;   // range steps that tested the one value
+                                // their pinning equality allows instead of
+                                // enumerating (kSemiNaive only)
   // Aggregation (rules with an aggregate head; 0 otherwise). Under
   // kSemiNaive both counters are deterministic across plan seeds and
   // thread counts: contributions are set-deduplicated before counting and

@@ -458,6 +458,8 @@ class CaseRunner {
       check("index_probes", out.stats.index_probes, base.stats.index_probes);
       check("leapfrog_joins", out.stats.leapfrog_joins,
             base.stats.leapfrog_joins);
+      check("ranges_solved", out.stats.ranges_solved,
+            base.stats.ranges_solved);
       check("aggregate_updates", out.stats.aggregate_updates,
             base.stats.aggregate_updates);
       check("groups_improved", out.stats.groups_improved,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "core/engine.h"
+
 namespace rel {
 namespace {
 
@@ -106,6 +110,63 @@ TEST(Builtins, RangeEnumerates) {
   EXPECT_EQ(Invoke("range", {I(1), I(5), I(2), I(4)}).size(), 0u);
   EXPECT_EQ(Invoke("range", {I(1), I(5), I(2), I(3)}).size(), 1u);
   EXPECT_FALSE(Supports("range", {true, true, false, true}));
+
+  // The enumeration stops before the increment would wrap past INT64_MAX.
+  out = Invoke("range", {I(INT64_MAX - 1), I(INT64_MAX), I(1), std::nullopt});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1][3], I(INT64_MAX));
+  out = Invoke("range", {I(INT64_MIN), I(INT64_MAX), I(INT64_MAX),
+                         std::nullopt});
+  ASSERT_EQ(out.size(), 3u);  // INT64_MIN, -1, INT64_MAX - 1
+  EXPECT_EQ(out[2][3], I(INT64_MAX - 1));
+  // Membership over the full span: x - lo is 2^64 - 3, and
+  // (2^64 - 3) mod 3 = 1; 2^64 - 4 is a multiple of 3.
+  EXPECT_EQ(
+      Invoke("range", {I(-INT64_MAX), I(INT64_MAX), I(3), I(INT64_MAX - 1)})
+          .size(),
+      0u);
+  EXPECT_EQ(
+      Invoke("range", {I(-INT64_MAX), I(INT64_MAX), I(3), I(INT64_MAX - 2)})
+          .size(),
+      1u);
+}
+
+TEST(Builtins, RangeAtTheInt64LimitsInQueries) {
+  Engine engine;
+  EXPECT_EQ(engine
+                .Query("def output(x) : range(9223372036854775806, "
+                       "9223372036854775807, 1, x)")
+                .ToString(),
+            "{(9223372036854775806); (9223372036854775807)}");
+  EXPECT_EQ(engine
+                .Query("def output(x) : range(1, 9223372036854775807, "
+                       "9223372036854775807, x)")
+                .ToString(),
+            "{(1)}");
+  EXPECT_TRUE(engine
+                  .Query("def output : range(-9223372036854775807, "
+                         "9223372036854775807, 3, 9223372036854775806)")
+                  .empty());
+}
+
+TEST(Builtins, RangeAtTheInt64LimitAgreesLoweredAndInterpreted) {
+  // A level-indexed recursion whose range ends at INT64_MAX: the
+  // interpreter enumerates the range, the lowered program solves it from
+  // s = t - 1; both stop at the limit.
+  const std::string source =
+      "def lv(t) : t = 9223372036854775804 or "
+      "(range(9223372036854775805, 9223372036854775807, 1, t) and "
+      "exists((s) | lv(s) and s = t - 1))\n"
+      "def output : lv";
+  Engine interpreted;
+  interpreted.options().lower_recursion = false;
+  Engine lowered;
+  Relation want = interpreted.Query(source);
+  EXPECT_EQ(want.ToString(),
+            "{(9223372036854775804); (9223372036854775805); "
+            "(9223372036854775806); (9223372036854775807)}");
+  EXPECT_EQ(lowered.Query(source).ToString(), want.ToString());
+  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 1);
 }
 
 TEST(Builtins, UnaryMath) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "base/error.h"
 #include "core/lexer.h"
 
@@ -55,6 +57,22 @@ TEST(Lexer, NumberEdgeCases) {
   // '.' not followed by a digit is the dot-join operator.
   auto tokens = Lex("A.B");
   EXPECT_EQ(tokens[1].kind, TokenKind::kDot);
+  // The int64 and double limits: past them a literal is a parse error that
+  // names it. The lexer sees no sign, so INT64_MIN is not a literal.
+  EXPECT_EQ(Lex("9223372036854775807")[0].int_value, INT64_MAX);
+  EXPECT_EQ(Lex("1e-400")[0].float_value, 0.0);  // underflow rounds
+  for (const char* literal :
+       {"9223372036854775808", "99999999999999999999", "1e999", "1.5e400"}) {
+    try {
+      Lex(literal);
+      ADD_FAILURE() << literal << " lexed";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kParse);
+      const std::string message = e.what();
+      EXPECT_NE(message.find(literal), std::string::npos) << message;
+      EXPECT_NE(message.find("out of range"), std::string::npos) << message;
+    }
+  }
 }
 
 // --- rule forms ---

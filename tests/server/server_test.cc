@@ -61,6 +61,13 @@ TEST(Protocol, ErrorsBecomeErrResponses) {
   SessionHandler handler(&engine);
   EXPECT_EQ(handler.Handle("nonsense").substr(0, 4), "err ");
   EXPECT_EQ(handler.Handle("eval 1 +").substr(0, 4), "err ");
+  // Out-of-range numeric literals are parse errors, not internal ones.
+  for (const char* line : {"query def output : 99999999999999999999",
+                           "query def output : 1e999"}) {
+    const std::string reply = handler.Handle(line);
+    EXPECT_EQ(reply.substr(0, 16), "err parse error:") << reply;
+    EXPECT_NE(reply.find("out of range"), std::string::npos) << reply;
+  }
   // The handler survives errors; the session still works.
   EXPECT_EQ(handler.Handle("eval 2 * 2"), "ok {(4)}");
 }
