@@ -21,6 +21,13 @@ bool BothNumbers(const Value& a, const Value& b) {
 
 // --- arithmetic kernels -----------------------------------------------------
 
+/// The kType error every int lane raises for a result outside int64;
+/// `expr` renders the operation, e.g. "1 + 2" or "abs(-3)".
+[[noreturn]] void ThrowIntOverflow(const std::string& expr) {
+  throw RelError(ErrorKind::kType,
+                 "integer overflow: " + expr + " exceeds the int64 range");
+}
+
 /// Signed-overflow guard for the int lanes of +, -, * and ^: i64 wraparound
 /// is UB, so the checked lanes raise kType instead — the SAME error the
 /// classical engine's CheckedI64 raises (datalog/eval.cc), so the
@@ -29,11 +36,32 @@ bool BothNumbers(const Value& a, const Value& b) {
 int64_t CheckedInt(int64_t a, const char* op, int64_t b, bool overflow,
                    int64_t r) {
   if (overflow) {
-    throw RelError(ErrorKind::kType,
-                   "integer overflow: " + std::to_string(a) + " " + op + " " +
-                       std::to_string(b) + " exceeds the int64 range");
+    ThrowIntOverflow(std::to_string(a) + " " + op + " " + std::to_string(b));
   }
   return r;
+}
+
+/// The int lanes of negate and abs: -INT64_MIN does not fit, so it raises
+/// the checked lanes' error instead of negating (UB).
+int64_t CheckedNegate(int64_t x, const char* fn) {
+  if (x == INT64_MIN) {
+    ThrowIntOverflow(std::string(fn) + "(" + std::to_string(x) + ")");
+  }
+  return -x;
+}
+
+/// The int result of floor/ceil/round/int: `r` is `fn` applied to the
+/// number `v`, an integral double or a non-finite one. Casting one outside
+/// int64 is UB, so a NaN, an infinity or a value past the int64 range
+/// raises the checked lanes' error. An int `v` is returned as is: the
+/// double round trip would lose precision above 2^53.
+Value IntOfIntegral(const char* fn, const Value& v, double r) {
+  if (v.is_int()) return v;
+  // [-2^63, 2^63) holds exactly the integral doubles that fit; NaN fails.
+  if (!(r >= -0x1p63 && r < 0x1p63)) {
+    ThrowIntOverflow(std::string(fn) + "(" + v.ToString() + ")");
+  }
+  return Value::Int(static_cast<int64_t>(r));
 }
 
 std::optional<Value> NumAdd(const Value& a, const Value& b) {
@@ -234,7 +262,7 @@ class NegateBuiltin : public Builtin {
   void Eval(const std::vector<std::optional<Value>>& args,
             const BuiltinEmit& emit) const override {
     auto negate = [](const Value& v) -> std::optional<Value> {
-      if (v.is_int()) return Value::Int(-v.AsInt());
+      if (v.is_int()) return Value::Int(CheckedNegate(v.AsInt(), "-"));
       if (v.is_float()) return Value::Float(-v.AsFloat());
       return std::nullopt;
     };
@@ -456,25 +484,28 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
   add(new UnaryMathBuiltin("tan",
                            [](const Value& v) { return FloatFn(v, std::tan); }));
   add(new UnaryMathBuiltin("abs", [](const Value& v) -> std::optional<Value> {
-    if (v.is_int()) return Value::Int(std::abs(v.AsInt()));
+    if (v.is_int()) {
+      return Value::Int(v.AsInt() < 0 ? CheckedNegate(v.AsInt(), "abs")
+                                       : v.AsInt());
+    }
     if (v.is_float()) return Value::Float(std::fabs(v.AsFloat()));
     return std::nullopt;
   }));
   add(new UnaryMathBuiltin("floor", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::floor(v.AsDouble())));
+    return IntOfIntegral("floor", v, std::floor(v.AsDouble()));
   }));
   add(new UnaryMathBuiltin("ceil", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::ceil(v.AsDouble())));
+    return IntOfIntegral("ceil", v, std::ceil(v.AsDouble()));
   }));
   add(new UnaryMathBuiltin("round", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::llround(v.AsDouble())));
+    return IntOfIntegral("round", v, std::round(v.AsDouble()));
   }));
   add(new UnaryMathBuiltin("int", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(v.AsDouble()));
+    return IntOfIntegral("int", v, std::trunc(v.AsDouble()));
   }));
   add(new UnaryMathBuiltin("float", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;

@@ -74,7 +74,7 @@ std::shared_ptr<const Snapshot> Engine::SnapshotNow() const {
 
 std::shared_ptr<const Snapshot> Engine::Publish() {
   // Freeze before copying: the snapshot shares the working copy's relation
-  // objects, so forcing the lazy sorted views here makes every subsequent
+  // objects, so forcing the lazy sorted rows here makes every subsequent
   // const read on the published side write-free.
   db_.FreezeViews();
   auto snap = std::make_shared<Snapshot>();
@@ -469,15 +469,8 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
   // each one gets its own task and its own Interp (the solver's memo tables
   // are single-threaded). Two preparations make the shared reads pure:
   // the Interner is internally synchronized, and the base relations' lazy
-  // sorted views are forced here, before the first task runs — at the
-  // arena level, which caches the views without materializing the
-  // relation-wide tuple copy Relation::SortedTuples() would build.
-  for (const std::string& name : interp->db().Names()) {
-    const Relation& rel = interp->db().Get(name);
-    for (size_t arity : rel.Arities()) {
-      rel.ArenaOfArity(arity)->SortedTuples();
-    }
-  }
+  // sorted rows are forced here, before the first task runs.
+  interp->db().FreezeViews();
 
   struct Outcome {
     bool violated = false;

@@ -136,9 +136,7 @@ void Database::FreezeViews() const {
   for (const auto& [name, slot] : relations_) {
     (void)name;
     for (size_t arity : slot.rel->Arities()) {
-      const ColumnArena* arena = slot.rel->ArenaOfArity(arity);
-      arena->SortedRows();
-      arena->SortedTuples();
+      slot.rel->ArenaOfArity(arity)->SortedRows();
     }
   }
 }

@@ -22,8 +22,11 @@
 //     copy semantics at shared-copy cost.
 //
 //   * Thread-safety contract: concurrent const reads of one Database are
-//     safe once FreezeViews() has been called after its last mutation
-//     (lazily-built sorted views are the only mutable read-path state).
+//     safe once FreezeViews() has been called after its last mutation.
+//     Each arena's lazily built sorted row order is the only mutable
+//     read-path state; once current, SortedRows() returns without a write,
+//     and every sorted Tuple read (Relation::SortedTuples, TuplesOfArity,
+//     ToString) copies out of it into the caller's own vector.
 //     COPYING a Database concurrently with other access to the same object
 //     is NOT safe — the copy writes the source's sharing flags. In the
 //     engine only the single writer ever copies (to publish or roll back),
@@ -117,14 +120,14 @@ class Database {
   /// (core/extent_cache.h) with the version of the published snapshot.
   uint64_t version() const { return version_; }
 
-  /// Forces every relation's lazily-built sorted views (row order and the
-  /// materialized sorted tuples) so that subsequent const reads
-  /// are write-free. The commit pipeline calls this before publishing a
-  /// snapshot: afterwards any number of sessions can evaluate against the
-  /// snapshot concurrently without touching a lock. Idempotent; already-
-  /// current views cost one version check, and views a commit made stale
-  /// are repaired from their arena's erase journal — value compares only
-  /// for the commit's rows (see src/data/README.md) — rather than re-sorted.
+  /// Forces every arena's lazily built sorted row order so that subsequent
+  /// const reads are write-free. The commit pipeline calls this before
+  /// publishing a snapshot, and the parallel constraint checker before its
+  /// first task: afterwards any number of readers can evaluate against the
+  /// snapshot concurrently without touching a lock. Idempotent; a current
+  /// order costs one version check, and one a commit made stale is
+  /// repaired from its arena's erase journal — value compares only for the
+  /// commit's rows (see src/data/README.md) — rather than re-sorted.
   void FreezeViews() const;
 
  private:

@@ -42,9 +42,6 @@ ColumnArena& ColumnArena::operator=(const ColumnArena& other) {
   sorted_rows_ = other.sorted_rows_;
   sorted_version_ =
       other.sorted_version_ == other.version_ ? version_ : kNoView;
-  sorted_tuples_ = other.sorted_tuples_;
-  tuples_version_ =
-      other.tuples_version_ == other.version_ ? version_ : kNoView;
   id_ = id;
   return *this;
 }
@@ -216,7 +213,7 @@ const std::vector<uint32_t>& ColumnArena::SortedRows() const {
   RowChanges changes;
   if (sorted_version_ != kNoView &&
       ChangesSince(sorted_version_, sorted_rows_.size(), &changes)) {
-    RepairSortedViews(changes);
+    RepairSortedRows(changes);
   } else {
     sorted_rows_.resize(num_rows_);
     std::iota(sorted_rows_.begin(), sorted_rows_.end(), 0u);
@@ -227,9 +224,7 @@ const std::vector<uint32_t>& ColumnArena::SortedRows() const {
   return sorted_rows_;
 }
 
-void ColumnArena::RepairSortedViews(const RowChanges& changes) const {
-  // The tuple view follows position for position when it was current too.
-  const bool tuples = tuples_version_ == sorted_version_;
+void ColumnArena::RepairSortedRows(const RowChanges& changes) const {
   if (!changes.erased.empty() || !changes.moved.empty()) {
     // One integer pass: rename moved survivors, drop erased rows. Moved rows
     // keep their place, since their contents did not change.
@@ -239,16 +234,11 @@ void ColumnArena::RepairSortedViews(const RowChanges& changes) const {
     for (uint32_t row : changes.erased) rename[row] = kDropped;
     for (const auto& [from, to] : changes.moved) rename[from] = to;
     size_t kept = 0;
-    for (size_t i = 0; i < sorted_rows_.size(); ++i) {
-      const uint32_t row = rename[sorted_rows_[i]];
-      if (row == kDropped) continue;
-      if (tuples && kept != i) {
-        sorted_tuples_[kept] = std::move(sorted_tuples_[i]);
-      }
-      sorted_rows_[kept++] = row;
+    for (uint32_t old_row : sorted_rows_) {
+      const uint32_t row = rename[old_row];
+      if (row != kDropped) sorted_rows_[kept++] = row;
     }
     sorted_rows_.resize(kept);
-    if (tuples) sorted_tuples_.resize(kept);
   }
   if (!changes.added.empty()) {
     // Value compares only for the added rows: sort them, binary-search each
@@ -265,32 +255,11 @@ void ColumnArena::RepairSortedViews(const RowChanges& changes) const {
     size_t src = sorted_rows_.size();
     size_t dst = src + added.size();
     sorted_rows_.resize(dst);
-    if (tuples) sorted_tuples_.resize(dst);
     for (size_t k = added.size(); k-- > 0;) {
-      while (src > place[k]) {
-        --src;
-        --dst;
-        sorted_rows_[dst] = sorted_rows_[src];
-        if (tuples) sorted_tuples_[dst] = std::move(sorted_tuples_[src]);
-      }
-      --dst;
-      sorted_rows_[dst] = added[k];
-      if (tuples) sorted_tuples_[dst] = Row(added[k]).ToTuple();
+      while (src > place[k]) sorted_rows_[--dst] = sorted_rows_[--src];
+      sorted_rows_[--dst] = added[k];
     }
   }
-  if (tuples) tuples_version_ = version_;
-}
-
-const std::vector<Tuple>& ColumnArena::SortedTuples() const {
-  if (tuples_version_ == version_) return sorted_tuples_;
-  const std::vector<uint32_t>& order = SortedRows();
-  if (tuples_version_ != version_) {
-    sorted_tuples_.clear();
-    sorted_tuples_.reserve(order.size());
-    for (uint32_t r : order) sorted_tuples_.push_back(Row(r).ToTuple());
-    tuples_version_ = version_;
-  }
-  return sorted_tuples_;
 }
 
 // --- Relation ----------------------------------------------------------------
@@ -411,11 +380,15 @@ const ColumnArena* Relation::ArenaOfArity(size_t arity) const {
   return it == blocks_.end() ? nullptr : &it->second;
 }
 
-const std::vector<Tuple>& Relation::TuplesOfArity(size_t arity) const {
-  static const std::vector<Tuple>* empty_vec = new std::vector<Tuple>();
-  auto it = blocks_.find(arity);
-  if (it == blocks_.end()) return *empty_vec;
-  return it->second.SortedTuples();
+std::vector<Tuple> Relation::TuplesOfArity(size_t arity) const {
+  std::vector<Tuple> out;
+  if (const ColumnArena* arena = ArenaOfArity(arity)) {
+    out.reserve(arena->size());
+    for (uint32_t r : arena->SortedRows()) {
+      out.push_back(arena->Row(r).ToTuple());
+    }
+  }
+  return out;
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {
@@ -423,8 +396,7 @@ std::vector<Tuple> Relation::SortedTuples() const {
   out.reserve(size_);
   for (const auto& [arity, arena] : blocks_) {
     (void)arity;
-    const std::vector<Tuple>& sorted = arena.SortedTuples();
-    out.insert(out.end(), sorted.begin(), sorted.end());
+    for (uint32_t r : arena.SortedRows()) out.push_back(arena.Row(r).ToTuple());
   }
   return out;
 }
@@ -500,10 +472,13 @@ size_t Relation::Hash() const {
 std::string Relation::ToString() const {
   std::string out = "{";
   bool first = true;
-  for (const Tuple& t : SortedTuples()) {
-    if (!first) out += "; ";
-    first = false;
-    out += t.ToString();
+  for (const auto& [arity, arena] : blocks_) {
+    (void)arity;
+    for (uint32_t r : arena.SortedRows()) {
+      if (!first) out += "; ";
+      first = false;
+      out += arena.Row(r).ToString();
+    }
   }
   out += "}";
   return out;

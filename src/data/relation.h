@@ -27,10 +27,10 @@ namespace rel {
 
 /// Column-major storage for the fixed-arity slice of a relation: `arity`
 /// parallel column vectors, per-row cached content hashes, an open-addressing
-/// row-index table for dedup, and lazy sorted views. Append-only except for
-/// Erase (which swaps the last row into the hole, renumbering that one row).
+/// row-index table for dedup, and a lazy sorted row view. Append-only except
+/// for Erase (which swaps the last row into the hole, renumbering that row).
 /// Erases are recorded in a bounded journal (base/row_journal.h), from which
-/// derived structures — the sorted views here, the Datalog hash indexes —
+/// derived structures — the sorted rows here, the Datalog hash indexes —
 /// repair themselves instead of rebuilding.
 class ColumnArena {
  public:
@@ -96,19 +96,15 @@ class ColumnArena {
     return journal_.ChangesSince(version, size, version_, num_rows_, out);
   }
 
-  /// Row indices in lexicographic tuple order. Brought up to date lazily:
-  /// from the erase journal when it reaches back to the view's version (the
-  /// survivors are renamed and filtered in one integer pass, and only the
-  /// added rows are sorted and merged in), else by a full sort. The
+  /// Row indices in lexicographic tuple order — the arena's one sorted
+  /// view; every sorted Tuple read is built from it per call. Brought up to
+  /// date lazily: from the erase journal when it reaches back to the view's
+  /// version (the survivors are renamed and filtered in one integer pass,
+  /// and only the added rows are sorted and merged in), else by a full
+  /// sort. Returns at once, writing nothing, when already current. The
   /// returned vector is stable across Insert (stale but safe), not across
   /// Erase.
   const std::vector<uint32_t>& SortedRows() const;
-
-  /// Materialized sorted tuples — the row-oriented view behind
-  /// Relation::TuplesOfArity. Built lazily, and repaired in lockstep with
-  /// SortedRows when both were current; the columnar fast paths never
-  /// force it.
-  const std::vector<Tuple>& SortedTuples() const;
 
   /// Invokes fn(TupleRef) for every row present at entry. The row count is
   /// snapshotted, and appends never move existing rows, so inserting into
@@ -168,8 +164,8 @@ class ColumnArena {
   size_t SlotOf(size_t row) const;
   // Lexicographic order of two rows of this arena.
   bool RowLess(uint32_t a, uint32_t b) const;
-  // Brings the sorted views from sorted_version_ to version_ via `changes`.
-  void RepairSortedViews(const RowChanges& changes) const;
+  // Brings sorted_rows_ from sorted_version_ to version_ via `changes`.
+  void RepairSortedRows(const RowChanges& changes) const;
 
   static uint64_t NextId();
 
@@ -183,15 +179,13 @@ class ColumnArena {
   size_t tombstones_ = 0;
   EraseJournal journal_;
 
-  // Lazy views, each stamped with the version it is current for (kNoView:
-  // none). A mutation leaves them stale, contents intact — iteration in
+  // Lazy sorted view, stamped with the version it is current for (kNoView:
+  // none). A mutation leaves it stale, contents intact — iteration in
   // flight during an Insert stays memory-safe, and the next read repairs
-  // them from the journal.
+  // it from the journal.
   static constexpr uint64_t kNoView = ~uint64_t{0};
   mutable std::vector<uint32_t> sorted_rows_;
   mutable uint64_t sorted_version_ = kNoView;
-  mutable std::vector<Tuple> sorted_tuples_;
-  mutable uint64_t tuples_version_ = kNoView;
 };
 
 /// A (first-order) relation: a finite set of tuples of mixed arity.
@@ -249,14 +243,15 @@ class Relation {
   /// Relation is neither copied, moved-from, nor destroyed.
   const ColumnArena* ArenaOfArity(size_t arity) const;
 
-  /// All tuples of a given arity in sorted order (empty if none), as
-  /// materialized Tuples cached until the next mutation. For callers that
-  /// need one arity in a deterministic order: src/kg reports constraint
+  /// All tuples of a given arity in sorted order (empty if none), copied
+  /// out of that arena's SortedRows() on every call. For callers that need
+  /// one arity in a deterministic order: src/kg reports constraint
   /// violations in this order, and tests compare against it. Evaluation
-  /// paths never force it; they use ArenaOfArity / ForEachOfArity.
-  const std::vector<Tuple>& TuplesOfArity(size_t arity) const;
+  /// paths never call it; they use ArenaOfArity / ForEachOfArity.
+  std::vector<Tuple> TuplesOfArity(size_t arity) const;
 
-  /// All tuples, sorted by (arity, lexicographic). Deterministic.
+  /// All tuples, sorted by (arity, lexicographic), copied out of each
+  /// arena's SortedRows() on every call. Deterministic.
   std::vector<Tuple> SortedTuples() const;
 
   /// Invokes fn(TupleRef) for every tuple, without copying and without

@@ -108,23 +108,35 @@ void LineServer::AcceptLoop() {
 
 void LineServer::ServeConnection(int fd) {
   SessionHandler handler(engine_);
-  std::string buffer;
+  std::string buffer;  // the unfinished request line, if any
   char chunk[4096];
   while (!handler.closed() && !stopping_) {
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // client hung up (or Stop shut the socket down)
+    // The buffered bytes hold no newline, so only the new ones are scanned.
+    size_t scan = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
+    size_t start = 0;
     size_t eol;
-    while (!handler.closed() && (eol = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, eol);
-      buffer.erase(0, eol + 1);
+    while (!handler.closed() &&
+           (eol = buffer.find('\n', scan)) != std::string::npos &&
+           eol - start <= kMaxRequestLine) {
+      std::string line = buffer.substr(start, eol - start);
+      start = scan = eol + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       if (!WriteLine(fd, handler.Handle(line))) {
-        buffer.clear();
+        start = buffer.size();
         break;
       }
+    }
+    buffer.erase(0, start);
+    // What is left starts with one line: unfinished, or too long.
+    if (!handler.closed() && buffer.size() > kMaxRequestLine) {
+      WriteLine(fd, "err proto: request line exceeds " +
+                        std::to_string(kMaxRequestLine) + " bytes");
+      break;
     }
   }
   {

@@ -46,6 +46,12 @@ struct ServerOptions {
 
 class LineServer {
  public:
+  /// The longest request line a client may send, newline excluded. A
+  /// longer one gets `err proto: request line exceeds N bytes` and the
+  /// connection is closed, so a client that never sends a newline cannot
+  /// grow its buffer without bound.
+  static constexpr size_t kMaxRequestLine = size_t{1} << 20;
+
   LineServer(Engine* engine, ServerOptions options = {});
   /// Stops the server if still running.
   ~LineServer();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "core/engine.h"
 
@@ -176,6 +179,72 @@ TEST(Builtins, UnaryMath) {
   EXPECT_EQ(Invoke("floor", {F(2.7), std::nullopt})[0][1], I(2));
   EXPECT_EQ(Invoke("ceil", {F(2.1), std::nullopt})[0][1], I(3));
   EXPECT_EQ(Invoke("round", {F(2.5), std::nullopt})[0][1], I(3));
+}
+
+/// The message of the kType error `fn` raises, or "" when it raises none.
+template <typename Fn>
+std::string TypeErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const RelError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kType) << e.what();
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Builtins, IntResultsOutsideInt64RaiseTheOverflowError) {
+  const Value min = I(INT64_MIN);
+  const Value max = I(INT64_MAX);
+  auto raises = [](const std::string& name,
+                   std::vector<std::optional<Value>> args) {
+    return TypeErrorOf([&] { Invoke(name, std::move(args)); });
+  };
+  EXPECT_NE(raises("abs", {min, std::nullopt}).find(
+                "integer overflow: abs(-9223372036854775808) exceeds the int64"),
+            std::string::npos);
+  // negate, forward and inverse.
+  EXPECT_NE(raises("negate", {min, std::nullopt}).find("integer overflow"),
+            std::string::npos);
+  EXPECT_NE(raises("negate", {std::nullopt, min}).find("integer overflow"),
+            std::string::npos);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* fn : {"floor", "ceil", "round", "int"}) {
+    for (double d : {1e300, 1e19, -1e30, 0x1p63, std::nan(""), inf, -inf}) {
+      EXPECT_NE(raises(fn, {F(d), std::nullopt}).find("integer overflow"),
+                std::string::npos)
+          << fn << " " << d;
+    }
+  }
+  // The limits themselves still fit.
+  EXPECT_EQ(Invoke("abs", {I(INT64_MIN + 1), std::nullopt})[0][1], max);
+  EXPECT_EQ(Invoke("negate", {max, std::nullopt})[0][1], I(-INT64_MAX));
+  EXPECT_EQ(Invoke("negate", {std::nullopt, max})[0][0], I(-INT64_MAX));
+  EXPECT_EQ(Invoke("floor", {F(-0x1p63), std::nullopt})[0][1], min);
+  EXPECT_EQ(Invoke("round", {F(-2.5), std::nullopt})[0][1], I(-3));
+  EXPECT_EQ(Invoke("int", {F(-2.7), std::nullopt})[0][1], I(-2));
+  // An int argument is its own floor/ceil/round/int, with no double round
+  // trip to lose precision or overflow.
+  for (const char* fn : {"floor", "ceil", "round", "int"}) {
+    EXPECT_EQ(Invoke(fn, {max, std::nullopt})[0][1], max) << fn;
+    EXPECT_EQ(Invoke(fn, {I(9007199254740993), std::nullopt})[0][1],
+              I(9007199254740993))
+        << fn;
+  }
+}
+
+TEST(Builtins, IntOverflowInQueriesIsATypeError) {
+  Engine engine;
+  for (const char* query :
+       {"def output : abs_value[-9223372036854775807 - 1]",
+        "def output : -(-9223372036854775807 - 1)",
+        "def output : floor[1e300]", "def output : ceil[1e19]",
+        "def output : round[-1e30]"}) {
+    EXPECT_NE(TypeErrorOf([&] { engine.Query(query); }).find(
+                  "integer overflow"),
+              std::string::npos)
+        << query;
+  }
 }
 
 TEST(Builtins, Strings) {

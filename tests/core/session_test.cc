@@ -189,13 +189,16 @@ TEST(SessionConcurrency, PinnedReadersSeeByteIdenticalAnswersDuringWrites) {
   // Pin all readers to the pre-write snapshot and record the expected
   // answers sequentially, before any concurrency starts.
   std::vector<std::unique_ptr<Session>> readers;
-  std::vector<std::string> expected_tc, expected_count;
+  std::vector<std::string> expected_tc, expected_count, expected_edge;
+  std::vector<std::vector<Tuple>> expected_pairs;
   for (int r = 0; r < kReaders; ++r) {
     readers.push_back(engine.OpenSession());
     expected_tc.push_back(
         readers.back()->Query("def output(y) : tc(0, y)").ToString());
     expected_count.push_back(
         readers.back()->Eval("count[edge]").ToString());
+    expected_edge.push_back(readers.back()->Base("edge").ToString());
+    expected_pairs.push_back(readers.back()->Base("edge").TuplesOfArity(2));
   }
 
   std::atomic<bool> mismatch{false};
@@ -204,9 +207,15 @@ TEST(SessionConcurrency, PinnedReadersSeeByteIdenticalAnswersDuringWrites) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
       for (int q = 0; q < kQueriesPerReader && !mismatch; ++q) {
+        // The sorted reads of the pinned base relation copy out of its
+        // frozen sorted rows; under TSan this also checks they write
+        // nothing shared.
+        const Relation& edge = readers[r]->Base("edge");
         if (readers[r]->Query("def output(y) : tc(0, y)").ToString() !=
                 expected_tc[r] ||
-            readers[r]->Eval("count[edge]").ToString() != expected_count[r]) {
+            readers[r]->Eval("count[edge]").ToString() != expected_count[r] ||
+            edge.ToString() != expected_edge[r] ||
+            edge.TuplesOfArity(2) != expected_pairs[r]) {
           mismatch = true;
         }
       }

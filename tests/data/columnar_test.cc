@@ -369,7 +369,7 @@ TEST(ForEachRangeErase, EraseInvalidatesVersionAndSortedViews) {
   EXPECT_GT(arena->version(), version_before);
   // The rebuilt sorted view covers exactly the surviving rows.
   EXPECT_EQ(arena->SortedRows().size(), 9u);
-  EXPECT_EQ(arena->SortedTuples().size(), 9u);
+  EXPECT_EQ(r.TuplesOfArity(2).size(), 9u);
 }
 
 TEST(ForEachRangeErase, ErasingTheLastTupleOfAnArityDropsTheArena) {
@@ -499,7 +499,7 @@ std::vector<uint32_t> FreshSort(const ColumnArena& arena) {
 }
 
 /// Checks `index` (repairing it first, or rebuilding when the journal is
-/// too short) and the arena's sorted views against fresh ones. Returns
+/// too short) and the arena's sorted rows against fresh ones. Returns
 /// whether the repair succeeded.
 bool RepairAndCompare(const ColumnArena& arena, datalog::HashIndex* index) {
   bool repaired = index->Repair(&arena);
@@ -507,13 +507,7 @@ bool RepairAndCompare(const ColumnArena& arena, datalog::HashIndex* index) {
   datalog::HashIndex fresh;
   fresh.Build(&arena, {0});
   EXPECT_EQ(ProbeAll(*index), ProbeAll(fresh));
-  std::vector<uint32_t> sorted = FreshSort(arena);
-  EXPECT_EQ(arena.SortedRows(), sorted);
-  std::string want;
-  for (uint32_t r : sorted) want += arena.Row(r).ToTuple().ToString();
-  std::string got;
-  for (const Tuple& t : arena.SortedTuples()) got += t.ToString();
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(arena.SortedRows(), FreshSort(arena));
   return repaired;
 }
 
@@ -537,7 +531,7 @@ TEST(EraseJournal, RepairedIndexAndSortedViewsMatchFreshOnes) {
     ColumnArena arena(2);
     datalog::HashIndex index;
     index.Build(&arena, {0});
-    (void)arena.SortedTuples();
+    (void)arena.SortedRows();
     for (int step = 0; step < 300; ++step) {
       const uint32_t op = rng() % 16;
       if (arena.empty() || op < 8) {
@@ -561,7 +555,7 @@ TEST(EraseJournal, RepairsRowsAppendedAndErasedBetweenRepairs) {
   for (int i = 0; i < 20; ++i) InsertRow(&arena, i % kKeys, i);
   datalog::HashIndex index;
   index.Build(&arena, {0});
-  (void)arena.SortedTuples();
+  (void)arena.SortedRows();
   // Appended, then erased (the last row), then appended again; plus an
   // old row erased with the appended row swapped into its slot.
   InsertRow(&arena, 1, 100);
@@ -579,7 +573,7 @@ TEST(EraseJournal, OverflowFallsBackToRebuild) {
   for (int i = 0; i < 100; ++i) InsertRow(&arena, i % kKeys, i);
   datalog::HashIndex index;
   index.Build(&arena, {0});
-  (void)arena.SortedTuples();
+  (void)arena.SortedRows();
   for (int i = 0; i < 40; ++i) {
     EraseRow(&arena, 0);
     InsertRow(&arena, i % kKeys, 1000 + i);
@@ -595,11 +589,11 @@ TEST(EraseJournal, OverflowFallsBackToRebuild) {
 
 TEST(EraseJournal, CopiesStartAFreshHistory) {
   // A copy's content is wholesale new to its own id; a structure built
-  // over the original cannot replay onto it, but the copied sorted views
+  // over the original cannot replay onto it, but the copied sorted rows
   // stay usable and repair from the copy's own journal.
   ColumnArena arena(2);
   for (int i = 0; i < 10; ++i) InsertRow(&arena, i % kKeys, i);
-  (void)arena.SortedTuples();
+  (void)arena.SortedRows();
   ColumnArena copy(arena);
   RowChanges changes;
   EXPECT_FALSE(copy.ChangesSince(arena.version(), arena.size(), &changes));
@@ -608,6 +602,43 @@ TEST(EraseJournal, CopiesStartAFreshHistory) {
   EraseRow(&copy, 2);
   InsertRow(&copy, 5, 50);
   EXPECT_TRUE(RepairAndCompare(copy, &index));
+}
+
+TEST(EraseJournal, RelationSortedReadsMatchAFreshSort) {
+  // The Tuple-returning sorted reads are built from each arena's repaired
+  // SortedRows() on every call; after mixed-arity insert/erase streams
+  // they must equal a from-scratch sort of the relation's contents.
+  for (uint32_t seed = 1; seed <= 10; ++seed) {
+    std::mt19937 rng(seed);
+    Relation r;
+    std::vector<Tuple> present;
+    for (int step = 0; step < 400; ++step) {
+      if (present.empty() || rng() % 3 != 0) {
+        Tuple t = rng() % 2 == 0
+                      ? Tuple({I(rng() % kKeys), I(rng() % 30)})
+                      : Tuple({I(rng() % 30)});
+        if (r.Insert(t)) present.push_back(t);
+      } else {
+        const size_t i = rng() % present.size();
+        ASSERT_TRUE(r.Erase(present[i]));
+        present[i] = present.back();
+        present.pop_back();
+      }
+      // Read at random intervals so later reads repair from the journal.
+      if (rng() % 5 == 0) (void)r.SortedTuples();
+    }
+    std::vector<Tuple> want = present;
+    std::sort(want.begin(), want.end(), [](const Tuple& a, const Tuple& b) {
+      return a.arity() != b.arity() ? a.arity() < b.arity() : a < b;
+    });
+    EXPECT_EQ(r.SortedTuples(), want);
+    std::vector<Tuple> want_pairs;
+    for (const Tuple& t : want) {
+      if (t.arity() == 2) want_pairs.push_back(t);
+    }
+    EXPECT_EQ(r.TuplesOfArity(2), want_pairs);
+    EXPECT_TRUE(r.TuplesOfArity(3).empty());
+  }
 }
 
 }  // namespace

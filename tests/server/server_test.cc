@@ -68,6 +68,10 @@ TEST(Protocol, ErrorsBecomeErrResponses) {
     EXPECT_EQ(reply.substr(0, 16), "err parse error:") << reply;
     EXPECT_NE(reply.find("out of range"), std::string::npos) << reply;
   }
+  // An int result outside int64 is a type error, not a wrapped value.
+  EXPECT_EQ(handler.Handle("eval abs_value[-9223372036854775807 - 1]")
+                .substr(0, 31),
+            "err type error: integer overflo");
   // The handler survives errors; the session still works.
   EXPECT_EQ(handler.Handle("eval 2 * 2"), "ok {(4)}");
 }
@@ -109,9 +113,24 @@ class TestClient {
 
   /// Sends one request line and reads one response line.
   std::string RoundTrip(const std::string& request) {
-    std::string out = request + "\n";
-    if (::send(fd_, out.data(), out.size(), MSG_NOSIGNAL) < 0) return "";
-    std::string line;
+    if (!Send(request + "\n")) return "";
+    return ReadLine();
+  }
+
+  /// Sends all of `data`; false on a broken connection.
+  bool Send(const std::string& data) {
+    size_t sent = 0;
+    while (sent < data.size()) {
+      ssize_t n =
+          ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// Reads one response line; "" once the server has closed.
+  std::string ReadLine() {
     char c;
     while (buffer_.find('\n') == std::string::npos) {
       ssize_t n = ::recv(fd_, &c, 1, 0);
@@ -119,9 +138,15 @@ class TestClient {
       buffer_ += c;
     }
     size_t eol = buffer_.find('\n');
-    line = buffer_.substr(0, eol);
+    std::string line = buffer_.substr(0, eol);
     buffer_.erase(0, eol + 1);
     return line;
+  }
+
+  /// True once the server has closed the connection with nothing unread.
+  bool AtEof() {
+    char c;
+    return buffer_.empty() && ::recv(fd_, &c, 1, 0) == 0;
   }
 
  private:
@@ -192,6 +217,28 @@ TEST(LineServer, ConcurrentClientsGetIsolatedSessions) {
   server.Stop();
   // All four commits landed.
   EXPECT_EQ(engine.Base("R").size(), 1u + kClients);
+}
+
+TEST(LineServer, OversizedRequestLineClosesOnlyThatConnection) {
+  Engine engine;
+  ServerOptions options;
+  options.num_workers = 2;
+  LineServer server(&engine, options);
+  START_OR_SKIP(server);
+  TestClient flooder;
+  ASSERT_TRUE(flooder.Connect(server.port()));
+  // One byte past the cap, and no newline.
+  ASSERT_TRUE(
+      flooder.Send(std::string(LineServer::kMaxRequestLine + 1, 'x')));
+  EXPECT_EQ(flooder.ReadLine(),
+            "err proto: request line exceeds " +
+                std::to_string(LineServer::kMaxRequestLine) + " bytes");
+  EXPECT_TRUE(flooder.AtEof());
+  // The server still serves everyone else.
+  TestClient other;
+  ASSERT_TRUE(other.Connect(server.port()));
+  EXPECT_EQ(other.RoundTrip("ping"), "ok pong");
+  server.Stop();
 }
 
 TEST(LineServer, StopUnblocksIdleConnections) {
