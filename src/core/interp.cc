@@ -246,23 +246,37 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
     throw RelError(ErrorKind::kSafety, inst.failure_message);
   }
   if (inst.done) return inst.value;
-  if (inst.in_progress) {
-    // Recursive reference: hand out the current partial value and mark
-    // everything above the referenced instance as provisional.
+  // Recursive reference into a running unit: hand out the member's value
+  // from the last round, and record how deep the reader now depends.
+  auto partial_read = [&]() -> const Relation& {
     ++partial_reads_;
-    for (size_t i = inst.stack_pos + 1; i < stack_.size(); ++i) {
-      stack_[i]->provisional = true;
-    }
+    units_.back().low = std::min(units_.back().low, size_t(inst.unit));
     return inst.value;
-  }
+  };
+  if (inst.unit >= 0) return partial_read();
 
   const auto& rules = DefsOf(key.name, key.sig);
-  Relation base;
-  if (key.sig == 0) base = db_->Get(key.name);
   if (rules.empty()) {
-    inst.value = std::move(base);
+    if (key.sig == 0) inst.value = db_->Get(key.name);
     inst.done = true;
     return inst.value;
+  }
+  const bool recursive = analysis_.IsRecursive(key.name);
+  const bool replacement = analysis_.UsesReplacement(key.name);
+  const int comp = analysis_.ComponentOf(key.name);
+  // A member starts from its base facts (accumulate) or from ∅.
+  auto start = [&](size_t unit) {
+    inst.value = key.sig == 0 && !replacement ? db_->Get(key.name) : Relation();
+    inst.unit = static_cast<int>(unit);
+  };
+
+  // An instance of a component whose unit is running joins it: the unit
+  // gives it a pass in every round from the current one on.
+  for (size_t u = 0; recursive && u < units_.size(); ++u) {
+    if (units_[u].comp != comp) continue;
+    start(u);
+    units_[u].members.push_back(it);
+    return partial_read();
   }
 
   // Fast path: components that fit the classical Datalog fragment evaluate
@@ -277,41 +291,42 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   // TC[E]) lowers the same way, its arguments becoming EDB. On success every
   // member instance of the component (including this one) is already
   // finished; on failure fall through to the saturation loop unchanged.
-  const bool recursive = analysis_.IsRecursive(key.name);
   const bool lowerable =
-      recursive
-          ? (!analysis_.UsesReplacement(key.name) ||
-             analysis_.AggregationRecursive(key.name))
-          : key.so_args.empty() && analysis_.UsesAggregation(key.name);
+      recursive ? (!replacement || analysis_.AggregationRecursive(key.name))
+                : key.so_args.empty() && analysis_.UsesAggregation(key.name);
   if (options_.lower_recursion && lowerable && TryLowerComponent(key)) {
     InternalCheck(inst.done, "lowered component missing its own instance");
     return inst.value;
   }
 
-  inst.in_progress = true;
-  inst.provisional = false;
-  inst.stack_pos = static_cast<int>(stack_.size());
-  stack_.push_back(&inst);
-  const bool replacement = analysis_.UsesReplacement(key.name);
-  // Start from scratch: a re-evaluation (of a previously provisional
-  // instance) must not keep results derived from stale partial values.
-  Relation previous = std::move(inst.value);
-  inst.value = Relation();
-  if (!base.empty() && !replacement) inst.value = base;
-
+  // Open a unit. Each round runs one pass per member, every pass reading
+  // the previous round's values (R_{k+1} = base ∪ F(R_k); accumulate adds
+  // R_k), then publishes all members at once; a round that changes nothing
+  // ends it. A non-recursive instance runs exactly one pass.
+  const size_t self = units_.size();
+  units_.push_back(Unit{comp, {it}, self});
+  start(self);
+  // Members are final unless a pass read a still-running enclosing unit:
+  // then they serve this request only, and that unit inherits the read.
+  auto close = [&](bool converged) {
+    const size_t low = units_[self].low;
+    for (auto member : units_[self].members) {
+      member->second.unit = -1;
+      member->second.done = converged && low == self;
+    }
+    units_.pop_back();
+    if (low < self) units_.back().low = std::min(units_.back().low, low);
+  };
   try {
-    for (int iter = 0;; ++iter) {
-      if (iter > options_.max_iterations) {
+    for (int round = 0;; ++round) {
+      if (round > options_.max_iterations) {
         // Hitting the cap must surface as a diagnostic error naming the
         // offending component — never as a silently partial extent (the
-        // partial value in inst.value is discarded by the next evaluation).
+        // next request opens a fresh unit).
         std::string component;
-        for (const std::string& member :
-             analysis_.ComponentMembers(key.name)) {
-          if (!component.empty()) component += ", ";
-          component += member;
+        for (const std::string& m : analysis_.ComponentMembers(key.name)) {
+          component += (component.empty() ? "" : ", ") + m;
         }
-        if (component.empty()) component = key.name;
         throw RelError(
             ErrorKind::kNonConvergent,
             "fixpoint for '" + key.name + "' (recursive component {" +
@@ -321,51 +336,41 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
                 std::to_string(options_.max_iterations) +
                 "; the partial extent is discarded");
       }
-      uint64_t tick = change_tick_;
-      const uint64_t partial_before = partial_reads_;
-      ++instance_passes_;
-      Relation derived = base;
-      for (const auto& def : rules) {
-        derived.InsertAll(solver_.EvalRule(*def, key.so_args, nullptr));
+      // Members that join during the round get their pass in it too.
+      std::vector<Relation> next;
+      for (size_t m = 0; m < units_[self].members.size(); ++m) {
+        const InstanceKey& member = units_[self].members[m]->first;
+        ++instance_passes_;
+        Relation derived;
+        if (member.sig == 0 && replacement) derived = db_->Get(member.name);
+        for (const auto& def : DefsOf(member.name, member.sig)) {
+          derived.InsertAll(solver_.EvalRule(*def, member.so_args, nullptr));
+        }
+        next.push_back(std::move(derived));
       }
-      bool changed;
-      if (replacement) {
-        changed = !(derived == inst.value);
-        if (changed) inst.value = std::move(derived);
-      } else {
-        size_t before = inst.value.size();
-        inst.value.InsertAll(derived);
-        changed = inst.value.size() != before;
+      bool changed = false;
+      for (size_t m = 0; m < next.size(); ++m) {
+        Relation& value = units_[self].members[m]->second.value;
+        const size_t before = value.size();
+        if (!replacement) {
+          value.InsertAll(next[m]);
+          changed |= value.size() != before;
+        } else if (!(next[m] == value)) {
+          value = std::move(next[m]);
+          changed = true;
+        }
       }
-      // A name outside every cycle whose pass read no in-progress value
-      // has its final value after one pass: every instance it read was
-      // finished, so a second pass would derive the same rows.
-      if (!recursive && partial_reads_ == partial_before) break;
-      // Iterate until this instance is stable AND no nested instance
-      // changed its (final) value during the pass — nested provisional
-      // instances are re-evaluated inside EvalRule and drive this loop
-      // through change_tick_.
-      if (!changed && tick == change_tick_) break;
+      if (!recursive || !changed) break;
     }
   } catch (const RelError& err) {
-    stack_.pop_back();
-    inst.in_progress = false;
+    close(false);
     if (err.kind() == ErrorKind::kSafety) {
       inst.failed_safety = true;
       inst.failure_message = err.what();
     }
     throw;
   }
-
-  stack_.pop_back();
-  inst.in_progress = false;
-  if (!inst.provisional) {
-    inst.done = true;
-  } else {
-    inst.provisional = false;  // re-evaluated on the next request
-  }
-  // Signal enclosing fixpoints only when the settled value actually moved.
-  if (!(inst.value == previous)) ++change_tick_;
+  close(true);
   return inst.value;
 }
 
@@ -458,15 +463,11 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
   // Splices one member's finished extent into the instance table.
   auto splice = [&](const std::string& member, Relation value) {
     Instance& inst = instances_[InstanceKey{member, key.sig, key.so_args}];
-    // No member can be mid-saturation here: a member instance saturates only
-    // after a lowering attempt with the same inputs failed, and while it
-    // runs every retry fails the same way — failed components are
-    // remembered, and the declined inputs (below it on the stack, or
-    // memoized) have not changed.
-    InternalCheck(!inst.in_progress, "lowering into an in-progress instance");
+    // No member can be mid-saturation here: while the component has a
+    // running unit, its instances join that unit instead of lowering.
+    InternalCheck(inst.unit < 0, "lowering into an in-progress instance");
     inst.value = std::move(value);
     inst.done = true;
-    inst.provisional = false;
     lowering_stats_.lowered_tuples += inst.value.size();
     lowering_stats_.lowered_names.push_back(member);
   };
@@ -580,13 +581,13 @@ const Relation& Interp::EvalInstanceDemand(
       (path == DemandPath::kCone && open)) {
     return EvalInstance(name, 0, {});
   }
-  // A memoized full extent is strictly cheaper than any slice or cone; an
-  // in-progress instance must keep its partial-value semantics (the
-  // saturation loop's recursive references drive convergence through it);
-  // and a failed one must raise its cached error.
+  // A memoized full extent is strictly cheaper than any slice or cone; a
+  // member of a running unit must keep its partial-value semantics (the
+  // unit's recursive references drive convergence through it); and a
+  // failed one must raise its cached error.
   auto inst = instances_.find(InstanceKey{name, 0, {}});
   if (inst != instances_.end() &&
-      (inst->second.done || inst->second.in_progress ||
+      (inst->second.done || inst->second.unit >= 0 ||
        inst->second.failed_safety)) {
     return EvalInstance(name, 0, {});
   }
@@ -861,10 +862,6 @@ std::optional<Value> Interp::ApplyBinary(const SOValue& op, const Value& a,
     out = t[0];
   }
   return out;
-}
-
-bool Interp::UsesReplacement(const std::string& name) const {
-  return analysis_.UsesReplacement(name);
 }
 
 }  // namespace rel

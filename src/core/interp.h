@@ -3,14 +3,17 @@
 // the fixpoint iteration that gives recursive rules their meaning
 // (Section 3.3 and Addendum A).
 //
-// Two fixpoint modes:
-//  - accumulate: least fixpoint by saturation; used when a recursive
-//    component only references itself positively (classical stratified
-//    Datalog semantics);
-//  - replacement: R_{k+1} = base ∪ F(R_k) iterated to a fixed point with an
-//    iteration cap; used when a component references itself under negation,
-//    aggregation or a second-order argument (the paper's non-stratified
-//    programs, e.g. PageRank's stop-condition recursion). This follows the
+// A recursive component saturates as one unit: each round runs one pass
+// per member instance against the previous round's values of all members
+// and publishes them together, until a round changes nothing (at most
+// max_iterations rounds). Two modes:
+//  - accumulate: R_{k+1} = R_k ∪ base ∪ F(R_k), the least fixpoint; used
+//    when a recursive component only references itself positively
+//    (classical stratified Datalog semantics);
+//  - replacement: R_{k+1} = base ∪ F(R_k) from R_0 = ∅; used when a
+//    component references itself under negation, aggregation or a
+//    second-order argument (the paper's non-stratified programs, e.g.
+//    PageRank's stop-condition recursion). This follows the
 //    Statelog/Dedalus lineage the paper cites for such programs.
 
 #ifndef REL_CORE_INTERP_H_
@@ -226,10 +229,6 @@ class Interp {
   std::optional<Value> ApplyBinary(const SOValue& op, const Value& a,
                                    const Value& b);
 
-  /// True if the recursive component of `name` must use replacement
-  /// iteration (non-monotone self-reference).
-  bool UsesReplacement(const std::string& name) const;
-
   /// The name-level dependency analysis over this context's rule set.
   const ProgramAnalysis& analysis() const { return analysis_; }
 
@@ -245,9 +244,8 @@ class Interp {
   /// memo tables use it to detect results that must not be cached.
   uint64_t partial_reads() const { return partial_reads_; }
 
-  /// Saturation-loop passes run so far, over every instance: a
-  /// non-recursive instance takes one, a recursive one iterates to its
-  /// fixpoint.
+  /// Passes run so far: one per non-recursive instance, one per member
+  /// per round of a recursive unit.
   uint64_t instance_passes() const { return instance_passes_; }
 
   /// Compile cache slot used by the solver (keyed by rule identity).
@@ -284,11 +282,17 @@ class Interp {
   struct Instance {
     Relation value;
     bool done = false;
-    bool in_progress = false;
-    bool provisional = false;   // read a partial value; do not finalize
     bool failed_safety = false; // materialization is unsafe; cached failure
     std::string failure_message;
-    int stack_pos = -1;
+    int unit = -1;  // index in units_ while a member of a running unit
+  };
+
+  /// One component's instances saturating together (one pass for a
+  /// non-recursive instance); `low`: outermost unit read in progress.
+  struct Unit {
+    int comp;
+    std::vector<std::map<InstanceKey, Instance>::iterator> members;
+    size_t low;
   };
 
   const Relation& EvalInstanceImpl(const InstanceKey& key);
@@ -360,7 +364,7 @@ class Interp {
   Solver solver_;
 
   std::map<InstanceKey, Instance> instances_;
-  std::vector<Instance*> stack_;
+  std::vector<Unit> units_;  // running units, innermost last
   LoweringStats lowering_stats_;
   std::set<int> lowering_failed_components_;
   /// Seeded slices and demanded cones that cannot enter the extent cache,
@@ -383,7 +387,6 @@ class Interp {
     std::optional<LoweredComponent> lowered;
   };
   std::map<int, DemandComponent> demand_components_;
-  uint64_t change_tick_ = 0;
   uint64_t partial_reads_ = 0;
   uint64_t instance_passes_ = 0;
   int fresh_counter_ = 0;

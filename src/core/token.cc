@@ -1,5 +1,7 @@
 #include "core/token.h"
 
+#include "data/value.h"
+
 namespace rel {
 
 const char* TokenKindName(TokenKind kind) {
@@ -66,7 +68,7 @@ std::string Token::Describe() const {
     case TokenKind::kInt:
       return std::to_string(int_value);
     case TokenKind::kFloat:
-      return std::to_string(float_value);
+      return Value::Float(float_value).ToString();
     case TokenKind::kString:
       return "\"" + text + "\"";
     default:

@@ -1,5 +1,6 @@
 #include "data/value.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "base/error.h"
@@ -153,14 +154,13 @@ std::string Value::ToString() const {
     case ValueKind::kInt:
       return std::to_string(int_);
     case ValueKind::kFloat: {
-      // Print floats so that round numbers still read as floats (1.0).
-      double v = float_;
-      std::string s = std::to_string(v);
-      // std::to_string gives 6 decimals; trim trailing zeros but keep one.
-      size_t dot = s.find('.');
-      if (dot != std::string::npos) {
-        size_t last = s.find_last_not_of('0');
-        s.erase(std::max(last, dot + 1) + 1);
+      // The shortest text that reads back as the same double (1e-07,
+      // 0.1234567, 1e+300); round numbers keep a ".0" so that they still
+      // read as floats (1.0).
+      char buf[32];
+      std::string s(buf, std::to_chars(buf, buf + sizeof(buf), float_).ptr);
+      if (std::isfinite(float_) && s.find_first_of(".e") == std::string::npos) {
+        s += ".0";
       }
       return s;
     }

@@ -1,6 +1,9 @@
 #include "datalog/program.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "base/error.h"
@@ -205,9 +208,32 @@ class DatalogParser {
         }
         break;
       }
+      // An exponent, as the Rel lexer reads it: 'e' or 'E', an optional
+      // sign, then at least one digit.
+      if (pos_ < src_.size() && (src_[pos_] == 'e' || src_[pos_] == 'E')) {
+        size_t exp = pos_ + 1;
+        if (exp < src_.size() && (src_[exp] == '+' || src_[exp] == '-')) ++exp;
+        if (exp < src_.size() &&
+            std::isdigit(static_cast<unsigned char>(src_[exp]))) {
+          is_float = true;
+          pos_ = exp;
+          while (pos_ < src_.size() &&
+                 std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
+            ++pos_;
+          }
+        }
+      }
       std::string text = src_.substr(start, pos_ - start);
-      if (is_float) return Term::Const(Value::Float(std::stod(text)));
-      return Term::Const(Value::Int(std::stoll(text)));
+      if (is_float) {
+        const double v = std::strtod(text.c_str(), nullptr);
+        if (std::isinf(v)) Fail("float literal " + text + " is out of range");
+        return Term::Const(Value::Float(v));
+      }
+      if (text == "-") Fail("expected a number after '-'");
+      errno = 0;
+      const long long v = std::strtoll(text.c_str(), nullptr, 10);
+      if (errno == ERANGE) Fail("integer literal " + text + " is out of range");
+      return Term::Const(Value::Int(v));
     }
     std::string name = ParseIdent();
     if (name == "_") {

@@ -21,6 +21,15 @@ using datalog::EvalOptions;
 using datalog::EvalStats;
 using datalog::Strategy;
 
+/// Round cap for the Rel configurations, so a fixpoint that fails to
+/// converge is reported as a kNonConvergent discrepancy instead of hanging
+/// the sweep. Generated programs are stratified, so every recursive
+/// component iterates in accumulate mode, where each round but the last
+/// adds a tuple. At the default dials (three predicates of arity at most
+/// three, constants from twelve values) that bounds a component by a few
+/// thousand rounds, and it converges within a few dozen in practice.
+constexpr int kRelMaxIterations = 10000;
+
 /// One configuration's outcome: either an error (kind + message) or the
 /// extents of the predicates under comparison, plus stats when the config
 /// ran the classical engine directly.
@@ -229,6 +238,7 @@ class CaseRunner {
       return;
     }
     Engine engine;
+    engine.options().max_iterations = kRelMaxIterations;
     try {
       engine.Define(rel_src);
     } catch (const RelError& e) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "base/error.h"
+#include "base/rng.h"
 #include "core/engine.h"
 #include "core/parser.h"
 
@@ -125,8 +126,8 @@ TEST(Interp, ReplacementModeSelection) {
   Interp interp(&db, Defs("def tc(x,y) : e(x,y)\n"
                           "def tc(x,y) : exists((z) | tc(x,z) and tc(z,y))\n"
                           "def odd(x) : d(x) and not odd(x)"));
-  EXPECT_FALSE(interp.UsesReplacement("tc"));
-  EXPECT_TRUE(interp.UsesReplacement("odd"));
+  EXPECT_FALSE(interp.analysis().UsesReplacement("tc"));
+  EXPECT_TRUE(interp.analysis().UsesReplacement("odd"));
 }
 
 TEST(Interp, SOValueEqualityAndHashing) {
@@ -223,12 +224,107 @@ TEST(Interp, RecursiveComponentStillIteratesToItsFixpoint) {
   EXPECT_EQ(interp.EvalInstance("from1", 0, {}).ToString(), "{(2); (3); (4)}");
   EXPECT_EQ(interp.instance_passes(), 5u);
 
-  // Asked first, from1's pass evaluates tc, which reads its own partial
-  // value on the way. The counter moved, so from1 keeps the saturation
-  // loop and confirms its value with a second pass.
+  // Asked first, from1's pass evaluates tc, which saturates as its own
+  // unit. Its partial reads stay inside that unit and tc finishes, so
+  // from1 still reads only finished values and runs one pass.
   Interp fresh(&db, Defs(source), options);
   EXPECT_EQ(fresh.EvalInstance("from1", 0, {}).ToString(), "{(2); (3); (4)}");
-  EXPECT_EQ(fresh.instance_passes(), 6u);
+  EXPECT_EQ(fresh.instance_passes(), 5u);
+}
+
+// A mutually recursive component that negates only EDB: accumulate mode,
+// so its least fixpoint exists. The interpreter evaluates p0, p1 and p2
+// as one unit, round by round, and must agree with the lowered engine.
+const char kMutualRecursion[] =
+    "def p0(5, 5) : p1(0, 7) and p2(1)\n"
+    "def p1(1, v1) : exists((v0) | e0(11) and p2(5) and p0(v0, v1) and "
+    "v1 > 2 and v0 > v1 and not e0(v1))\n"
+    "def p1(v0, v1) : p2(v0) and p2(v0) and v0 != 8 and v1 = v0\n"
+    "def p2(0) : exists((v0) | p1(v0, v0) and v0 <= v0)\n"
+    "def p2(v0) : e0(v0) and not e1(v0, v0)";
+
+Database MutualRecursionDb(const std::vector<int>& e0,
+                           const std::vector<int>& e1) {
+  Database db;
+  for (int v : e0) db.Insert("e0", Tuple({I(v)}));
+  for (int v : e1) db.Insert("e1", Tuple({I(v), I(v)}));
+  return db;
+}
+
+// p0, p1, p2 rendered (or the error raised), evaluated in the given
+// member order.
+std::string MutualRecursionAnswer(const Database& db, bool lower,
+                                  const std::vector<std::string>& order) {
+  InterpOptions options;
+  options.lower_recursion = lower;
+  options.max_iterations = 2000;
+  Interp interp(&db, Defs(kMutualRecursion), options);
+  try {
+    for (const std::string& name : order) interp.EvalInstance(name, 0, {});
+    return interp.EvalInstance("p0", 0, {}).ToString() + " " +
+           interp.EvalInstance("p1", 0, {}).ToString() + " " +
+           interp.EvalInstance("p2", 0, {}).ToString();
+  } catch (const RelError& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+TEST(Interp, MutualRecursionConvergesAsOneUnit) {
+  Database db = MutualRecursionDb({2, 3, 5, 6, 11}, {1, 8, 9, 11});
+  const std::string want =
+      "{} {(0, 0); (2, 2); (3, 3); (5, 5); (6, 6)} "
+      "{(0); (2); (3); (5); (6)}";
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"p0", "p1", "p2"},
+        std::vector<std::string>{"p1", "p2", "p0"},
+        std::vector<std::string>{"p2", "p0", "p1"}}) {
+    EXPECT_EQ(MutualRecursionAnswer(db, false, order), want) << order[0];
+    EXPECT_EQ(MutualRecursionAnswer(db, true, order), want) << order[0];
+  }
+}
+
+TEST(Interp, MutualRecursionMatchesLoweringOnRandomEdbs) {
+  Rng rng(25);
+  for (int draw = 0; draw < 400; ++draw) {
+    std::vector<int> e0, e1;
+    for (int v = 0; v < 12; ++v) {
+      if (rng.NextBool(0.5)) e0.push_back(v);
+      if (rng.NextBool(0.5)) e1.push_back(v);
+    }
+    Database db = MutualRecursionDb(e0, e1);
+    const std::string name = "p" + std::to_string(draw % 3);
+    EXPECT_EQ(MutualRecursionAnswer(db, false, {name}),
+              MutualRecursionAnswer(db, true, {name}))
+        << "draw " << draw;
+  }
+}
+
+TEST(Interp, NonStratifiedPairDoesNotConvergeInEitherOrder) {
+  // a and b negate each other: replacement mode. Every round reads the
+  // previous round's values of both, so they flip together and never
+  // settle, whichever is asked first.
+  Database db;
+  db.Insert("d", Tuple({I(1)}));
+  db.Insert("d", Tuple({I(2)}));
+  InterpOptions options;
+  options.lower_recursion = false;
+  options.max_iterations = 2000;
+  for (const char* source : {"def a() : not b()\ndef b() : not a()",
+                             "def a(x) : d(x) and not b(x)\n"
+                             "def b(x) : d(x) and not a(x)"}) {
+    for (const char* first : {"a", "b"}) {
+      Interp interp(&db, Defs(source), options);
+      try {
+        interp.EvalInstance(first, 0, {});
+        ADD_FAILURE() << source << ": " << first << " converged";
+      } catch (const RelError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kNonConvergent);
+        const std::string message = e.what();
+        EXPECT_NE(message.find("{a, b}"), std::string::npos) << message;
+        EXPECT_NE(message.find("replacement"), std::string::npos) << message;
+      }
+    }
+  }
 }
 
 TEST(Interp, LoweredRecursionReadsNoPartialValues) {

@@ -73,6 +73,14 @@ TEST(Lexer, NumberEdgeCases) {
       EXPECT_NE(message.find("out of range"), std::string::npos) << message;
     }
   }
+  // A float token in an error names its shortest round-tripping form.
+  try {
+    ParseProgram("1e300");
+    ADD_FAILURE() << "1e300 parsed as a program";
+  } catch (const ParseError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("found 1e+300 "), std::string::npos) << message;
+  }
 }
 
 // --- rule forms ---

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 namespace rel {
 namespace {
 
@@ -58,6 +60,23 @@ TEST(Value, ToString) {
   EXPECT_EQ(Value::Float(2.0).ToString(), "2.0");
   EXPECT_EQ(Value::String("hi").ToString(), "\"hi\"");
   EXPECT_EQ(Value::Entity("product", "P1").ToString(), "product:\"P1\"");
+}
+
+TEST(Value, FloatToStringIsShortestRoundTrip) {
+  EXPECT_EQ(Value::Float(1e-7).ToString(), "1e-07");
+  EXPECT_EQ(Value::Float(0.1234567).ToString(), "0.1234567");
+  EXPECT_EQ(Value::Float(1e300).ToString(), "1e+300");
+  EXPECT_EQ(Value::Float(1e20).ToString(), "1e+20");
+  EXPECT_EQ(Value::Float(10000000000.0).ToString(), "1e+10");
+  EXPECT_EQ(Value::Float(100.0).ToString(), "100.0");
+  EXPECT_EQ(Value::Float(-0.5).ToString(), "-0.5");
+  EXPECT_EQ(Value::Float(-0.0).ToString(), "-0.0");
+  EXPECT_EQ(Value::Float(0.1 + 0.2).ToString(), "0.30000000000000004");
+  for (double v : {1e-7, 0.1234567, 1e300, 5e-324, 1.7976931348623157e308,
+                   -2.5e-8, 1.0 / 3.0}) {
+    const std::string text = Value::Float(v).ToString();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+  }
 }
 
 }  // namespace

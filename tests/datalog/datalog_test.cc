@@ -42,10 +42,28 @@ TEST(DatalogParser, ConstantsAndStrings) {
   EXPECT_TRUE(p.facts().at("n").Contains(Tuple({I(42)})));
 }
 
+TEST(DatalogParser, FloatExponents) {
+  // The exponent syntax the Rel lexer accepts, which Value::ToString emits.
+  Program p = ParseDatalog("f(1e-07). f(2E+3). f(-2.5e-8). g(1).");
+  const Relation& f = p.facts().at("f");
+  EXPECT_EQ(f.size(), 3u);
+  EXPECT_TRUE(f.Contains(Tuple({Value::Float(1e-7)})));
+  EXPECT_TRUE(f.Contains(Tuple({Value::Float(2000.0)})));
+  EXPECT_TRUE(f.Contains(Tuple({Value::Float(-2.5e-8)})));
+  for (double v : {1e-7, 0.1234567, 1e300, 1e10}) {
+    Program q = ParseDatalog("f(" + Value::Float(v).ToString() + ").");
+    EXPECT_TRUE(q.facts().at("f").Contains(Tuple({Value::Float(v)}))) << v;
+  }
+}
+
 TEST(DatalogParser, Errors) {
   EXPECT_THROW(ParseDatalog("p(X)."), RelError);         // non-ground fact
   EXPECT_THROW(ParseDatalog("p(1) :- "), RelError);      // missing body
   EXPECT_THROW(ParseDatalog("p(1)"), RelError);          // missing period
+  // Out-of-range and malformed numbers are parse errors, not crashes.
+  EXPECT_THROW(ParseDatalog("p(1e999)."), RelError);
+  EXPECT_THROW(ParseDatalog("p(99999999999999999999)."), RelError);
+  EXPECT_THROW(ParseDatalog("p(-)."), RelError);
 }
 
 TEST(DatalogEval, TransitiveClosure) {

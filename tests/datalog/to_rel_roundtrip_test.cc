@@ -152,6 +152,19 @@ TEST(ToRelRoundTrip, FloatsAndDivision) {
       "floats");
 }
 
+TEST(ToRelRoundTrip, FloatLiteralsKeepTheirValue) {
+  // Rendered as Rel literals, these must read back as the same doubles:
+  // six fixed decimals turned 1e-7 into 0.0 and 0.1234567 into 0.123457.
+  Program p = ParseDatalog(
+      "f(1e-7). f(0.1234567). f(-2.5E-8). f(1e+300).\n"
+      "pos(X) :- f(X), X > 0.0.\n"
+      "tiny(X) :- f(X), X < 0.000001, X > 0.0.");
+  const Relation& facts = p.facts().at("f");
+  EXPECT_TRUE(facts.Contains(Tuple({Value::Float(1e-7)})));
+  EXPECT_TRUE(facts.Contains(Tuple({Value::Float(-2.5e-8)})));
+  ExpectRoundTrip(p, "float-literals");
+}
+
 // --- the translator's historical failure shapes ------------------------------
 
 TEST(ToRelRoundTrip, RepeatedHeadVariables) {
