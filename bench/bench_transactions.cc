@@ -158,6 +158,39 @@ BENCHMARK(BM_OneRowInsertCommit)
     ->Apply(RowsArgs)
     ->Unit(benchmark::kMillisecond);
 
+/// BM_OneRowInsertCommit with two constraints over Rows: a per-row
+/// comparison and a probe into a second relation. Each commit checks only
+/// its own row (core/ic_check.h), so the series should track the unguarded
+/// one at every size. The untimed first commit runs the full pass that
+/// verifies the bulk-loaded base.
+void BM_OneRowInsertCommit_Guarded(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = RowsEngine(n);
+  engine->Define(
+      "ic key_nonnegative(x) requires Rows(x, _) implies x >= 0\n"
+      "ic labelled(y) requires Rows(_, y) implies Label(y)");
+  std::vector<Tuple> labels = {Tuple({Value::String("fresh")})};
+  for (int i = 0; i < 997; ++i) {
+    labels.push_back(Tuple({Value::String("item" + std::to_string(i))}));
+  }
+  engine->Insert("Label", labels);
+  const std::string ins = RowCommit("insert", n);
+  const std::string del = RowCommit("delete", n);
+  engine->Exec(ins);
+  engine->Exec(del);
+  for (auto _ : state) {
+    TxnResult txn = engine->Exec(ins);
+    benchmark::DoNotOptimize(txn.inserted);
+    state.PauseTiming();
+    engine->Exec(del);
+    state.ResumeTiming();
+  }
+  state.counters["ic_full"] = static_cast<double>(engine->ic_stats().full);
+}
+BENCHMARK(BM_OneRowInsertCommit_Guarded)
+    ->Apply(RowsArgs)
+    ->Unit(benchmark::kMillisecond);
+
 /// Timed: a commit deleting one row from the middle of the relation.
 /// Untimed: the commit restoring it.
 void BM_OneRowDeleteCommit(benchmark::State& state) {

@@ -15,7 +15,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace rel {
 
@@ -51,26 +51,38 @@ class Interner {
   size_t size() const { return published_.load(std::memory_order_acquire); }
 
  private:
-  // 16384 chunks x 4096 strings = 67M distinct symbols (128KB spine,
-  // chunks allocated on demand); the spine is a fixed array of atomic
-  // chunk pointers so readers never chase a relocatable structure (the
-  // failure mode of deque/vector storage). Exhausting the bound throws
-  // kInternal from Intern — raise kMaxChunks if a workload ever has more
-  // distinct strings than that (Symbol itself allows 4.29G).
-  static constexpr size_t kChunkBits = 12;
+  // 1024 chunks x 65536 strings = 67M distinct symbols (8KB spine); the
+  // spine is a fixed array of atomic chunk pointers so readers never chase
+  // a relocatable structure (the failure mode of deque/vector storage). A
+  // chunk is raw storage, and each string is constructed in place when it
+  // is interned, so only the pages of interned strings become resident.
+  // Exhausting the bound throws kInternal from Intern — raise kMaxChunks
+  // if a workload ever has more distinct strings than that (Symbol itself
+  // allows 4.29G).
+  static constexpr size_t kChunkBits = 16;
   static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
-  static constexpr size_t kMaxChunks = 16384;
+  static constexpr size_t kMaxChunks = 1024;
 
   const std::string& At(Symbol sym) const {
     return chunks_[sym >> kChunkBits].load(std::memory_order_acquire)
         [sym & (kChunkSize - 1)];
   }
 
+  /// Marks a free slot of index_ (never a symbol: kMaxChunks * kChunkSize
+  /// is far below it).
+  static constexpr Symbol kFreeSlot = ~Symbol{0};
+
+  /// Doubles index_ and re-places every symbol. Requires mu_.
+  void GrowIndex();
+
   std::mutex mu_;  // serializes Intern only
   std::array<std::atomic<std::string*>, kMaxChunks> chunks_{};
   std::atomic<size_t> published_{0};
-  // Keys are views into chunk storage (stable); guarded by mu_.
-  std::unordered_map<std::string_view, Symbol> index_;
+  // The string -> symbol index: an open-addressing table of symbol ids with
+  // linear probing over a power-of-two capacity, at most 3/4 full, keyed by
+  // the strings in chunk storage (4 bytes per slot). Guarded by mu_;
+  // readers never touch it.
+  std::vector<Symbol> index_;
 };
 
 }  // namespace rel

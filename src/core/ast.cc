@@ -177,4 +177,21 @@ ExprPtr MakeApplication(const std::string& callee, std::vector<Arg> args,
   return e;
 }
 
+void FlattenApplication(const ExprPtr& expr, ExprPtr* base,
+                        std::vector<Arg>* args) {
+  if (expr->kind != ExprKind::kApplication) {
+    *base = expr;
+    args->clear();
+    return;
+  }
+  const ExprPtr& target = expr->target;
+  if (target->kind == ExprKind::kApplication && !target->full) {
+    FlattenApplication(target, base, args);
+    args->insert(args->end(), expr->args.begin(), expr->args.end());
+    return;
+  }
+  *base = target;
+  *args = expr->args;
+}
+
 }  // namespace rel

@@ -104,6 +104,12 @@ ExprPtr MakeIdent(const std::string& name, int line = 0, int column = 0);
 ExprPtr MakeApplication(const std::string& callee, std::vector<Arg> args,
                         bool full, int line = 0, int column = 0);
 
+/// Unwraps chained partial applications: T[a][b](c) has base T and
+/// arguments a, b, c. A non-application is its own base, with no
+/// arguments.
+void FlattenApplication(const ExprPtr& expr, ExprPtr* base,
+                        std::vector<Arg>* args);
+
 /// A rule: `def Name(params): body`, `def Name[params]: body`,
 /// `def Name {abstraction}` or `ic Name(params) requires body`.
 struct Def {
@@ -113,6 +119,11 @@ struct Def {
   bool square_head = false;  // [..] head: body is an expression, not formula
   bool is_ic = false;        // integrity constraint
   bool inline_hint = false;  // @inline: always expand at call sites
+  /// Atoms over the leading relation parameters enumerate before every
+  /// other atom of the body. Set on the delta-specialized violation rules
+  /// (core/ic_check.h), whose relation parameter holds a commit's few
+  /// inserted or deleted rows.
+  bool seeds_first = false;
   int line = 0;
 
   std::string ToString() const;

@@ -12,20 +12,6 @@ namespace rel {
 
 namespace {
 
-/// The synthetic rule whose solutions are the violating bindings of
-/// `ic name(params) requires F`: the parameter bindings for which F fails
-/// (with no parameters the constraint is simply the truth of F).
-std::shared_ptr<Def> ViolationRule(const Def& ic) {
-  auto rule = std::make_shared<Def>();
-  rule->name = "$violations_" + ic.name;
-  rule->params = ic.params;
-  auto neg = MakeExpr(ExprKind::kNot, ic.line, 0);
-  neg->children = {ic.body};
-  rule->body = neg;
-  rule->square_head = false;
-  return rule;
-}
-
 /// Formats a non-empty violation set for the ConstraintViolation message.
 std::string ViolationDetail(const Relation& violations) {
   return violations.size() <= 10
@@ -227,7 +213,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
     // constraints validated for the head carry over; only the
     // transaction's own ic rules run. Nothing is published — the caller
     // re-pins the current head.
-    const std::set<std::string> no_changes;
+    const DatabaseDelta no_changes;
     bool full_pass = CheckConstraintsWith(&interp, writer_opts, &no_changes,
                                           writer_opts.shared_defs);
     if (full_pass) ic_full_pass_needed_ = false;
@@ -281,20 +267,10 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   // delta (insert) or runs DRed (delete); see core/extent_cache.h.
   writer_cache_.Maintain(*delta, LoweredEvalOptions(writer_opts));
 
-  // The effective net change, for Decker-style constraint specialization:
-  // only constraints whose transitive read set intersects these relations
-  // (or the transaction's own defs) can have changed their verdict.
-  std::set<std::string> net_changed;
-  for (const auto& [name, change] : delta->changes) {
-    if (!change.inserted.empty() || !change.deleted.empty()) {
-      net_changed.insert(name);
-    }
-  }
-
   bool full_pass = false;
   try {
     Interp post(&db_, combined, writer_opts);
-    full_pass = CheckConstraintsWith(&post, writer_opts, &net_changed,
+    full_pass = CheckConstraintsWith(&post, writer_opts, delta.get(),
                                      writer_opts.shared_defs);
   } catch (...) {
     RollbackToHead();  // abort: roll back the transaction
@@ -390,25 +366,65 @@ void Engine::CheckConstraints() {
   CheckConstraintsWith(&interp, opts);
 }
 
+namespace {
+
+/// One constraint's check: the whole violation rule (`seeded` empty and
+/// `full` set), or the union of its delta specializations, each evaluated
+/// with its relation parameter bound to the commit's rows.
+struct IcCheck {
+  size_t ic = 0;  // index into Interp::ics()
+  bool full = true;
+  std::vector<std::pair<const Def*, SOValue>> seeded;
+};
+
+/// The violation set of one check. The solver caches compiled rules by Def
+/// address, so a synthetic full-check rule goes to `keep_alive`, which the
+/// caller keeps until `interp` is done: a freed address reused by the next
+/// rule would hit a stale cache entry.
+Relation Violations(Interp* interp, const Def& ic, const IcCheck& check,
+                    std::vector<std::shared_ptr<Def>>* keep_alive) {
+  if (check.full) {
+    keep_alive->push_back(ViolationRule(ic));
+    return interp->solver().EvalRule(*keep_alive->back(), {}, nullptr);
+  }
+  Relation violations;
+  for (const auto& [rule, rows] : check.seeded) {
+    Relation part = interp->solver().EvalRule(*rule, {rows}, nullptr);
+    violations = violations.empty() ? std::move(part) : violations.Union(part);
+  }
+  return violations;
+}
+
+}  // namespace
+
 bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
-                                  const std::set<std::string>* changed,
+                                  const DatabaseDelta* delta,
                                   size_t shared_defs) {
   const std::vector<std::shared_ptr<Def>>& ics = interp->ics();
   if (ics.empty()) return true;
 
-  // Decker-style delta specialization (callers passing `changed` hold
-  // writer_mu_, which also guards ic_full_pass_needed_ and ic_stats_): a
-  // constraint is checked iff it is transaction-local, or its transitive
-  // read set reaches a changed relation or a transaction-local def. All
-  // other persistent constraints kept their pre-state verdict — sound only
-  // when the pre-state itself passed a full check since the last rule
-  // change or bulk load, hence the ic_full_pass_needed_ gate.
-  std::vector<size_t> to_check;
-  to_check.reserve(ics.size());
-  const bool prune = changed != nullptr && !ic_full_pass_needed_;
+  // Decker-style delta specialization (callers passing `delta` hold
+  // writer_mu_, which also guards ic_full_pass_needed_, ic_stats_ and
+  // ic_plans_). A persistent constraint whose read closure misses every
+  // changed relation and transaction-local def is skipped; one whose
+  // changed reads are all seedable occurrences is evaluated on the delta
+  // rows only. Both rely on the pre-state having passed a full check since
+  // the last rule change or bulk load, hence the ic_full_pass_needed_ gate.
+  std::vector<IcCheck> checks;
+  checks.reserve(ics.size());
+  const bool prune = delta != nullptr && !delta->wholesale &&
+                     !ic_full_pass_needed_;
   if (!prune) {
-    for (size_t i = 0; i < ics.size(); ++i) to_check.push_back(i);
+    for (size_t i = 0; i < ics.size(); ++i) {
+      checks.push_back({i, /*full=*/true, {}});
+    }
   } else {
+    std::set<std::string> changed;
+    for (const auto& [name, change] : delta->changes) {
+      if (!change.inserted.empty() || !change.deleted.empty()) {
+        changed.insert(name);
+      }
+    }
     const std::vector<std::shared_ptr<Def>>& defs = interp->defs();
     std::set<const Def*> persistent;
     for (size_t i = 0; i < shared_defs && i < defs.size(); ++i) {
@@ -419,46 +435,70 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
       txn_local.insert(defs[i]->name);
     }
     for (size_t i = 0; i < ics.size(); ++i) {
-      const Def& ic = *ics[i];
-      bool must_check = persistent.count(&ic) == 0;
-      if (!must_check) {
-        for (const std::string& root : interp->analysis().DefReferences(ic)) {
-          for (const std::string& name : interp->ReferencesClosure(root)) {
-            if (changed->count(name) != 0 || txn_local.count(name) != 0) {
-              must_check = true;
-              break;
-            }
-          }
-          if (must_check) break;
-        }
+      if (persistent.count(ics[i].get()) == 0) {
+        checks.push_back({i, /*full=*/true, {}});
+        continue;
       }
-      if (must_check) {
-        to_check.push_back(i);
+      std::shared_ptr<const IcDeltaPlan>& cached = ic_plans_[ics[i].get()];
+      if (cached == nullptr) cached = PlanIcDelta(ics[i], interp->analysis());
+      const IcDeltaPlan& plan = *cached;
+      bool reaches_change = false, full = false;
+      for (const std::string& root : plan.roots) {
+        if (plan.seedable.count(root) != 0 && !interp->HasDefs(root)) {
+          reaches_change = reaches_change || changed.count(root) != 0;
+          continue;
+        }
+        for (const std::string& name : interp->ReferencesClosure(root)) {
+          if (changed.count(name) != 0 || txn_local.count(name) != 0) {
+            full = true;
+            break;
+          }
+        }
+        if (full) break;
+      }
+      if (full) {
+        checks.push_back({i, /*full=*/true, {}});
+      } else if (reaches_change) {
+        IcCheck check{i, /*full=*/false, {}};
+        for (const IcDeltaPlan::Occurrence& occ : plan.occurrences) {
+          auto it = delta->changes.find(occ.relation);
+          if (it == delta->changes.end()) continue;
+          const Relation& rows =
+              occ.inserted ? it->second.inserted : it->second.deleted;
+          if (rows.empty()) continue;
+          // Non-owning: `delta` outlives the check.
+          SOValue seed;
+          seed.rel = std::shared_ptr<const Relation>(
+              std::shared_ptr<const Relation>(), &rows);
+          check.seeded.emplace_back(occ.rule.get(), std::move(seed));
+        }
+        checks.push_back(std::move(check));
       } else {
         ++ic_stats_.skipped;
       }
     }
   }
-  if (changed != nullptr) ic_stats_.checked += to_check.size();
-  const bool full_pass = to_check.size() == ics.size();
-  if (to_check.empty()) return full_pass;
+  size_t full_checks = 0;
+  for (const IcCheck& check : checks) full_checks += check.full ? 1 : 0;
+  if (delta != nullptr) {
+    ic_stats_.checked += checks.size();
+    ic_stats_.full += full_checks;
+    ic_stats_.specialized += checks.size() - full_checks;
+  }
+  const bool full_pass = full_checks == ics.size();
+  if (checks.empty()) return full_pass;
 
   int num_threads = opts.num_threads == 0 ? ThreadPool::HardwareThreads()
                                           : opts.num_threads;
-  num_threads = std::min<int>(num_threads, static_cast<int>(to_check.size()));
+  num_threads = std::min<int>(num_threads, static_cast<int>(checks.size()));
 
   if (num_threads <= 1) {
-    // The solver caches compiled rules by Def address; keep every synthetic
-    // violation rule alive until the interp is done with them, or a freed
-    // address could be reused by the next rule and hit a stale cache entry.
     std::vector<std::shared_ptr<Def>> keep_alive;
-    for (size_t i : to_check) {
-      const auto& ic = ics[i];
-      keep_alive.push_back(ViolationRule(*ic));
-      Relation violations =
-          interp->solver().EvalRule(*keep_alive.back(), {}, nullptr);
+    for (const IcCheck& check : checks) {
+      const Def& ic = *ics[check.ic];
+      Relation violations = Violations(interp, ic, check, &keep_alive);
       if (!violations.empty()) {
-        throw ConstraintViolation(ic->name,
+        throw ConstraintViolation(ic.name,
                                   "violated by " + ViolationDetail(violations));
       }
     }
@@ -466,26 +506,35 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
   }
 
   // Parallel: constraints are independent reads of the same database, so
-  // each one gets its own task and its own Interp (the solver's memo tables
-  // are single-threaded). Two preparations make the shared reads pure:
-  // the Interner is internally synchronized, and the base relations' lazy
-  // sorted rows are forced here, before the first task runs.
+  // each worker gets its own Interp (the solver's memo tables are
+  // single-threaded). Two preparations make the shared reads pure: the
+  // Interner is internally synchronized, and the lazy sorted rows of the
+  // base relations and of the delta seeds are forced here, before the
+  // first task runs.
   interp->db().FreezeViews();
+  for (const IcCheck& check : checks) {
+    for (const auto& [rule, rows] : check.seeded) {
+      (void)rule;
+      for (size_t arity : rows.rel->Arities()) {
+        rows.rel->ArenaOfArity(arity)->SortedRows();
+      }
+    }
+  }
 
   struct Outcome {
     bool violated = false;
     std::string detail;
     std::exception_ptr error;
   };
-  std::vector<Outcome> outcomes(ics.size());
+  std::vector<Outcome> outcomes(checks.size());
   {
     ThreadPool pool(num_threads);
     ThreadPool::TaskGroup group(&pool);
-    // One task per worker over a strided constraint subset, not one per
-    // constraint: each Interp construction re-runs analysis over the whole
-    // def set, so build num_threads of them, not to_check.size().
+    // One task per worker over a strided subset of the checks, not one per
+    // check: each Interp construction re-runs analysis over the whole def
+    // set, so build num_threads of them, not checks.size().
     for (int worker = 0; worker < num_threads; ++worker) {
-      group.Run([interp, worker, num_threads, opts, &outcomes, &to_check] {
+      group.Run([interp, worker, num_threads, opts, &outcomes, &checks] {
         InterpOptions sequential = opts;
         sequential.num_threads = 1;
         // Worker Interps never share the writer's extent cache: it is
@@ -493,23 +542,18 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
         // hold.
         sequential.extent_cache = nullptr;
         Interp local(&interp->db(), interp->defs(), sequential);
-        // Same Def-address-reuse hazard as the sequential path: the solver
-        // caches compiled rules by address, so every synthetic rule this
-        // Interp saw must stay alive as long as the Interp does.
         std::vector<std::shared_ptr<Def>> keep_alive;
-        for (size_t k = static_cast<size_t>(worker); k < to_check.size();
+        for (size_t k = static_cast<size_t>(worker); k < checks.size();
              k += static_cast<size_t>(num_threads)) {
-          size_t i = to_check[k];
           try {
-            keep_alive.push_back(ViolationRule(*interp->ics()[i]));
-            Relation violations =
-                local.solver().EvalRule(*keep_alive.back(), {}, nullptr);
+            Relation violations = Violations(
+                &local, *interp->ics()[checks[k].ic], checks[k], &keep_alive);
             if (!violations.empty()) {
-              outcomes[i].violated = true;
-              outcomes[i].detail = ViolationDetail(violations);
+              outcomes[k].violated = true;
+              outcomes[k].detail = ViolationDetail(violations);
             }
           } catch (...) {
-            outcomes[i].error = std::current_exception();
+            outcomes[k].error = std::current_exception();
           }
         }
       });
@@ -518,11 +562,11 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
   }
   // Deterministic report: the first failure in declaration order, exactly
   // what the sequential path would have thrown.
-  for (size_t i : to_check) {
-    if (outcomes[i].error) std::rethrow_exception(outcomes[i].error);
-    if (outcomes[i].violated) {
-      throw ConstraintViolation(ics[i]->name,
-                                "violated by " + outcomes[i].detail);
+  for (size_t k = 0; k < checks.size(); ++k) {
+    if (outcomes[k].error) std::rethrow_exception(outcomes[k].error);
+    if (outcomes[k].violated) {
+      throw ConstraintViolation(ics[checks[k].ic]->name,
+                                "violated by " + outcomes[k].detail);
     }
   }
   return full_pass;

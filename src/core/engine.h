@@ -37,6 +37,7 @@
 #define REL_CORE_ENGINE_H_
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -45,6 +46,7 @@
 
 #include "core/ast.h"
 #include "core/extent_cache.h"
+#include "core/ic_check.h"
 #include "core/interp.h"
 #include "core/session.h"
 #include "data/database.h"
@@ -177,13 +179,21 @@ class Engine {
   /// Number of installed persistent rules (stdlib + Define'd).
   size_t installed_rules() const;
 
-  /// Counters for delta-specialized integrity checking (Decker-style): a
-  /// committing transaction only re-evaluates constraints whose transitive
-  /// read set intersects the relations it changed (or its own local defs);
-  /// the rest are skipped, their validity carried over from the pre-state.
+  /// Integrity-check counters of committing transactions (Decker-style
+  /// delta specialization; see CheckConstraintsWith). `skipped`: the
+  /// constraint's read closure misses every changed relation and every
+  /// transaction-local def, so its verdict carries over from the pre-state.
+  /// `checked` = `specialized` + `full`: `specialized` constraints were
+  /// evaluated only on the commit's inserted or deleted rows (one
+  /// violation-rule variant per occurrence of a changed relation);
+  /// `full` ones over the whole post-state (a transaction-local
+  /// constraint, an unverified pre-state, or a changed relation read
+  /// through a derived def, an aggregate or another unseedable position).
   struct IcStats {
     uint64_t checked = 0;
     uint64_t skipped = 0;
+    uint64_t specialized = 0;
+    uint64_t full = 0;
   };
   const IcStats& ic_stats() const { return ic_stats_; }
 
@@ -217,15 +227,20 @@ class Engine {
 
   /// Runs integrity constraints known to `interp`, parallelizing per
   /// `opts.num_threads`. Throws ConstraintViolation for the first failing
-  /// constraint in declaration order. When `changed` is non-null (and the
-  /// head state has passed a full check since the last rule change), the
-  /// pass is specialized to the delta: a persistent constraint whose
-  /// transitive read set misses both `changed` and the transaction's local
-  /// defs (the first `shared_defs` entries of interp->defs() are
-  /// persistent) is skipped. Returns true iff every constraint was
-  /// evaluated (a full pass).
+  /// constraint in declaration order. When `delta` is non-null (a commit's
+  /// net changes; callers hold writer_mu_) and the head state has passed a
+  /// full check since the last rule change or bulk load, the pass is
+  /// specialized to the delta (core/ic_check.h). A persistent constraint
+  /// (the first `shared_defs` entries of interp->defs() are persistent)
+  /// whose read closure misses every changed relation and every
+  /// transaction-local def is skipped. One whose changed reads are all
+  /// seedable occurrences evaluates its violation rule once per occurrence
+  /// of a changed relation, on the inserted rows (positive) or the deleted
+  /// rows (negative), and reports the same violations a full evaluation
+  /// would. Every other constraint is evaluated over the whole post-state.
+  /// Returns true iff every constraint was evaluated in full (a full pass).
   bool CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
-                            const std::set<std::string>* changed = nullptr,
+                            const DatabaseDelta* delta = nullptr,
                             size_t shared_defs = 0);
 
   /// Requires writer_mu_. Parses and installs `source` into the rule
@@ -289,6 +304,11 @@ class Engine {
   /// specialization is disabled — Decker's induction needs a verified base.
   bool ic_full_pass_needed_ = true;
   IcStats ic_stats_;
+  /// Delta plans of persistent constraints, by constraint address, each
+  /// built on the first commit that specializes its constraint (and keeping
+  /// the constraint alive). Persistent rules are only ever appended, so a
+  /// plan never goes stale.
+  std::map<const Def*, std::shared_ptr<const IcDeltaPlan>> ic_plans_;
 
   InterpOptions options_;
   LoweringStats lowering_stats_;

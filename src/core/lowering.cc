@@ -56,23 +56,6 @@ std::optional<ArithOp> ArithOpOf(const std::string& canonical) {
   return std::nullopt;
 }
 
-/// Unwraps chained partial applications: T[a][b](c) has base T and
-/// arguments a, b, c (the solver's FlattenApplication, re-stated here on
-/// the uncompiled AST).
-void Flatten(const ExprPtr& expr, ExprPtr* base, std::vector<Arg>* args) {
-  if (expr->kind == ExprKind::kApplication) {
-    if (expr->target->kind == ExprKind::kApplication && !expr->target->full) {
-      Flatten(expr->target, base, args);
-      for (const Arg& a : expr->args) args->push_back(a);
-      return;
-    }
-    *base = expr->target;
-    *args = expr->args;
-    return;
-  }
-  *base = expr;
-  args->clear();
-}
 
 /// DNF cap: a body with more or-alternatives than this is left unsplit (and
 /// then rejected by the formula lowerer, falling back to the interpreter).
@@ -193,7 +176,7 @@ bool IsCanonicalCombinator(const std::string& name, datalog::AggOp op,
     const std::string& rel_param = def->params[0].name;
     ExprPtr base;
     std::vector<Arg> args;
-    Flatten(def->body, &base, &args);
+    FlattenApplication(def->body, &base, &args);
     if (base->kind != ExprKind::kIdent ||
         base->name != builtin_names::kReduce || args.size() != 2 ||
         !args[0].expr || !args[1].expr) {
@@ -261,7 +244,7 @@ std::optional<AggMatch> MatchAggEq(const ExprPtr& conjunct, const Def& def,
   }
   ExprPtr base;
   std::vector<Arg> args;
-  Flatten(conjunct, &base, &args);
+  FlattenApplication(conjunct, &base, &args);
   if (base->kind != ExprKind::kIdent || CanonicalBuiltin(base->name) != "eq" ||
       args.size() != 2 || !args[0].expr || !args[1].expr) {
     return std::nullopt;
@@ -273,7 +256,7 @@ std::optional<AggMatch> MatchAggEq(const ExprPtr& conjunct, const Def& def,
     if (app->kind != ExprKind::kApplication) continue;
     ExprPtr callee;
     std::vector<Arg> app_args;
-    Flatten(app, &callee, &app_args);
+    FlattenApplication(app, &callee, &app_args);
     if (callee->kind != ExprKind::kIdent) continue;
     std::optional<datalog::AggOp> op = AggOpOf(callee->name);
     if (!op) continue;
@@ -594,7 +577,7 @@ class RuleLowerer {
         // Arithmetic subexpression: reduce to a fresh variable.
         ExprPtr base;
         std::vector<Arg> args;
-        Flatten(e, &base, &args);
+        FlattenApplication(e, &base, &args);
         if (base->kind != ExprKind::kIdent || Lookup(base->name)) {
           if (why_ && why_->empty()) *why_ = "unsupported argument expression";
           return std::nullopt;
@@ -723,7 +706,7 @@ class RuleLowerer {
   bool LowerApplication(const ExprPtr& expr, bool positive) {
     ExprPtr base;
     std::vector<Arg> args;
-    Flatten(expr, &base, &args);
+    FlattenApplication(expr, &base, &args);
     if (base->kind != ExprKind::kIdent) {
       return FailBool("application of a computed relation");
     }

@@ -153,6 +153,7 @@ struct Constraint {
   std::vector<ExprPtr> so_args;      // second-order argument expressions
   std::vector<std::vector<FreeVar>> so_free;
   std::vector<CTerm> args;
+  bool seed = false;  // kRelVar over a Def::seeds_first parameter
 
   // kNegated
   BodyPtr neg;
@@ -248,6 +249,7 @@ class Compiler {
         std::string internal = Rename(b.name);
         Declare(b.name, ScopeEntry::Kind::kRelVar, internal);
         rule.relvar_internals.push_back(internal);
+        if (def.seeds_first) seed_relvars_.insert(internal);
         continue;
       }
       seen_fo = true;
@@ -706,25 +708,6 @@ class Compiler {
 
   // --- atoms ---
 
-  /// Unwraps chained partial applications: T[a][b](c) has base T and args
-  /// a, b, c.
-  static void FlattenApplication(const ExprPtr& expr, ExprPtr* base,
-                                 std::vector<Arg>* args) {
-    if (expr->kind == ExprKind::kApplication) {
-      ExprPtr target = expr->target;
-      if (target->kind == ExprKind::kApplication && !target->full) {
-        FlattenApplication(target, base, args);
-        for (const Arg& a : expr->args) args->push_back(a);
-        return;
-      }
-      *base = target;
-      *args = expr->args;
-      return;
-    }
-    *base = expr;
-    args->clear();
-  }
-
   /// Compiles the membership/application of `target_expr` (an arbitrary
   /// relation-valued expression) to the argument terms `terms`:
   /// target_expr(terms) as a constraint.
@@ -786,6 +769,7 @@ class Compiler {
           case ScopeEntry::Kind::kRelVar:
             c->target = Constraint::Target::kRelVar;
             c->name = entry->internal;
+            c->seed = seed_relvars_.count(entry->internal) > 0;
             break;
           case ScopeEntry::Kind::kVar:
           case ScopeEntry::Kind::kTupleVar:
@@ -932,6 +916,9 @@ class Compiler {
 
   Interp* interp_;
   std::vector<ScopeMap> scopes_;
+  // Internal names of relation parameters whose atoms enumerate first
+  // (Def::seeds_first).
+  std::set<std::string> seed_relvars_;
 };
 
 }  // namespace
@@ -1099,6 +1086,8 @@ class Executor {
         }
         if (!FreeBound(c.texpr_free, frame)) so_ready = false;
         if (!so_ready) return 8;  // needs guard extraction
+        // A delta seed holds a commit's few rows: enumerate it as if bound.
+        if (c.seed) return 4;
         int unbound = 0;
         for (const CTerm& t : c.args) {
           if (t.kind == CTerm::Kind::kVar && !LookupVar(frame, t.name)) {

@@ -492,6 +492,13 @@ void EmitRow(const std::vector<Value>& row, Relation* out,
   out->InsertHashed(row.data(), row.size(), h);
 }
 
+/// Counts one derivation of `rule`'s head.
+void CountDerivation(const Rule& rule, EvalStats* stats) {
+  if (stats == nullptr) return;
+  ++stats->tuples_derived;
+  if (IsMagicPred(rule.head.pred)) ++stats->magic_derived;
+}
+
 /// Emits one derivation: gathers the head values into the caller's reusable
 /// scratch buffer and inserts the span straight into `out`'s column arena —
 /// no per-candidate Tuple allocation — through EmitRow.
@@ -511,7 +518,7 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
       scratch.push_back(t.constant);
     }
   }
-  if (stats) ++stats->tuples_derived;
+  CountDerivation(rule, stats);
   EmitRow(scratch, out, dedup_against);
 }
 
@@ -1002,7 +1009,7 @@ void ExecLeapfrog(const Rule& rule, const RulePlan& plan, const State& state,
         for (const Term& t : rule.head.terms) {
           scratch.push_back(t.is_var() ? binding[t.var] : t.constant);
         }
-        if (stats) ++stats->tuples_derived;
+        CountDerivation(rule, stats);
         EmitRow(scratch, out, dedup_against);
       });
 }
@@ -1658,6 +1665,7 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
   into->delta_inserts += from.delta_inserts;
   into->delta_deletes += from.delta_deletes;
   into->rederived += from.rederived;
+  into->magic_derived += from.magic_derived;
 }
 
 /// Driver scans shorter than this run as one task; longer ones split into
@@ -2141,7 +2149,7 @@ std::string EvalStats::ToString() const {
      << " delta_inserts=" << delta_inserts << " delta_deletes=" << delta_deletes
      << " rederived=" << rederived
      << " adorned_rules=" << adorned_rules << " magic_rules=" << magic_rules
-     << " magic_facts=" << magic_facts;
+     << " magic_facts=" << magic_facts << " magic_derived=" << magic_derived;
   return os.str();
 }
 

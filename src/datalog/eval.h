@@ -186,6 +186,8 @@ struct EvalStats {
   int adorned_rules = 0;        // rule variants specialized to an adornment
   int magic_rules = 0;          // demand-propagation rules generated
   uint64_t magic_facts = 0;     // demand tuples in magic extents at fixpoint
+  uint64_t magic_derived = 0;   // the part of tuples_derived whose head is a
+                                // magic predicate (counted by every run)
 
   /// One stable line per field, deterministic order — safe to print and
   /// diff regardless of how many threads produced the numbers.

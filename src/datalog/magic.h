@@ -55,6 +55,11 @@
 namespace rel {
 namespace datalog {
 
+/// True for the name of a magic predicate (`m@p@a`).
+inline bool IsMagicPred(const std::string& pred) {
+  return pred.size() > 2 && pred[0] == 'm' && pred[1] == '@';
+}
+
 /// The result of MagicTransform.
 struct MagicProgram {
   /// The rewritten program. Empty when !transformed — evaluate the

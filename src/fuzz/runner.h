@@ -23,8 +23,9 @@
 //     of access paths;
 //   * semi-naive never derives dramatically more than naive
 //     (tuples_derived ratio bound), and a demanded evaluation never derives
-//     dramatically more than the full fixpoint it prunes (magic overhead
-//     bound). These two are ratio checks with slack, not equalities.
+//     dramatically more of the original predicates than the full fixpoint
+//     it prunes (adorned overhead bound; magic-predicate derivations are
+//     excluded). These two are ratio checks with slack, not equalities.
 //
 // A violation of any of these — or any answer mismatch, or any
 // configuration erroring while the oracle succeeds — is reported as a
@@ -66,9 +67,11 @@ struct RunnerOptions {
   /// once (found by this fuzzer — see corpus stats_multi_recursive.dl).
   double naive_ratio = 1.25;
   uint64_t naive_slack = 64;
-  /// Demanded evaluation must satisfy tuples_derived <= full * ratio +
-  /// slack (the transform adds fact-copy rules, magic facts and adorned
-  /// duplicates, so "demand never pays much more than full" needs slack).
+  /// Demanded evaluation must satisfy tuples_derived - magic_derived <=
+  /// full * ratio + slack: the original predicates' derivations, fact-copy
+  /// rules and adorned duplicates included (hence the slack), never pay
+  /// much more than full. Magic-predicate derivations are excluded; they
+  /// have no constant-factor bound in the full fixpoint.
   double demand_ratio = 4.0;
   uint64_t demand_slack = 256;
 };

@@ -404,6 +404,76 @@ TEST(DeckerIc, DefineForcesAFullPass) {
   EXPECT_GT(engine.ic_stats().skipped, skipped_after_warm);
 }
 
+TEST(DeckerIc, NewOrderChecksOnlyItsOwnRows) {
+  // The order model of the paper's Figure 1 (as relbench's `orders` runs
+  // it): a new_order inserts its lines and deletes the oldest order's.
+  // Both constraints read OrderProductQuantity only through seedable
+  // occurrences, so after the verifying full pass each commit checks them
+  // on its delta rows — specialized, never in full.
+  Engine engine;
+  engine.Define(
+      "def Ord(x) : OrderProductQuantity(x, _, _)\n"
+      "ic qty_positive(q) requires OrderProductQuantity(_, _, q) implies "
+      "q > 0\n"
+      "ic priced(p) requires OrderProductQuantity(_, p, _) implies "
+      "ProductPrice(p, _)");
+  engine.Insert("ProductPrice", {Tuple({I(1), I(10)}), Tuple({I(2), I(20)})});
+  engine.Insert("OrderProductQuantity",
+                {Tuple({Value::String("o1"), I(1), I(3)}),
+                 Tuple({Value::String("o2"), I(2), I(1)})});
+  // The first commit after the bulk loads runs the full pass.
+  Engine::IcStats before = engine.ic_stats();
+  engine.Exec("def insert(:PaymentOrder, y, x) : y = \"p0\" and x = \"o1\"");
+  EXPECT_EQ(engine.ic_stats().full, before.full + 2);
+  EXPECT_EQ(engine.ic_stats().specialized, before.specialized);
+
+  const char kNewOrder[] =
+      "def insert(:OrderProductQuantity, o, p, q) : o = \"o3\" and "
+      "{(1, 2); (2, 5)}(p, q)\n"
+      "def delete(:OrderProductQuantity, o, p, q) :\n"
+      "  OrderProductQuantity(o, p, q) and o = \"o1\"\n"
+      "def delete(:PaymentOrder, y, x) : PaymentOrder(y, x) and x = \"o1\"";
+  before = engine.ic_stats();
+  engine.Exec(kNewOrder);
+  EXPECT_EQ(engine.ic_stats().specialized, before.specialized + 2);
+  EXPECT_EQ(engine.ic_stats().full, before.full);
+  EXPECT_EQ(engine.ic_stats().checked,
+            engine.ic_stats().specialized + engine.ic_stats().full);
+
+  // The specialized check still catches a bad line, with the full check's
+  // detail.
+  try {
+    engine.Exec(
+        "def insert(:OrderProductQuantity, o, p, q) : o = \"o4\" and "
+        "{(1, 0); (2, 4)}(p, q)");
+    FAIL() << "qty_positive should have failed";
+  } catch (const ConstraintViolation& v) {
+    EXPECT_EQ(v.ic_name(), "qty_positive");
+    EXPECT_NE(std::string(v.what()).find("violated by {(0)}"),
+              std::string::npos)
+        << v.what();
+  }
+
+  // A Define, and a bulk Insert, each make the next commit full again.
+  engine.Define("ic no_big(q) requires OrderProductQuantity(_, _, q) "
+                "implies q < 100");
+  before = engine.ic_stats();
+  engine.Exec("def insert(:OrderProductQuantity, o, p, q) : o = \"o5\" and "
+              "p = 1 and q = 1");
+  EXPECT_EQ(engine.ic_stats().full, before.full + 3);
+  engine.Insert("ProductPrice", {Tuple({I(3), I(30)})});
+  before = engine.ic_stats();
+  engine.Exec("def insert(:OrderProductQuantity, o, p, q) : o = \"o6\" and "
+              "p = 3 and q = 1");
+  EXPECT_EQ(engine.ic_stats().full, before.full + 3);
+  EXPECT_EQ(engine.ic_stats().specialized, before.specialized);
+  before = engine.ic_stats();
+  engine.Exec("def insert(:OrderProductQuantity, o, p, q) : o = \"o7\" and "
+              "p = 3 and q = 2");
+  EXPECT_EQ(engine.ic_stats().specialized, before.specialized + 3);
+  EXPECT_EQ(engine.ic_stats().full, before.full);
+}
+
 TEST(DeckerIc, TransactionLocalConstraintsAlwaysRun) {
   Engine engine;
   engine.Insert("R", {Tuple({I(1)})});

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "base/interner.h"
 
 namespace rel {
 namespace {
@@ -77,6 +81,30 @@ TEST(Value, FloatToStringIsShortestRoundTrip) {
     const std::string text = Value::Float(v).ToString();
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
   }
+}
+
+TEST(Interner, IdsRoundTripAndStayStableAcrossIndexGrowth) {
+  // A private pool, so the ids are dense from 0. 20000 strings grow the
+  // index table several times over (it doubles at 3/4 full).
+  Interner pool;
+  std::vector<Symbol> ids;
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = "s" + std::to_string(i * 7919);
+    ids.push_back(pool.Intern(s));
+    ASSERT_EQ(ids.back(), static_cast<Symbol>(i));
+    ASSERT_EQ(pool.Lookup(ids.back()), s);
+    // Interning it again right away returns the same id.
+    ASSERT_EQ(pool.Intern(s), ids.back());
+  }
+  // And after every later growth too.
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = "s" + std::to_string(i * 7919);
+    EXPECT_EQ(pool.Intern(s), ids[static_cast<size_t>(i)]) << s;
+  }
+  EXPECT_EQ(pool.size(), 20000u);
+  EXPECT_EQ(pool.Intern(""), static_cast<Symbol>(20000));
+  EXPECT_EQ(pool.Intern(""), static_cast<Symbol>(20000));
+  EXPECT_LT(pool.Compare(pool.Intern("a"), pool.Intern("b")), 0);
 }
 
 }  // namespace
