@@ -20,9 +20,6 @@
 //     the DRed over-delete cascade touches O(n^2/4) closure pairs, the
 //     worst case for delete maintenance (no 10x claim here; this series
 //     bounds the cost of the expensive path against full recompute).
-//   * BM_ColdConeQuery /
-//     BM_CachedConeQuery         — a demanded cone derived fresh per
-//     iteration vs re-served and maintained in place across commits.
 //
 // The update benchmarks alternate insert/delete of the same edge(s) so the
 // database returns to its initial state every two iterations — steady
@@ -54,7 +51,7 @@ constexpr char kTcRules[] =
 
 constexpr int kFresh = 100000;  // a source node no ChainGraph ever contains
 
-constexpr char kConeQuery[] = "def output(y) : tc(0, y)";
+constexpr char kPointQuery[] = "def output(y) : tc(0, y)";
 
 void ApplyArgs(benchmark::internal::Benchmark* b) {
   b->Arg(128)->Arg(256)->ArgName("n");
@@ -68,11 +65,11 @@ std::unique_ptr<Engine> ChainEngine(int n) {
 }
 
 /// Post-loop correctness gate: the maintained session and a fresh session
-/// must serve the same cone of the final database state.
+/// must serve the same answer of the final database state.
 void CheckMaintainedAnswer(benchmark::State& state, Engine* engine,
                            Session* maintained) {
-  Relation served = maintained->Query(kConeQuery);
-  Relation fresh = engine->OpenSession()->Query(kConeQuery);
+  Relation served = maintained->Query(kPointQuery);
+  Relation fresh = engine->OpenSession()->Query(kPointQuery);
   if (served.ToString() != fresh.ToString()) {
     state.SkipWithError("maintained answer diverged from recomputation");
   }
@@ -85,7 +82,7 @@ void BM_ColdRecompute_TC(benchmark::State& state) {
   std::unique_ptr<Engine> engine = ChainEngine(n);
   for (auto _ : state) {
     std::unique_ptr<Session> session = engine->OpenSession();
-    Relation out = session->Query(kConeQuery);
+    Relation out = session->Query(kPointQuery);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -113,7 +110,7 @@ void BM_SingleTupleUpdate_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->Query(kConeQuery);  // warm: populates the session extent cache
+  session->Query(kPointQuery);  // warm: populates the session extent cache
   const std::string src = std::to_string(kFresh);
   const std::string dst = std::to_string(n - 1);
   const std::string ins =
@@ -139,7 +136,7 @@ void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->Query(kConeQuery);
+  session->Query(kPointQuery);
   const std::string src = std::to_string(kFresh);
   const std::string dst = std::to_string(n - 1);
   const std::string ins =
@@ -150,7 +147,7 @@ void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
   for (auto _ : state) {
     engine->Exec(inserting ? ins : del);
     session->Refresh();
-    Relation out = session->Query(kConeQuery);
+    Relation out = session->Query(kPointQuery);
     benchmark::DoNotOptimize(out);
     inserting = !inserting;
   }
@@ -165,7 +162,7 @@ void BM_BatchedUpdate_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->Query(kConeQuery);
+  session->Query(kPointQuery);
   const std::string src = std::to_string(kFresh);
   const std::string lo = std::to_string(n / 2);
   const std::string hi = std::to_string(n / 2 + 7);
@@ -192,7 +189,7 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->Query(kConeQuery);
+  session->Query(kPointQuery);
   const std::string a = std::to_string(n / 2);
   const std::string b = std::to_string(n / 2 + 1);
   const std::string del =
@@ -211,46 +208,6 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
-/// Demanded cone, cold: a fresh session derives tc(0, y) every iteration.
-void BM_ColdConeQuery(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::unique_ptr<Engine> engine = ChainEngine(n);
-  for (auto _ : state) {
-    std::unique_ptr<Session> session = engine->OpenSession();
-    session->options().demand_transform = true;
-    Relation out = session->Query(kConeQuery);
-    benchmark::DoNotOptimize(out);
-  }
-}
-
-/// Demanded cone, maintained: one warm session re-serves tc(0, y) across
-/// single-edge commits — in-place cone maintenance instead of
-/// re-derivation. The toggled edge hangs off kFresh, outside the demanded
-/// cone, so maintenance is O(|delta cone|), near zero.
-void BM_CachedConeQuery(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::unique_ptr<Engine> engine = ChainEngine(n);
-  std::unique_ptr<Session> session = engine->OpenSession();
-  session->options().demand_transform = true;
-  session->Query(kConeQuery);
-  const std::string src = std::to_string(kFresh);
-  const std::string dst = std::to_string(n - 1);
-  const std::string ins =
-      "def insert(:edge, x, y) : x = " + src + " and y = " + dst;
-  const std::string del =
-      "def delete(:edge, x, y) : x = " + src + " and y = " + dst;
-  bool inserting = true;
-  for (auto _ : state) {
-    engine->Exec(inserting ? ins : del);
-    session->Refresh();
-    Relation out = session->Query(kConeQuery);
-    benchmark::DoNotOptimize(out);
-    inserting = !inserting;
-  }
-  state.counters["cone_maintained"] = benchmark::Counter(
-      static_cast<double>(session->extent_cache().maintained()));
-}
-
 BENCHMARK(BM_ColdRecompute_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleTupleUpdate_TC)
     ->Apply(ApplyArgs)
@@ -262,8 +219,6 @@ BENCHMARK(BM_BatchedUpdate_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MidChainDeleteDRed_TC)
     ->Apply(ApplyArgs)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ColdConeQuery)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CachedConeQuery)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rel

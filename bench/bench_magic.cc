@@ -1,12 +1,13 @@
 // Demand transformation (magic sets) — point and cone queries against the
-// full-closure baseline, at the Datalog layer and end to end through the
-// Rel engine.
+// full-closure baseline at the Datalog layer, plus the same point query end
+// to end through the Rel engine.
 //
 // Series: left-linear transitive closure over chain, random and grid
 // graphs. The full-closure baseline evaluates the entire O(n^2)-ish
 // extent and filters; the demanded series rewrite the program for the goal
-// (EvalOptions::demand_goal / InterpOptions::demand_transform) and derive
-// only the cone. The acceptance shape: the point query tc(0, Y) on the
+// (EvalOptions::demand_goal) and derive only the cone. The Rel series reads
+// tc(0, y) from the full extent, the only path a bound read of a recursive
+// component takes. The acceptance shape: the point query tc(0, Y) on the
 // chain at n=256 derives >= 10x fewer tuples and runs >= 5x faster than
 // the full closure, with the demanded extent byte-identical to the
 // goal-filtered full fixpoint (the `identical` counter, checked once per
@@ -139,35 +140,18 @@ BENCHMARK(BM_TCMagicAllBound)
     ->Apply(ApplyShapes)
     ->Unit(benchmark::kMillisecond);
 
-void RunRelPointQuery(benchmark::State& state, bool demand_transform) {
+void BM_RelPointQuery_Full(benchmark::State& state) {
+  // End to end through the Rel engine: the full extent, then the bound read.
   std::vector<Tuple> edges = GraphFor(state);
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"edge", &edges}});
-    engine.options().demand_transform = demand_transform;
     Relation out = engine.Query(kTCRelPoint);
     benchmark::DoNotOptimize(out.size());
     state.counters["tuples"] = static_cast<double>(out.size());
-    state.counters["demanded"] = static_cast<double>(
-        engine.last_lowering_stats().components_demanded);
   }
 }
-
-void BM_RelPointQuery_Full(benchmark::State& state) {
-  // End to end through the Rel engine, full extent (demand off).
-  RunRelPointQuery(state, /*demand_transform=*/false);
-}
 BENCHMARK(BM_RelPointQuery_Full)
-    ->Apply(ApplyShapes)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RelPointQuery_Demand(benchmark::State& state) {
-  // Same query with InterpOptions::demand_transform on: the solver hands
-  // the binding pattern of tc(0, y) to the interpreter, which evaluates
-  // just the demanded cone.
-  RunRelPointQuery(state, /*demand_transform=*/true);
-}
-BENCHMARK(BM_RelPointQuery_Demand)
     ->Apply(ApplyShapes)
     ->Unit(benchmark::kMillisecond);
 

@@ -49,15 +49,13 @@ class SharedEngine {
 SharedEngine read_engine;
 SharedEngine mixed_engine;
 
-/// N sessions, all readers: each one pins a snapshot and runs demanded tc
-/// cones against it (rotating the start node through the per-component
-/// pattern budget, so both cold cones and session-cache hits are in the
-/// mix). Scaling is the point: the per-iteration time should hold roughly
+/// N sessions, all readers: each one pins a snapshot and runs bound tc
+/// reads against it (rotating the start node; every read after a session's
+/// first hits its whole-component extent cache). Scaling is the point: the per-iteration time should hold roughly
 /// flat as threads grow, because pinned reads take no locks.
 void BM_Serving_ReaderThroughput(benchmark::State& state) {
   Engine* engine = read_engine.Acquire();
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->options().demand_transform = true;
   int64_t queries = 0;
   for (auto _ : state) {
     int start = static_cast<int>(queries % 4);
@@ -85,7 +83,6 @@ BENCHMARK(BM_Serving_ReaderThroughput)
 void BM_Serving_WriterInterference(benchmark::State& state) {
   Engine* engine = mixed_engine.Acquire();
   std::unique_ptr<Session> session = engine->OpenSession();
-  session->options().demand_transform = true;
   int64_t ops = 0;
   if (state.thread_index() == 0) {
     // The writer: one committed transaction per iteration.

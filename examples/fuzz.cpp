@@ -1,7 +1,8 @@
 // Equivalent-query fuzzer CLI (src/fuzz): generate random Datalog programs,
 // run each under the full configuration lattice — every strategy, thread
 // count, plan-order seed and demand pattern of the classical engine, plus
-// the Rel engine via the to_rel bridge — and report any configuration that
+// the Rel engine via the to_rel bridge (interpretation, lowering, a Session
+// and a bound point query of the goal) — and report any configuration that
 // disagrees with the naive oracle on answers, error kinds, or the cost
 // invariants between equal-work configurations.
 //
@@ -15,7 +16,7 @@
 //                random single-tuple EDB inserts/deletes, run
 //                incrementally (EvaluateDelta + persistent index cache)
 //                against a from-scratch oracle after every step, across
-//                the (plan seed x thread count) lattice — the PR 9
+//                the (plan seed x thread count) lattice — the
 //                incremental-maintenance differential (0 = classic
 //                static mode)
 //

@@ -165,7 +165,7 @@ class Engine {
   const Database& db() const;
 
   /// Evaluation limits and toggles (iteration caps, num_threads, the
-  /// lower_recursion / demand_transform evaluation-path switches). Applied
+  /// lower_recursion evaluation-path switch). Applied
   /// to facade calls and to writer-side constraint checking; sessions get a
   /// copy at OpenSession() and keep their own.
   InterpOptions& options() { return options_; }
@@ -197,9 +197,8 @@ class Engine {
   };
   const IcStats& ic_stats() const { return ic_stats_; }
 
-  /// The writer-side extent cache: lowered-component fixpoints (and, with
-  /// demand_transform, demanded cones) maintained across the commit
-  /// pipeline's pre-state and post-state evaluations.
+  /// The writer-side extent cache: lowered-component fixpoints maintained
+  /// across the commit pipeline's pre-state and post-state evaluations.
   const ExtentCache& writer_extent_cache() const { return writer_cache_; }
 
  private:
@@ -284,7 +283,7 @@ class Engine {
   /// so rules and integrity constraints recover with the data.
   std::vector<std::string> model_sources_;
 
-  /// Writer-side extent cache (components and cones), stamped with
+  /// Writer-side extent cache (lowered components), stamped with
   /// working-database versions, under the same contract as a session's
   /// cache. Abort safety: Maintain() moves every surviving entry to the
   /// transaction's post-version, so RollbackToHead()'s Retain(head version)

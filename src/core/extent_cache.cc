@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "datalog/magic.h"
-
 namespace rel {
 
 namespace {
@@ -54,8 +52,8 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
 ExtentCache::Key ExtentCache::KeyFor(const std::vector<std::string>& members) {
   Key key;
   for (const std::string& m : members) {
-    key.first += m;
-    key.first += '\x1f';  // cannot occur in source-level names
+    key += m;
+    key += '\x1f';  // cannot occur in source-level names
   }
   return key;
 }
@@ -71,10 +69,8 @@ const ExtentCache::Entry* ExtentCache::Lookup(const Key& key,
   return it->second.get();
 }
 
-ExtentCache::Entry& ExtentCache::Store(Key key, Entry entry) {
-  std::unique_ptr<Entry>& slot = entries_[std::move(key)];
-  slot = std::make_unique<Entry>(std::move(entry));
-  return *slot;
+void ExtentCache::Store(Key key, Entry entry) {
+  entries_[std::move(key)] = std::make_unique<Entry>(std::move(entry));
 }
 
 template <typename Pred>
@@ -96,13 +92,6 @@ void ExtentCache::Maintain(const DatabaseDelta& delta,
     MaintainResult result = MaintainResult::kUnsupported;
     try {
       result = MaintainExtents(&entry.ext, delta, opts, &maintain_stats_);
-      if (result == MaintainResult::kMaintained && !entry.goal_pred.empty()) {
-        // A cone is a pure function of the maintained extents: re-filter.
-        auto goal = entry.ext.extents.find(entry.goal_pred);
-        entry.cone = goal == entry.ext.extents.end()
-                         ? Relation()
-                         : datalog::FilterByPattern(goal->second, entry.pattern);
-      }
     } catch (...) {
       // The extents, base facts and IndexCache may be half-mutated: drop
       // the entry. The next query recomputes and raises the error itself.

@@ -13,16 +13,10 @@
 //   * unsupported shapes (negation over an affected predicate, wholesale
 //     Put/Drop) → the entry is dropped and the next transaction recomputes.
 //
-// One entry kind serves two views (the Berkholz et al. reading: a demanded
-// cone is a maintained query with bound inputs):
-//
-//   * a whole lowered component, keyed by KeyFor(members) with no bound
-//     values — the all-free binding pattern;
-//   * a demanded cone (InterpOptions::demand_transform), keyed by
-//     "name/arity" plus its bound values. Its payload is the full fixpoint
-//     of the magic-transformed program (magic seed facts never change under
-//     base-relation deltas, so the database delta IS that program's EDB
-//     delta), and the cone is re-filtered from it after maintenance.
+// Each entry is one whole lowered component, keyed by KeyFor(members). A
+// bound read of a member (tc(0, y)) takes the same entry: the maintained
+// view of Berkholz et al. is the full extent, and the solver's enumeration
+// selects the bound rows from it.
 //
 // The contract, identical for every owner (the Engine's writer side, or a
 // Session; one cache per owner, externally synchronized, never shared). An
@@ -59,15 +53,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "data/database.h"
 #include "data/relation.h"
-#include "data/value.h"
 #include "datalog/eval.h"
 #include "datalog/index.h"
 #include "datalog/program.h"
@@ -128,25 +119,17 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
                                const datalog::EvalOptions& opts,
                                datalog::EvalStats* stats);
 
-/// Per-owner cache of maintained views, keyed by (id, bound values) and
-/// stamped with a database version. Externally synchronized; see the header
-/// comment for the ownership and invalidation contract.
+/// Per-owner cache of maintained views, keyed by component and stamped
+/// with a database version. Externally synchronized; see the header comment
+/// for the ownership and invalidation contract.
 class ExtentCache {
  public:
-  /// (id, bound positions and their values ascending by position). A whole
-  /// component is KeyFor(members) with no bound values; a demanded cone is
-  /// "name/arity" — so tc(0, Y) and tc(0, Y, Z) never share an entry.
-  using Key = std::pair<std::string, std::vector<std::pair<size_t, Value>>>;
+  /// KeyFor(members) of a lowered component.
+  using Key = std::string;
 
   struct Entry {
     uint64_t db_version = 0;
     MaintainableExtents ext;
-    /// Demanded cones only: the transformed program's goal predicate, the
-    /// binding pattern, and FilterByPattern(ext.extents[goal_pred],
-    /// pattern) — re-filtered whenever maintenance moves the extents.
-    std::string goal_pred;
-    std::vector<std::optional<Value>> pattern;
-    Relation cone;
   };
 
   /// The key for the component whose sorted members are `members`.
@@ -156,9 +139,8 @@ class ExtentCache {
   /// a hit or a miss.
   const Entry* Lookup(const Key& key, uint64_t db_version);
 
-  /// Stores (replacing any previous entry for `key`); the returned
-  /// reference is stable until the entry is dropped.
-  Entry& Store(Key key, Entry entry);
+  /// Stores (replacing any previous entry for `key`).
+  void Store(Key key, Entry entry);
 
   /// Moves every entry at delta.from_version to delta.to_version —
   /// incrementally where the delta is relevant, by re-stamping where it is

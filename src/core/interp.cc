@@ -6,7 +6,6 @@
 #include "core/extent_cache.h"
 #include "core/lowering.h"
 #include "datalog/eval.h"
-#include "datalog/magic.h"
 
 namespace rel {
 
@@ -105,7 +104,7 @@ Interp::Interp(const Database* db, std::vector<std::shared_ptr<Def>> defs,
     }
   }
   // Everything past the shared prefix was parsed from this transaction's
-  // source; a demanded cone that (transitively) reads any of these names is
+  // source; a component that (transitively) reads any of these names is
   // transaction-local and must not enter the cross-transaction cache.
   for (size_t i = options_.shared_defs; i < all_defs_.size(); ++i) {
     txn_local_names_.insert(all_defs_[i]->name);
@@ -561,57 +560,8 @@ bool Interp::FiniteStandalone(const std::string& name) {
   return KeyedInfo(name).finite;
 }
 
-DemandPath Interp::DemandPathOf(const std::string& name) {
-  if (analysis_.IsRecursive(name)) {
-    return options_.demand_transform && options_.lower_recursion &&
-                   !analysis_.UsesReplacement(name)
-               ? DemandPath::kCone
-               : DemandPath::kFull;
-  }
-  return KeyedInfo(name).seedable ? DemandPath::kSlice : DemandPath::kFull;
-}
-
-const Relation& Interp::EvalInstanceDemand(
-    const std::string& name,
-    const std::vector<std::optional<Value>>& pattern, bool open) {
-  bool any_bound = false;
-  for (const auto& p : pattern) any_bound |= p.has_value();
-  const DemandPath path = DemandPathOf(name);
-  if (!any_bound || path == DemandPath::kFull ||
-      (path == DemandPath::kCone && open)) {
-    return EvalInstance(name, 0, {});
-  }
-  // A memoized full extent is strictly cheaper than any slice or cone; a
-  // member of a running unit must keep its partial-value semantics (the
-  // unit's recursive references drive convergence through it); and a
-  // failed one must raise its cached error.
-  auto inst = instances_.find(InstanceKey{name, 0, {}});
-  if (inst != instances_.end() &&
-      (inst->second.done || inst->second.unit >= 0 ||
-       inst->second.failed_safety)) {
-    return EvalInstance(name, 0, {});
-  }
-  int comp = analysis_.ComponentOf(name);
-  if (comp < 0 || lowering_failed_components_.count(comp)) {
-    return EvalInstance(name, 0, {});
-  }
-
-  // Memo key: bound positions and their values; the name is qualified by
-  // the pattern arity ("+" when open) so tc(0, Y) and tc(0, Y, Z) never
-  // share an entry.
-  std::vector<std::pair<size_t, Value>> bound;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    if (pattern[i]) bound.emplace_back(i, *pattern[i]);
-  }
-  ExtentCache::Key key(
-      name + "/" + std::to_string(pattern.size()) + (open ? "+" : ""),
-      std::move(bound));
-  auto memo = demand_memo_.find(key);
-  if (memo != demand_memo_.end()) return memo->second;
-  if (path == DemandPath::kSlice) {
-    return EvalSlice(name, comp, pattern, open, std::move(key));
-  }
-  return EvalCone(name, comp, pattern, std::move(key));
+bool Interp::Seedable(const std::string& name) {
+  return KeyedInfo(name).seedable;
 }
 
 namespace {
@@ -642,9 +592,33 @@ bool IsNumber(const Value& v) {
 }  // namespace
 
 const Relation& Interp::EvalSlice(
-    const std::string& name, int comp,
-    const std::vector<std::optional<Value>>& pattern, bool open,
-    ExtentCache::Key key) {
+    const std::string& name,
+    const std::vector<std::optional<Value>>& pattern, bool open) {
+  std::vector<std::pair<size_t, Value>> bound;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i]) bound.emplace_back(i, *pattern[i]);
+  }
+  if (bound.empty()) return EvalInstance(name, 0, {});
+  // A memoized full extent is strictly cheaper than any slice; a member of
+  // a running unit must keep its partial-value semantics (the unit's
+  // recursive references drive convergence through it); and a failed one
+  // must raise its cached error.
+  auto inst = instances_.find(InstanceKey{name, 0, {}});
+  if (inst != instances_.end() &&
+      (inst->second.done || inst->second.unit >= 0 ||
+       inst->second.failed_safety)) {
+    return EvalInstance(name, 0, {});
+  }
+  int comp = analysis_.ComponentOf(name);
+  if (comp < 0 || lowering_failed_components_.count(comp)) {
+    return EvalInstance(name, 0, {});
+  }
+
+  SliceKey key(name + "/" + std::to_string(pattern.size()) + (open ? "+" : ""),
+               std::move(bound));
+  auto memo = slice_memo_.find(key);
+  if (memo != slice_memo_.end()) return memo->second;
+
   const KeyedDef& info = KeyedInfo(name);
   const auto& rules = DefsOf(name, 0);
   std::vector<std::vector<Seed>> seeds(rules.size());
@@ -661,11 +635,11 @@ const Relation& Interp::EvalSlice(
   }
   // With nothing to seed the slice would cost the full evaluation anyway;
   // past the cutoff one full evaluation serves every later key.
-  DemandComponent& dc = demand_components_[comp];
-  if (!seeded || dc.patterns >= kMaxDemandPatterns) {
+  int& patterns = slice_patterns_[comp];
+  if (!seeded || patterns >= kMaxSlicePatterns) {
     return EvalInstance(name, 0, {});
   }
-  ++dc.patterns;
+  ++patterns;
   const uint64_t partial_before = partial_reads_;
   Relation slice;
   try {
@@ -685,105 +659,11 @@ const Relation& Interp::EvalSlice(
   ++lowering_stats_.seeded_lookups;
   lowering_stats_.seeded_tuples += slice.size();
   if (partial_reads_ == partial_before) {
-    return demand_memo_[std::move(key)] = std::move(slice);
+    return slice_memo_[std::move(key)] = std::move(slice);
   }
   // Read an in-progress fixpoint value: valid for this lookup only.
   scratch_.push_back(std::make_unique<Relation>(std::move(slice)));
   return *scratch_.back();
-}
-
-const Relation& Interp::EvalCone(
-    const std::string& name, int comp,
-    const std::vector<std::optional<Value>>& pattern, ExtentCache::Key key) {
-  // Cross-transaction cache, under the same gate as TryLowerComponent: a
-  // cone already derived (or maintained forward) for this database version
-  // is returned without touching the evaluator. The reference points into
-  // the cache entry, which only the owner's next Maintain/Retain/Clear can
-  // drop — after this transaction's reads of it.
-  const bool cacheable =
-      options_.extent_cache != nullptr && SharedRulesOnly(name);
-  if (cacheable) {
-    if (const ExtentCache::Entry* hit =
-            options_.extent_cache->Lookup(key, db_->version())) {
-      ++lowering_stats_.cone_cache_hits;
-      return hit->cone;
-    }
-  }
-
-  // A new pattern. Past the per-component cutoff, many distinct cones cost
-  // more than the one closure they overlap in — evaluate the full extent
-  // once (memoized done, so every later lookup takes the fast path above)
-  // and drop the cached translation.
-  DemandComponent& dc = demand_components_[comp];
-  if (dc.patterns >= kMaxDemandPatterns) {
-    dc.lowered.reset();
-    return EvalInstance(name, 0, {});
-  }
-  // The component's translation and materialized EDB are pattern-
-  // independent; build them once and share across this component's cones.
-  if (!dc.lowered) {
-    dc.lowered = BuildLoweredProgram(name, {});
-    if (!dc.lowered) return EvalInstance(name, 0, {});
-  }
-  std::optional<datalog::DemandGoal> goal =
-      DemandGoalFor(*dc.lowered, name, pattern);
-  if (!goal) return EvalInstance(name, 0, {});
-
-  if (cacheable) {
-    // Cacheable cones run the magic transform explicitly and keep the
-    // transformed program's FULL fixpoint as the entry's maintenance
-    // payload: on later commits the cache owner moves it forward with
-    // datalog::EvaluateDelta (the magic seed facts never change under
-    // base-relation deltas) and re-filters the goal extent, instead of
-    // re-running the cone from scratch.
-    datalog::MagicProgram magic =
-        datalog::MagicTransform(dc.lowered->program, *goal);
-    const datalog::Program& prog =
-        magic.transformed ? magic.program : dc.lowered->program;
-    std::map<std::string, Relation> extents;
-    try {
-      extents = datalog::Evaluate(prog, LoweredEvalOptions(options_));
-    } catch (const RelError&) {
-      return EvalInstance(name, 0, {});
-    }
-    ++dc.patterns;
-    Relation cone;
-    auto it = extents.find(magic.goal_pred);
-    if (it != extents.end()) {
-      cone = datalog::FilterByPattern(it->second, goal->pattern);
-    }
-    ++lowering_stats_.components_demanded;
-    lowering_stats_.demanded_tuples += cone.size();
-    ExtentCache::Entry entry;
-    entry.db_version = db_->version();
-    entry.ext.extents = std::move(extents);
-    FillMaintainInfo(*dc.lowered, name, &entry.ext);
-    entry.ext.program =
-        magic.transformed ? std::move(magic.program) : dc.lowered->program;
-    entry.goal_pred = std::move(magic.goal_pred);
-    entry.pattern = goal->pattern;
-    entry.cone = std::move(cone);
-    return options_.extent_cache->Store(std::move(key), std::move(entry)).cone;
-  }
-
-  datalog::EvalOptions eval_options = LoweredEvalOptions(options_);
-  eval_options.demand_goal = std::move(goal);
-  std::map<std::string, Relation> extents;
-  try {
-    extents = datalog::Evaluate(dc.lowered->program, eval_options);
-  } catch (const RelError&) {
-    // The tuple-at-a-time path stays the authority on errors (safety under
-    // any literal order, non-convergence diagnostics naming the component).
-    return EvalInstance(name, 0, {});
-  }
-
-  ++dc.patterns;
-  Relation cone;
-  auto it = extents.find(name);
-  if (it != extents.end()) cone = std::move(it->second);
-  ++lowering_stats_.components_demanded;
-  lowering_stats_.demanded_tuples += cone.size();
-  return demand_memo_[key] = std::move(cone);
 }
 
 const Relation& Interp::MaterializeSO(const SOValue& value) {

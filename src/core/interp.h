@@ -61,34 +61,20 @@ struct InterpOptions {
   /// per plan). Answer-invariant by contract; the equivalent-query fuzzer
   /// sweeps it to differential-test the planner through the full Rel path.
   uint64_t plan_order_seed = 0;
-  /// Demand-driven recursive queries: when the solver looks up a recursive
-  /// component through an application with bound arguments (tc(0, y)),
-  /// rewrite the lowered Datalog program with the magic-set transform
-  /// (src/datalog/magic.h) so only the demanded cone is derived instead of
-  /// the full closure. Answer-preserving: the demanded extent is
-  /// byte-identical to the goal-filtered full fixpoint (pinned by the magic
-  /// differential suite). The one observable difference is max_iterations
-  /// interplay — a query whose FULL fixpoint would exceed the cap can still
-  /// succeed when its (smaller) demanded cone converges within it. Off by
-  /// default until the differential suite has soaked in CI; flip via
-  /// Engine::options().demand_transform. Bound lookups of non-recursive
-  /// defs take their seeded path regardless (see EvalInstanceDemand).
-  bool demand_transform = false;
   /// How many leading entries of the def vector are session-shared
   /// persistent rules; everything after is transaction-local (the parsed
-  /// query source). Used to decide when a lowered component or demanded
-  /// cone may be served from or stored into `extent_cache` — a view whose
-  /// transitive dependencies include a transaction-local def must not cross
+  /// query source). Used to decide when a lowered component may be served
+  /// from or stored into `extent_cache` — a view whose transitive
+  /// dependencies include a transaction-local def must not cross
   /// transactions. The default (0) treats every def as transaction-local,
   /// disabling the shared cache; the Session sets it to its snapshot's rule
   /// count.
   size_t shared_defs = 0;
   /// Cross-transaction cache of maintained views — lowered-component
-  /// fixpoints and demanded cones (see core/extent_cache.h). Owned by the
-  /// Engine's writer side or by a Session, externally synchronized,
-  /// maintained under database deltas by the owner. nullptr recomputes
-  /// every lowered fixpoint per transaction and keeps cones in the
-  /// per-Interp memo only.
+  /// fixpoints (see core/extent_cache.h). Owned by the Engine's writer side
+  /// or by a Session, externally synchronized, maintained under database
+  /// deltas by the owner. nullptr recomputes every lowered fixpoint per
+  /// transaction.
   ExtentCache* extent_cache = nullptr;
   /// Dependency/SCC analysis of the first `shared_defs` defs, owned by the
   /// Engine and published with each snapshot. When set, the Interp extends
@@ -105,29 +91,18 @@ struct InterpOptions {
 struct LoweringStats {
   int components_lowered = 0;   // SCCs evaluated by the Datalog engine
   int components_rejected = 0;  // monotone SCCs outside the Datalog fragment
-  int components_demanded = 0;  // demand-transformed (magic-set) evaluations
-  int cone_cache_hits = 0;      // demanded cones served from the ExtentCache
   int extent_cache_hits = 0;    // components served from the ExtentCache
   int seeded_lookups = 0;       // keyed reads answered by a seeded slice
   uint64_t lowered_tuples = 0;  // tuples spliced back into instances
-  uint64_t demanded_tuples = 0; // tuples in demanded extents handed out
   uint64_t seeded_tuples = 0;   // tuples in seeded slices handed out
   std::vector<std::string> lowered_names;    // members, evaluation order
   std::vector<std::string> rejection_notes;  // "name: reason" per rejection
 };
 
 /// The Datalog options every lowered evaluation runs under — the component
-/// splice, the demanded cone, and the owners' incremental maintenance of
-/// cached views — so recomputed and maintained extents can never diverge.
+/// splice and the owners' incremental maintenance of cached views — so
+/// recomputed and maintained extents can never diverge.
 datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options);
-
-/// How the solver answers a lookup of a first-order relation with bound
-/// positions (Interp::EvalInstanceDemand).
-enum class DemandPath : uint8_t {
-  kFull,   // evaluate the whole instance
-  kCone,   // magic-set cone of a recursive component (demand_transform)
-  kSlice,  // seeded evaluation of a non-recursive def's rules
-};
 
 /// One evaluation context: a database plus a set of rules. Create one per
 /// transaction; memoized results are valid for the lifetime of the object
@@ -171,43 +146,36 @@ class Interp {
   const Relation& EvalInstance(const std::string& name, size_t sig,
                                const std::vector<SOValue>& so_args);
 
-  /// Demand-driven variant of EvalInstance for first-order instances
+  /// Keyed variant of EvalInstance for a Seedable first-order instance
   /// queried through an application with a binding pattern: bound
   /// positions carry the querying atom's values (constants or variables
   /// the solver has already bound); `open` means a tuple pattern followed
   /// the listed positions, so rows of any greater arity also match. The
-  /// returned extent holds exactly the tuples of the full extent that match
-  /// the pattern — what the solver's enumeration would keep anyway — and is
-  /// computed by the name's DemandPathOf:
-  ///   - kSlice (a non-recursive def): every rule is evaluated with its
-  ///     parameters seeded from the bound positions, as far as the rule's
-  ///     SeedKinds allow, and filtered to the pattern; matching base facts
-  ///     of the name are added. A RelError from the seeded evaluation
-  ///     falls back to the full instance, which raises its own error (or
-  ///     none, if the error lies outside the slice).
-  ///   - kCone (demand_transform on, a qualifying monotone recursive
-  ///     component): only the demanded cone is evaluated (magic-set
-  ///     transform on the lowered Datalog program). The component's
-  ///     translation + materialized EDB are built once and shared across
-  ///     patterns.
-  /// Falls back to EvalInstance (the full extent) whenever no position is
-  /// bound or seedable, the full instance is already done, in progress or
-  /// failed, or the path does not apply (open pattern on a cone, component
-  /// outside the lowering fragment). Results are memoized per (name/arity,
-  /// pattern) when they read no in-progress fixpoint value; references
-  /// stay valid for the lifetime of this Interp. After kMaxDemandPatterns
-  /// distinct patterns per component, one full evaluation serves every
-  /// later lookup, so a join probing many distinct bindings can never run
-  /// many slices or cones where one full extent would be cheaper. Slices
-  /// never enter the extent cache.
-  const Relation& EvalInstanceDemand(
-      const std::string& name,
-      const std::vector<std::optional<Value>>& pattern, bool open);
+  /// returned *seeded slice* holds exactly the tuples of the full extent
+  /// that match the pattern — what the solver's enumeration would keep
+  /// anyway: every rule is evaluated with its parameters seeded from the
+  /// bound positions, as far as the rule's SeedKinds allow, and filtered to
+  /// the pattern; matching base facts of the name are added. A RelError
+  /// from the seeded evaluation falls back to the full instance, which
+  /// raises its own error (or none, if the error lies outside the slice).
+  /// Also falls back to EvalInstance (the full extent) whenever no position
+  /// is bound or seedable, or the full instance is already done, in
+  /// progress or failed. Slices are memoized per (name/arity, pattern) when
+  /// they read no in-progress fixpoint value; references stay valid for the
+  /// lifetime of this Interp. After kMaxSlicePatterns distinct patterns per
+  /// component, one full evaluation serves every later lookup, so a join
+  /// probing many distinct bindings can never run many slices where one
+  /// full extent would be cheaper. Slices never enter the extent cache.
+  const Relation& EvalSlice(const std::string& name,
+                            const std::vector<std::optional<Value>>& pattern,
+                            bool open);
 
-  /// The demand path a bound lookup of the first-order relation `name`
-  /// takes. The solver resolves it once per compiled atom, so atoms with no
-  /// demand path never build a binding pattern.
-  DemandPath DemandPathOf(const std::string& name);
+  /// True iff a bound lookup of the first-order relation `name` takes
+  /// EvalSlice: a non-recursive def some rule of which seeds some
+  /// parameter. The solver resolves it once per compiled atom, so other
+  /// atoms never build a binding pattern; a bound read of a recursive
+  /// component takes its full (cached, maintained) extent.
+  bool Seedable(const std::string& name);
 
   /// True iff the instance of `name` with no relation arguments can be
   /// evaluated standalone without a safety error, as far as a static check
@@ -306,25 +274,21 @@ class Interp {
   /// — the caller then falls back to the tuple-at-a-time fixpoint.
   bool TryLowerComponent(const InstanceKey& key);
 
-  /// True iff a view rooted at `name` (its lowered component or a demanded
-  /// cone) is a pure function of the database and the session-shared rule
-  /// prefix — i.e. no def reachable from `name` (itself included) is
-  /// transaction-local. Only such views may live in the cross-transaction
-  /// extent cache. Memoized per name.
+  /// True iff the lowered component of `name` is a pure function of the
+  /// database and the session-shared rule prefix — i.e. no def reachable
+  /// from `name` (itself included) is transaction-local. Only such views may
+  /// live in the cross-transaction extent cache. Memoized per name.
   bool SharedRulesOnly(const std::string& name);
 
   /// Fills a cache entry's maintenance metadata for the component `lowered`
   /// rooted at `name`: the name closure, the database relations feeding the
   /// EDB, the members' base facts, and the maintainable verdict (false when
   /// any external has rules — its EDB snapshot is a derived value a base
-  /// delta changes opaquely). Program-agnostic: valid for both the plain
-  /// lowered program and its magic transform (whose synthetic predicates
-  /// never appear in a DatabaseDelta).
+  /// delta changes opaquely).
   void FillMaintainInfo(const LoweredComponent& lowered,
                         const std::string& name, MaintainableExtents* out);
 
-  /// Shared front half of TryLowerComponent and EvalInstanceDemand:
-  /// translates the component of `name` for the relation arguments
+  /// The front half of TryLowerComponent: translates the component of `name` for the relation arguments
   /// `so_args` and materializes its EDB (the arguments via MaterializeSO,
   /// external extents via EvalInstance, and, for a first-order component,
   /// the members' base facts from the database). Returns nullopt after
@@ -334,15 +298,6 @@ class Interp {
   /// input read an in-progress fixpoint (only this instance falls back).
   std::optional<LoweredComponent> BuildLoweredProgram(
       const std::string& name, const std::vector<SOValue>& so_args);
-
-  /// The kCone half of EvalInstanceDemand.
-  const Relation& EvalCone(const std::string& name, int comp,
-                           const std::vector<std::optional<Value>>& pattern,
-                           ExtentCache::Key key);
-  /// The kSlice half of EvalInstanceDemand.
-  const Relation& EvalSlice(const std::string& name, int comp,
-                            const std::vector<std::optional<Value>>& pattern,
-                            bool open, ExtentCache::Key key);
 
   /// Per-name keyed-read facts: the SeedKinds of every rule of the name
   /// (in DefsOf order) and the FiniteStandalone verdict.
@@ -367,26 +322,24 @@ class Interp {
   std::vector<Unit> units_;  // running units, innermost last
   LoweringStats lowering_stats_;
   std::set<int> lowering_failed_components_;
-  /// Seeded slices and demanded cones that cannot enter the extent cache,
-  /// memoized per (name/arity, bound-position values). Pure functions of
-  /// the (fixed) database and rule set, so entries stay valid for the
-  /// Interp's lifetime; map nodes keep references stable.
-  std::map<ExtentCache::Key, Relation> demand_memo_;
+  /// Seeded slices memoized per (name/arity, bound positions and their
+  /// values ascending by position); the name is qualified by the pattern
+  /// arity ("+" when open) so tc(0, Y) and tc(0, Y, Z) never share an
+  /// entry. Pure functions of the (fixed) database and rule set, so entries
+  /// stay valid for the Interp's lifetime; map nodes keep references stable.
+  using SliceKey =
+      std::pair<std::string, std::vector<std::pair<size_t, Value>>>;
+  std::map<SliceKey, Relation> slice_memo_;
   /// KeyedInfo per name, computed on first use.
   std::map<std::string, KeyedDef> keyed_defs_;
   /// Names defined by transaction-local defs (index >= options.shared_defs)
   /// and the per-name SharedRulesOnly verdicts.
   std::set<std::string> txn_local_names_;
   std::map<std::string, bool> shared_rules_only_;
-  /// Per-component demand bookkeeping: the distinct-pattern count driving
-  /// the kMaxDemandPatterns cutoff and, for a cone, the translation +
-  /// materialized EDB (built once, reused across patterns).
-  static constexpr int kMaxDemandPatterns = 8;
-  struct DemandComponent {
-    int patterns = 0;
-    std::optional<LoweredComponent> lowered;
-  };
-  std::map<int, DemandComponent> demand_components_;
+  /// Distinct slice patterns evaluated per component, driving the
+  /// kMaxSlicePatterns cutoff.
+  static constexpr int kMaxSlicePatterns = 8;
+  std::map<int, int> slice_patterns_;
   uint64_t partial_reads_ = 0;
   uint64_t instance_passes_ = 0;
   int fresh_counter_ = 0;

@@ -945,22 +945,4 @@ std::optional<LoweredComponent> LowerComponent(
   return out;
 }
 
-std::optional<datalog::DemandGoal> DemandGoalFor(
-    const LoweredComponent& lowered, const std::string& name,
-    const std::vector<std::optional<Value>>& pattern) {
-  bool member = false;
-  for (const std::string& m : lowered.members) member |= (m == name);
-  if (!member) return std::nullopt;
-  // Aggregates are demand-opaque: folding a partial bucket would be wrong,
-  // so the magic transform degenerates to the identity and a demanded cone
-  // buys nothing over the memoized full extent. Decline the goal so callers
-  // evaluate (and memoize) the component whole.
-  if (lowered.program.HasAggregates()) return std::nullopt;
-  datalog::DemandGoal goal;
-  goal.pred = name;
-  goal.pattern = pattern;
-  if (!goal.AnyBound()) return std::nullopt;
-  return goal;
-}
-
 }  // namespace rel

@@ -106,16 +106,6 @@ std::optional<LoweredComponent> LowerComponent(
     const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
     size_t relation_params = 0);
 
-/// Builds the Datalog demand goal for querying member `name` of a lowered
-/// component with a binding pattern (bound positions carry the querying
-/// atom's constants — how the interpreter's demand path hands the solver's
-/// bound arguments to datalog::EvalOptions::demand_goal). Returns nullopt
-/// when `name` is not a member or no position is bound (an all-free query
-/// demands the full extent; callers should evaluate normally).
-std::optional<datalog::DemandGoal> DemandGoalFor(
-    const LoweredComponent& lowered, const std::string& name,
-    const std::vector<std::optional<Value>>& pattern);
-
 }  // namespace rel
 
 #endif  // REL_CORE_LOWERING_H_

@@ -122,11 +122,11 @@ class Session {
   /// Per-session evaluation options (seeded from the engine's at open).
   InterpOptions& options() { return options_; }
 
-  /// Lowering/demand counters of this session's most recent Query/Eval/Exec.
+  /// Lowering counters of this session's most recent Query/Eval/Exec.
   const LoweringStats& last_lowering_stats() const { return lowering_stats_; }
 
-  /// The session's cache of maintained views: lowered-component fixpoints
-  /// and demanded cones, carried across re-pins (see core/extent_cache.h).
+  /// The session's cache of maintained views: lowered-component fixpoints,
+  /// carried across re-pins (see core/extent_cache.h).
   const ExtentCache& extent_cache() const { return extent_cache_; }
 
  private:

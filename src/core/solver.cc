@@ -171,9 +171,9 @@ struct Constraint {
   ScopeMap scope;
   // Lazily compiled guard bodies (one per so-arg / texpr), see ExecGuarded.
   mutable std::vector<BodyPtr> guard_cache;
-  // kAtom over a first-order named relation: which demand path a bound
-  // lookup takes, resolved on the first execution (see ExecAtom).
-  mutable std::optional<DemandPath> demand;
+  // kAtom over a first-order named relation: whether a bound lookup takes
+  // a seeded slice, resolved on the first execution (see ExecAtom).
+  mutable std::optional<bool> seedable;
 
   std::string describe;
 };
@@ -1433,18 +1433,16 @@ class Executor {
         const uint64_t partial_reads = interp_->partial_reads();
         try {
           if (c.sig == 0 && sovals.empty()) {
-            if (!c.demand) c.demand = interp_->DemandPathOf(c.name);
-            if (*c.demand != DemandPath::kFull) {
+            if (!c.seedable) c.seedable = interp_->Seedable(c.name);
+            if (*c.seedable) {
               // Keyed lookup: hand the interpreter this atom's binding
               // pattern (constants and already-bound variables) up to the
               // first tuple pattern, so it can evaluate only the part of
-              // the relation the enumeration below would keep — a seeded
-              // slice of a non-recursive def, or a recursive component's
-              // demanded cone.
+              // the non-recursive def the enumeration below would keep.
               bool open = false;
               std::vector<std::optional<Value>> pattern =
                   BoundPrefix(c.args, frame, &open);
-              r = &interp_->EvalInstanceDemand(c.name, pattern, open);
+              r = &interp_->EvalSlice(c.name, pattern, open);
             }
           }
           if (r == nullptr) {

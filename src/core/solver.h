@@ -79,7 +79,7 @@ struct Env {
 /// Two callers pre-bind: use-site inlining of a definition that is unsafe
 /// standalone (every bound call-site argument — parameters and, for
 /// square-headed rules, trailing body outputs), and the keyed read of a
-/// non-recursive definition (Interp::EvalInstanceDemand; parameters only,
+/// non-recursive definition (Interp::EvalSlice; parameters only,
 /// as SeedKind allows). At most one of the fields is set (value for
 /// ordinary positions, tuple for tuple-variable parameters); both empty
 /// means "unbound".

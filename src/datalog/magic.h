@@ -40,9 +40,10 @@
 //
 // An all-free goal (no bound position) degenerates to the identity: the
 // original program evaluates unchanged. The driver is
-// EvalOptions::demand_goal in datalog/eval.h; the Rel engine reaches this
-// through Interp::EvalInstanceDemand (src/core/interp.h) when a recursive
-// component is queried with bound arguments.
+// EvalOptions::demand_goal in datalog/eval.h. No Rel engine path calls it:
+// a bound read of a recursive component takes the full, cached extent. The
+// equivalent-query fuzzer (src/fuzz), tests/datalog/magic_test.cc and
+// bench/bench_magic.cc exercise it.
 
 #ifndef REL_DATALOG_MAGIC_H_
 #define REL_DATALOG_MAGIC_H_

@@ -290,15 +290,15 @@ class CaseRunner {
       });
     }
 
-    RunRelDemand(ref, engine);
+    RunRelPoint(ref, engine);
   }
 
-  /// The engine-level demand path: a point query with bound arguments under
-  /// demand_transform. Expected answer: the goal-filtered reference extent
-  /// projected onto the goal's free positions. All-bound goals have no free
-  /// positions to project onto; they are covered by the datalog demand
-  /// lattice instead.
-  void RunRelDemand(const Outcome& ref, Engine& engine) {
+  /// A bound read through the solver: the goal as a point query with bound
+  /// arguments on the default path. Expected answer: the goal-filtered
+  /// reference extent projected onto the goal's free positions. All-bound
+  /// goals have no free positions to project onto; they are covered by the
+  /// datalog demand lattice instead.
+  void RunRelPoint(const Outcome& ref, Engine& engine) {
     if (!c_.goal) return;
     int free_count = 0;
     for (const auto& p : c_.goal->pattern) {
@@ -334,23 +334,20 @@ class CaseRunner {
       want.Insert(proj);
     }
 
-    engine.options().demand_transform = true;
-    engine.options().lower_recursion = true;
     ++result_.configs_run;
     try {
       Relation have = engine.Query(query);
       result_.seeded_lookups += engine.last_lowering_stats().seeded_lookups;
       if (have != want) {
-        Report("rel/demand", "answer",
+        Report("rel/point", "answer",
                c_.goal->pred + " via `" + query + "`: " +
                    DiffRelations(have, want));
       }
     } catch (const RelError& e) {
-      Report("rel/demand", "error",
+      Report("rel/point", "error",
              std::string("threw ") + ErrorKindName(e.kind()) + " (" +
                  e.what() + ") on `" + query + "`");
     }
-    engine.options().demand_transform = false;
   }
 
   /// Cross-config EvalStats invariants. Only meaningful when every config

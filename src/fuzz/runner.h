@@ -5,7 +5,7 @@
 // thread count and plan-order seed, with and without the magic-set demand
 // transform, plus the Rel engine through the to_rel translation bridge
 // (direct interpretation, recursion lowering, a fresh Session snapshot, and
-// the demand-transformed engine path) — and every answer is compared
+// a bound point query of the goal) — and every answer is compared
 // against a single oracle: the naive evaluator (Strategy::kNaive), the
 // simplest code in the tree — no planner, no indexes, no deltas.
 //
@@ -55,7 +55,7 @@ struct RunnerOptions {
   /// Thread counts swept for the planned strategy.
   std::vector<int> thread_counts = {1, 2, 4};
   /// Also push the case through the Rel engine (to_rel bridge, lowering,
-  /// Session, demand-transformed engine).
+  /// Session, bound point query).
   bool run_rel_paths = true;
   /// Cross-check EvalStats invariants between cost-equivalent configs.
   bool check_stats = true;

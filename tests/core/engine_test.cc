@@ -75,15 +75,14 @@ TEST(Engine, ConstraintViolationRollsBackEverything) {
   EXPECT_EQ(engine.Base("R").ToString(), "{(5)}");
 }
 
-TEST(Engine, RollbackDoesNotLeakDemandMemosAcrossTransactions) {
-  // Regression guard for the demand-transform evaluation path: the
-  // per-(predicate, pattern) demand memos and lowered-extent caches live in
-  // the transaction's Interp, so a rolled-back transaction must leave no
-  // trace — the next query re-derives everything from the restored base
-  // relations. A leak would surface as tc answering from the rolled-back
-  // edge set.
+TEST(Engine, RollbackDoesNotLeakExtentsAcrossTransactions) {
+  // Regression guard for bound reads of a recursive component: the
+  // transaction's Interp memoizes the lowered extent and the writer's
+  // extent cache stores it stamped with the working version, so a
+  // rolled-back transaction must leave no trace — the next query reads the
+  // restored base relations. A leak would surface as tc answering from the
+  // rolled-back edge set.
   Engine engine;
-  engine.options().demand_transform = true;
   engine.Define(
       "def tc(x, y) : edge(x, y)\n"
       "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))\n"
@@ -101,7 +100,7 @@ TEST(Engine, RollbackDoesNotLeakDemandMemosAcrossTransactions) {
                ConstraintViolation);
   EXPECT_EQ(engine.Base("edge").ToString(), "{(1, 2); (2, 3)}");
 
-  // Re-query through the demand path: the rolled-back edges must be gone.
+  // Re-query the bound reads: the rolled-back edges must be gone.
   EXPECT_EQ(engine.Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3)}");
   EXPECT_EQ(engine.Query("def output(y) : tc(3, y)").size(), 0u);

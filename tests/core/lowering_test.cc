@@ -331,71 +331,28 @@ TEST(Lowering, ComputedArgumentInNegatedComparisonStillFallsBack) {
   EXPECT_EQ(classic.Query(source + "\ndef output : p"), got);
 }
 
-// --- demand transformation through the engine ---------------------------------
+// --- bound reads of a recursive component --------------------------------------
 
-TEST(Lowering, DemandTransformAnswersPointQueriesFromTheCone) {
-  // End-to-end wiring: with demand_transform on, a bound application of a
-  // recursive component evaluates only the demanded cone (magic-set
-  // rewrite on the lowered program) and matches the full evaluation.
+TEST(Lowering, BoundReadRaisesTheOpenReadsError) {
+  // A bound read of a recursive component takes the full extent, so under
+  // a cap the full fixpoint exceeds it raises exactly what the open read
+  // raises.
   std::vector<Tuple> edges = benchutil::ChainGraph(32);
-
-  Engine full;
-  full.Insert("edge", edges);
-  Relation expected = full.Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
-  EXPECT_EQ(full.last_lowering_stats().components_demanded, 0);
-
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
-  Relation got = demand.Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 1);
-  EXPECT_EQ(demand.last_lowering_stats().components_lowered, 0)
-      << "the demanded query must not also compute the full extent";
-  EXPECT_EQ(demand.last_lowering_stats().demanded_tuples, 31u);
-  EXPECT_EQ(expected, got);
-  EXPECT_EQ(expected.ToString(), got.ToString());
-}
-
-TEST(Lowering, DemandedExtentsMemoizePerPattern) {
-  std::vector<Tuple> edges = benchutil::ChainGraph(16);
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
-  // Two distinct bound applications in one transaction: one demanded
-  // evaluation each; a repeat of the same pattern hits the memo.
-  Relation out = demand.Query(
-      std::string(kTC) +
-      "\ndef a(y) : tc(0, y)\ndef b(y) : tc(3, y)\ndef c(y) : tc(0, y)\n"
-      "def output(x, y) : a(y) and x = 1\n"
-      "def output(x, y) : b(y) and x = 2\n"
-      "def output(x, y) : c(y) and x = 3");
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 2);
-  EXPECT_EQ(out.size(), 15u + 12u + 15u);
-}
-
-TEST(Lowering, DemandPatternCutoffFallsBackToOneFullEvaluation) {
-  // Many distinct bound probes of one component must not run a cone
-  // fixpoint each: after kMaxDemandPatterns (8) distinct patterns the
-  // interpreter evaluates the full extent once and serves every later
-  // lookup from it. Answers stay identical to the demand-off path.
-  std::vector<Tuple> edges = benchutil::ChainGraph(16);
-  std::string probes;
-  for (int i = 0; i < 12; ++i) {
-    probes += "def output(x, y) : tc(" + std::to_string(i) + ", y) and x = " +
-              std::to_string(i) + "\n";
-  }
-
-  Engine full;
-  full.Insert("edge", edges);
-  Relation expected = full.Query(std::string(kTC) + "\n" + probes);
-
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
-  Relation got = demand.Query(std::string(kTC) + "\n" + probes);
-  EXPECT_EQ(expected, got);
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 8)
-      << "demand must stop at the per-component pattern cutoff";
+  auto error_of = [&](const std::string& query) {
+    Engine engine;
+    engine.options().max_iterations = 4;
+    engine.Insert("edge", edges);
+    try {
+      engine.Query(std::string(kTC) + "\n" + query);
+    } catch (const RelError& e) {
+      return std::string(ErrorKindName(e.kind())) + ": " + e.what();
+    }
+    return std::string("no error");
+  };
+  const std::string open = error_of("def output(x, y) : tc(x, y)");
+  EXPECT_EQ(open.rfind(ErrorKindName(ErrorKind::kNonConvergent), 0), 0u)
+      << open;
+  EXPECT_EQ(error_of("def output(y) : tc(0, y)"), open);
 }
 
 TEST(Lowering, ZeroIterationCapDoesNotUnboundTheLoweredFixpoint) {

@@ -2,9 +2,8 @@
 // extent caches: the writer-side cache surviving commits and rollbacks,
 // sessions walking the published delta chain on re-pin, failure-atomic
 // maintenance, Decker-style delta-specialized integrity checking, and the
-// affected-view-only invalidation on rule extensions. The cache contract
-// tests run over both entry kinds — whole lowered components and demanded
-// cones (demand_transform).
+// affected-view-only invalidation on rule extensions. Every cache entry is
+// a whole lowered component; a bound read of tc takes the same entry.
 
 #include <gtest/gtest.h>
 
@@ -54,41 +53,22 @@ TEST(WriterMaintain, ExtentsCarryAcrossCommits) {
   EXPECT_GT(engine.writer_extent_cache().hits(), hits_before);
 }
 
-/// Parameterized over demand_transform: false exercises whole-component
-/// entries (queries read all of tc), true exercises demanded cones (queries
-/// bind tc's first argument). Both kinds go through one cache contract.
-class ViewKinds : public ::testing::TestWithParam<bool> {
- protected:
-  bool cones() const { return GetParam(); }
-  /// tc read as a whole component, or as the cone tc(from, y).
-  std::string TcQuery(int from) const {
-    return cones() ? "def output(y) : tc(" + std::to_string(from) + ", y)"
-                   : "def output(x, y) : tc(x, y)";
-  }
-  /// The cache-hit counter matching the entry kind.
-  int ViewHits(const LoweringStats& stats) const {
-    return cones() ? stats.cone_cache_hits : stats.extent_cache_hits;
-  }
-};
+const char kReadTc[] = "def output(x, y) : tc(x, y)";
 
-using WriterViews = ViewKinds;
-using SessionViews = ViewKinds;
-
-TEST_P(WriterViews, RollbackDiscardsAbortedEntriesOnly) {
+TEST(WriterViews, RollbackDiscardsAbortedEntriesOnly) {
   Engine engine;
-  engine.options().demand_transform = cones();
   engine.Define(kTc);
   engine.Define("ic no_big() requires forall((x, y) | edge(x, y) implies y < 100)");
   engine.Insert("edge", {Tuple({I(1), I(2)})});
 
   // Warm the writer cache and pass a full integrity check.
-  engine.Exec(TcQuery(1));
+  engine.Exec(kReadTc);
   EXPECT_GT(engine.writer_extent_cache().size(), 0u);
 
   // This transaction evaluates tc (maintained to its working version, now
   // reaching 500), then aborts on the constraint — the rollback must drop
   // the aborted version's entries so the next commit cannot see (2, 500).
-  EXPECT_THROW(engine.Exec(TcQuery(1) + "\n"
+  EXPECT_THROW(engine.Exec(std::string(kReadTc) + "\n"
                            "def insert(:edge, x, y) : x = 2 and y = 500"),
                ConstraintViolation);
   EXPECT_GT(engine.writer_extent_cache().dropped(), 0u);
@@ -96,18 +76,17 @@ TEST_P(WriterViews, RollbackDiscardsAbortedEntriesOnly) {
   // A different commit re-issues the same working version numbers with
   // different content; cached views must match it, not the abort.
   engine.Exec("def insert(:edge, x, y) : x = 2 and y = 3");
-  EXPECT_EQ(engine.Exec(TcQuery(1)).output.ToString(),
-            cones() ? "{(2); (3)}" : "{(1, 2); (1, 3); (2, 3)}");
+  EXPECT_EQ(engine.Exec(kReadTc).output.ToString(),
+            "{(1, 2); (1, 3); (2, 3)}");
 }
 
-TEST_P(SessionViews, ExtentCacheWalksTheDeltaChain) {
+TEST(SessionViews, ExtentCacheWalksTheDeltaChain) {
   Engine engine;
   engine.Define(kTc);
   engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
 
   std::unique_ptr<Session> reader = engine.OpenSession();
-  reader->options().demand_transform = cones();
-  EXPECT_EQ(reader->Query(TcQuery(1)).size(), cones() ? 2u : 3u);
+  EXPECT_EQ(reader->Query(kReadTc).size(), 3u);
   EXPECT_GT(reader->extent_cache().size(), 0u);
 
   // Two commits land elsewhere; the reader re-pins across both and its
@@ -118,19 +97,18 @@ TEST_P(SessionViews, ExtentCacheWalksTheDeltaChain) {
   EXPECT_GT(reader->extent_cache().maintained(), 0u);
 
   uint64_t hits_before = reader->extent_cache().hits();
-  EXPECT_EQ(reader->Query(TcQuery(1)).size(), cones() ? 4u : 10u);
+  EXPECT_EQ(reader->Query(kReadTc).size(), 10u);
   EXPECT_GT(reader->extent_cache().hits(), hits_before);
-  EXPECT_GT(ViewHits(reader->last_lowering_stats()), 0);
+  EXPECT_GT(reader->last_lowering_stats().extent_cache_hits, 0);
 }
 
-TEST_P(SessionViews, StalePinBeyondTheWindowFallsBackToRecompute) {
+TEST(SessionViews, StalePinBeyondTheWindowFallsBackToRecompute) {
   Engine engine;
   engine.Define(kTc);
   engine.Insert("edge", {Tuple({I(0), I(1)})});
 
   std::unique_ptr<Session> reader = engine.OpenSession();
-  reader->options().demand_transform = cones();
-  reader->Query(TcQuery(0));
+  reader->Query(kReadTc);
   ASSERT_GT(reader->extent_cache().size(), 0u);
 
   // Push far more commits than the published delta window holds.
@@ -141,16 +119,27 @@ TEST_P(SessionViews, StalePinBeyondTheWindowFallsBackToRecompute) {
   // Correctness is unconditional: the chain no longer reaches the old pin,
   // so the cache was dropped and the query recomputes.
   EXPECT_EQ(reader->extent_cache().size(), 0u);
-  EXPECT_EQ(reader->Query(TcQuery(0)).size(), cones() ? 14u : 14u * 15u / 2u);
+  EXPECT_EQ(reader->Query(kReadTc).size(), 14u * 15u / 2u);
 }
 
-std::string EntryKind(const ::testing::TestParamInfo<bool>& info) {
-  return info.param ? "Cones" : "Components";
+TEST(SessionViews, BoundReadsShareTheComponentEntry) {
+  // Bound reads of a recursive component take its full, cached extent:
+  // distinct keys share one entry, and every read after the first is a hit.
+  Engine engine;
+  engine.Define(kTc);
+  engine.Insert("edge", {Tuple({I(0), I(1)}), Tuple({I(1), I(2)}),
+                         Tuple({I(2), I(3)})});
+
+  std::unique_ptr<Session> reader = engine.OpenSession();
+  EXPECT_EQ(reader->Query("def output(y) : tc(0, y)").size(), 3u);
+  EXPECT_EQ(reader->last_lowering_stats().extent_cache_hits, 0);
+  EXPECT_EQ(reader->Query("def output(y) : tc(1, y)").ToString(), "{(2); (3)}");
+  EXPECT_EQ(reader->last_lowering_stats().extent_cache_hits, 1);
+  EXPECT_EQ(reader->Query("def output(y) : tc(2, y)").ToString(), "{(3)}");
+  EXPECT_EQ(reader->last_lowering_stats().extent_cache_hits, 1);
+  EXPECT_EQ(reader->extent_cache().size(), 1u);
+  EXPECT_EQ(reader->extent_cache().hits(), 2u);
 }
-INSTANTIATE_TEST_SUITE_P(BothEntryKinds, WriterViews, ::testing::Bool(),
-                         EntryKind);
-INSTANTIATE_TEST_SUITE_P(BothEntryKinds, SessionViews, ::testing::Bool(),
-                         EntryKind);
 
 // --- failure-atomic maintenance ---------------------------------------------
 
@@ -225,7 +214,7 @@ TEST(FailureAtomicMaintain, WriterDropsTheEntryWhoseMaintenanceThrows) {
 
 // --- recovery starts a new version timeline ---------------------------------
 
-TEST(EpochMaintain, RecoveredDatabaseNeverServesOldEpochCones) {
+TEST(EpochMaintain, RecoveredDatabaseNeverServesOldEpochExtents) {
   // A store whose recovered database lands on the same version number as
   // the engine's current one, with different edges.
   auto fs = std::make_shared<storage::MemFileSystem>();
@@ -239,7 +228,6 @@ TEST(EpochMaintain, RecoveredDatabaseNeverServesOldEpochCones) {
   engine.Define(kTc);
   engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
   std::unique_ptr<Session> reader = engine.OpenSession();
-  reader->options().demand_transform = true;
   EXPECT_EQ(reader->Query("def output(y) : tc(1, y)").ToString(), "{(2); (3)}");
   ASSERT_GT(reader->extent_cache().size(), 0u);
   const uint64_t old_version = reader->snapshot_version();
@@ -250,7 +238,6 @@ TEST(EpochMaintain, RecoveredDatabaseNeverServesOldEpochCones) {
   EXPECT_EQ(reader->Base("edge").ToString(), "{(1, 5); (5, 6)}");
 
   std::unique_ptr<Session> fresh = engine.OpenSession();
-  fresh->options().demand_transform = true;
   EXPECT_EQ(fresh->Query("def output(y) : tc(1, y)").ToString(), "{(5); (6)}");
   EXPECT_EQ(reader->Query("def output(y) : tc(1, y)").ToString(), "{(5); (6)}");
 }
@@ -516,29 +503,6 @@ TEST(RuleExtension, OnlyAffectedComponentsAreInvalidated) {
   engine.Insert("extra_edge", {Tuple({I(2), I(3)})});
   reader->Refresh();
   EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(), 3u);
-}
-
-TEST(RuleExtension, DemandConesFollowTheSamePolicy) {
-  Engine engine;
-  engine.Define(kTc);
-  engine.Define(
-      "def lc(x, y) : link(x, y)\n"
-      "def lc(x, z) : exists((y) | link(x, y) and lc(y, z))");
-  engine.Insert("edge", {Tuple({I(1), I(2)})});
-  engine.Insert("link", {Tuple({I(7), I(8)})});
-
-  std::unique_ptr<Session> reader = engine.OpenSession();
-  reader->options().demand_transform = true;
-  reader->Query("def output(y) : tc(1, y)");
-  reader->Query("def output(y) : lc(7, y)");
-  size_t cached = reader->extent_cache().size();
-  ASSERT_GE(cached, 2u);
-
-  engine.Define("def edge(x, y) : extra_edge(x, y)");
-  reader->Refresh();
-  EXPECT_LT(reader->extent_cache().size(), cached);
-  EXPECT_GT(reader->extent_cache().size(), 0u);
-  EXPECT_EQ(reader->Query("def output(y) : lc(7, y)").ToString(), "{(8)}");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Session/snapshot-isolation tests: pinned readers see byte-identical
 // answers no matter what commits around them, writes serialize through the
-// commit pipeline with rollback invisible to readers, and demanded cones in
-// the per-session extent cache survive read-only transactions. The concurrent tests run
-// under TSan in CI — they are the data-race proof of the serving layer.
+// commit pipeline with rollback invisible to readers, and extents in the
+// per-session extent cache survive read-only transactions. The concurrent
+// tests run under TSan in CI — they are the data-race proof of the serving
+// layer.
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,7 @@ TEST(Session, RolledBackTransactionPublishesNothing) {
   EXPECT_EQ(writer->Base("R").ToString(), "{(5); (6)}");
 }
 
-TEST(Session, CachedConesServeReadOnlyTransactions) {
+TEST(Session, CachedExtentsServeReadOnlyTransactions) {
   Engine engine;
   engine.Define(
       "def tc(x, y) : edge(x, y)\n"
@@ -103,33 +104,30 @@ TEST(Session, CachedConesServeReadOnlyTransactions) {
                          Tuple({I(3), I(4)})});
 
   std::unique_ptr<Session> session = engine.OpenSession();
-  session->options().demand_transform = true;
 
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4)}");
-  EXPECT_GT(session->last_lowering_stats().components_demanded, 0);
+  EXPECT_EQ(session->last_lowering_stats().extent_cache_hits, 0);
   ASSERT_GT(session->extent_cache().size(), 0u);
 
-  // Same cone, new transaction: served from the session cache — no cone
+  // Same read, new transaction: served from the session cache — no
   // fixpoint runs at all in the second transaction.
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4)}");
-  EXPECT_GT(session->last_lowering_stats().cone_cache_hits, 0);
-  EXPECT_EQ(session->last_lowering_stats().components_demanded, 0);
+  EXPECT_EQ(session->last_lowering_stats().extent_cache_hits, 1);
 
-  // A commit re-pins to a new version; the cached cone follows it
-  // incrementally (delta maintenance, PR 9) instead of being dropped: the
-  // fresh answer reflects the new edge with no cone re-derivation at all.
+  // A commit re-pins to a new version; the cached extent follows it
+  // incrementally (delta maintenance) instead of being dropped: the fresh
+  // answer reflects the new edge with no re-derivation at all.
   session->Exec("def insert(:edge, x, y) : x = 4 and y = 5");
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4); (5)}");
-  EXPECT_EQ(session->last_lowering_stats().components_demanded, 0);
-  EXPECT_GT(session->last_lowering_stats().cone_cache_hits, 0);
+  EXPECT_EQ(session->last_lowering_stats().extent_cache_hits, 1);
   EXPECT_GT(session->extent_cache().maintained(), 0u);
 }
 
-TEST(Session, CachedConesAreNotPoisonedByTransactionLocalRules) {
-  // A query-source def that feeds the cone must not produce a cacheable
+TEST(Session, CachedExtentsAreNotPoisonedByTransactionLocalRules) {
+  // A query-source def that feeds tc must not produce a cacheable
   // entry a later plain query would wrongly reuse.
   Engine engine;
   engine.Define(
@@ -138,7 +136,6 @@ TEST(Session, CachedConesAreNotPoisonedByTransactionLocalRules) {
   engine.Insert("edge", {Tuple({I(1), I(2)})});
 
   std::unique_ptr<Session> session = engine.OpenSession();
-  session->options().demand_transform = true;
 
   // This transaction extends `edge` with a local rule: tc(1, *) = {2, 9}.
   EXPECT_EQ(session
@@ -146,11 +143,11 @@ TEST(Session, CachedConesAreNotPoisonedByTransactionLocalRules) {
                         "def output(y) : tc(1, y)")
                 .ToString(),
             "{(2); (9)}");
-  // The plain cone afterwards must not see 9.
+  // The plain read afterwards must not see 9.
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(), "{(2)}");
 }
 
-TEST(Session, DefineClearsCachedCones) {
+TEST(Session, DefineClearsCachedExtents) {
   Engine engine;
   engine.Define(
       "def tc(x, y) : edge(x, y)\n"
@@ -158,11 +155,10 @@ TEST(Session, DefineClearsCachedCones) {
   engine.Insert("edge", {Tuple({I(1), I(2)})});
 
   std::unique_ptr<Session> session = engine.OpenSession();
-  session->options().demand_transform = true;
   session->Query("def output(y) : tc(1, y)");
   ASSERT_GT(session->extent_cache().size(), 0u);
 
-  // New rules change what any cone means: the cache must empty.
+  // New rules change what tc means: the cache must empty.
   session->Define("def tc(x, y) : x = 1 and y = 100");
   EXPECT_EQ(session->extent_cache().size(), 0u);
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),

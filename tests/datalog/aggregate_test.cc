@@ -771,26 +771,6 @@ TEST(RelAggregate, SumOverflowThrowsTypeOnBothPaths) {
   }
 }
 
-TEST(RelAggregate, DemandTransformStaysCorrectWithAggregates) {
-  // Aggregates are demand-opaque: DemandGoalFor declines, so the magic-set
-  // transform never sees an aggregate-bearing component and the filtered
-  // query still matches the unfiltered engine's answer.
-  const std::map<std::string, std::vector<Tuple>> facts = {
-      {"E", WeightedGraph(8)}};
-  const std::string source =
-      "def apsp(x, y, d) : d = min[(j) :\n"
-      "    E(x, y, j) or\n"
-      "    exists((z, j1, j2) | E(x, z, j1) and apsp(z, y, j2) and\n"
-      "        j = j1 + j2)]\n"
-      "def output(y, d) : apsp(2, y, d)";
-  Relation expected = RunRel(source, /*lower=*/false, 1, facts);
-  Engine engine;
-  engine.options().demand_transform = true;
-  engine.Insert("E", WeightedGraph(8));
-  Relation got = engine.Query(source);
-  EXPECT_EQ(got.ToString(), expected.ToString());
-}
-
 }  // namespace
 }  // namespace datalog
 }  // namespace rel

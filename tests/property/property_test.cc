@@ -514,19 +514,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LoweringProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
 
-// --- property: random binding patterns under the demand transform ------------
+// --- property: random binding patterns equal the filtered full query ---------
 //
 // The same random monotone programs, queried through applications with
 // random binding patterns (constants at bound positions, fresh variables at
-// free ones). With InterpOptions::demand_transform on, a bound pattern on a
-// recursive predicate routes through the magic-set rewrite and must return
-// exactly what the full evaluation returns for the same query; an all-free
-// pattern must be a no-op (no demand evaluation fires), and an all-bound
-// pattern degenerates to a boolean reachability check.
+// free ones). A bound query must return exactly the full extent filtered to
+// the pattern and projected onto its free positions; an all-bound pattern
+// degenerates to a boolean reachability check.
 
-class DemandProperty : public ::testing::TestWithParam<uint64_t> {};
+class BoundQueryProperty : public ::testing::TestWithParam<uint64_t> {};
 
-namespace demand_gen {
+namespace bound_gen {
 
 /// Query text for `pred` under `pattern`: bound positions become integer
 /// literals, free ones output variables. All-bound yields a boolean query.
@@ -549,9 +547,29 @@ std::string QueryFor(const std::string& pred,
   return out + " : " + pred + "(" + args + ")";
 }
 
-}  // namespace demand_gen
+/// The rows of `full` matching `pattern`, projected onto its free
+/// positions.
+Relation FilterAndProject(const Relation& full,
+                          const std::vector<std::optional<int64_t>>& pattern) {
+  Relation out;
+  full.ForEach([&](const TupleRef& row) {
+    if (row.arity() != pattern.size()) return;
+    Tuple proj;
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      if (!pattern[i]) {
+        proj.Append(row[i]);
+      } else if (!(row[i] == Value::Int(*pattern[i]))) {
+        return;
+      }
+    }
+    out.Insert(proj);
+  });
+  return out;
+}
 
-TEST_P(DemandProperty, DemandedQueriesEqualFullEvaluation) {
+}  // namespace bound_gen
+
+TEST_P(BoundQueryProperty, BoundQueriesEqualFilteredFullQuery) {
   Rng rng(GetParam());
   int n = 10 + static_cast<int>(rng.NextBelow(8));
   std::vector<Tuple> edges = benchutil::RandomGraph(
@@ -562,55 +580,40 @@ TEST_P(DemandProperty, DemandedQueriesEqualFullEvaluation) {
   for (const std::string& pred : gen.preds) {
     arity[pred] = pred == "dist" ? 3 : 2;
   }
-  // The generator's recursive components; `joined` is non-recursive and
-  // must fall back to the ordinary instance path.
-  auto is_recursive = [](const std::string& pred) { return pred != "joined"; };
-
   for (const std::string& pred : gen.preds) {
     for (int trial = 0; trial < 3; ++trial) {
       // trial 0: random pattern; trial 1: all-free; trial 2: all-bound.
       std::vector<std::optional<int64_t>> pattern;
-      bool any_bound = false;
       for (size_t i = 0; i < arity[pred]; ++i) {
         bool bind = trial == 2 || (trial == 0 && rng.NextBool(0.5));
         if (bind) {
           pattern.emplace_back(
               static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(n) + 2)));
-          any_bound = true;
         } else {
           pattern.emplace_back(std::nullopt);
         }
       }
-      std::string query = demand_gen::QueryFor(pred, pattern);
+      std::string query = bound_gen::QueryFor(pred, pattern);
 
       Engine full;
       full.Insert("edge", edges);
-      Relation expected = full.Query(gen.source + query);
+      Relation expected = bound_gen::FilterAndProject(
+          full.Query(gen.source + "def output : " + pred), pattern);
 
-      Engine demand;
-      demand.options().demand_transform = true;
-      demand.Insert("edge", edges);
-      Relation got = demand.Query(gen.source + query);
+      Engine bound;
+      bound.Insert("edge", edges);
+      Relation got = bound.Query(gen.source + query);
 
       EXPECT_EQ(expected, got)
-          << "demand diverges for query '" << query << "' over:\n"
+          << "bound query diverges for '" << query << "' over:\n"
           << gen.source;
       EXPECT_EQ(expected.ToString(), got.ToString())
           << "rendering not byte-identical for '" << query << "'";
-      if (any_bound && is_recursive(pred)) {
-        EXPECT_GE(demand.last_lowering_stats().components_demanded, 1)
-            << "demand did not fire for '" << query << "' over:\n"
-            << gen.source;
-      }
-      if (!any_bound) {
-        EXPECT_EQ(demand.last_lowering_stats().components_demanded, 0)
-            << "all-free pattern must not demand-evaluate: '" << query << "'";
-      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DemandProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, BoundQueryProperty,
                          ::testing::Values(111, 222, 333, 444, 555, 666, 777,
                                            888));
 

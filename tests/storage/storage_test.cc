@@ -636,9 +636,9 @@ TEST(Store, SecondAttachIsRejected) {
   EXPECT_EQ(second.status.kind(), ErrorKind::kTransaction);
 }
 
-TEST(Store, RecoveryReplacesDatabaseUnderDemandTransform) {
-  // Satellite regression: demanded-cone memos must not leak across the
-  // Database replacement that recovery performs.
+TEST(Store, RecoveryReplacesDatabaseUnderBoundReads) {
+  // Regression: extents of bound reads must not leak across the Database
+  // replacement that recovery performs.
   auto fs = std::make_shared<MemFileSystem>();
   {
     Engine writer;
@@ -650,8 +650,7 @@ TEST(Store, RecoveryReplacesDatabaseUnderDemandTransform) {
                 "(x = 2 and y = 3)");
   }
   Engine reader;
-  reader.options().demand_transform = true;
-  // Warm the (per-transaction) demand path on unrelated pre-attach state.
+  // Warm the bound-read path on unrelated pre-attach state.
   reader.Define(
       "def tc(x, y) : edge(x, y)\n"
       "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))");
@@ -663,7 +662,7 @@ TEST(Store, RecoveryReplacesDatabaseUnderDemandTransform) {
   EXPECT_EQ(reader.Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3)}");
   EXPECT_EQ(reader.Query("def output(y) : tc(7, y)").size(), 0u)
-      << "stale pre-recovery extent leaked through the demand memo";
+      << "stale pre-recovery extent leaked through a cached extent";
 }
 
 }  // namespace
