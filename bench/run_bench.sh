@@ -37,7 +37,7 @@
 
 set -euo pipefail
 
-BENCHES=(bench_tc bench_par bench_lowering bench_magic bench_apsp bench_wcoj
+BENCHES=(bench_tc bench_par bench_lowering bench_apsp bench_wcoj
          bench_aggregation bench_gnf bench_matmul bench_pagerank
          bench_transactions bench_wal bench_serving bench_incremental)
 

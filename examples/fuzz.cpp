@@ -1,6 +1,6 @@
 // Equivalent-query fuzzer CLI (src/fuzz): generate random Datalog programs,
 // run each under the full configuration lattice — every strategy, thread
-// count, plan-order seed and demand pattern of the classical engine, plus
+// count and plan-order seed of the classical engine, plus
 // the Rel engine via the to_rel bridge (interpretation, lowering, a Session
 // and a bound point query of the goal) — and report any configuration that
 // disagrees with the naive oracle on answers, error kinds, or the cost

@@ -28,10 +28,10 @@ std::vector<Tuple> ChainGraph(int n);
 std::vector<Tuple> CycleGraph(int n);
 
 /// The w x h directed grid: node (r, c) is r*w + c, with edges right
-/// ((r,c) -> (r,c+1)) and down ((r,c) -> (r+1,c)). The demanded cone of a
-/// corner query covers the whole grid, but along many short paths — the
-/// shape between the chain (deep, thin) and the random graph (shallow,
-/// dense) in the demand benchmarks.
+/// ((r,c) -> (r,c+1)) and down ((r,c) -> (r+1,c)). A corner reaches the
+/// whole grid along many short paths — the shape between the chain (deep,
+/// thin) and the random graph (shallow, dense) among the fuzz generator's
+/// EDB graphs.
 std::vector<Tuple> GridGraph(int w, int h);
 
 /// A hub-skewed graph: `hubs` nodes connect densely among themselves and to

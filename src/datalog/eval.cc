@@ -18,7 +18,6 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "datalog/index.h"
-#include "datalog/magic.h"
 #include "joins/leapfrog.h"
 
 namespace rel {
@@ -492,13 +491,6 @@ void EmitRow(const std::vector<Value>& row, Relation* out,
   out->InsertHashed(row.data(), row.size(), h);
 }
 
-/// Counts one derivation of `rule`'s head.
-void CountDerivation(const Rule& rule, EvalStats* stats) {
-  if (stats == nullptr) return;
-  ++stats->tuples_derived;
-  if (IsMagicPred(rule.head.pred)) ++stats->magic_derived;
-}
-
 /// Emits one derivation: gathers the head values into the caller's reusable
 /// scratch buffer and inserts the span straight into `out`'s column arena —
 /// no per-candidate Tuple allocation — through EmitRow.
@@ -518,7 +510,7 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
       scratch.push_back(t.constant);
     }
   }
-  CountDerivation(rule, stats);
+  if (stats) ++stats->tuples_derived;
   EmitRow(scratch, out, dedup_against);
 }
 
@@ -1009,7 +1001,7 @@ void ExecLeapfrog(const Rule& rule, const RulePlan& plan, const State& state,
         for (const Term& t : rule.head.terms) {
           scratch.push_back(t.is_var() ? binding[t.var] : t.constant);
         }
-        CountDerivation(rule, stats);
+        if (stats) ++stats->tuples_derived;
         EmitRow(scratch, out, dedup_against);
       });
 }
@@ -1665,7 +1657,6 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
   into->delta_inserts += from.delta_inserts;
   into->delta_deletes += from.delta_deletes;
   into->rederived += from.rederived;
-  into->magic_derived += from.magic_derived;
 }
 
 /// Driver scans shorter than this run as one task; longer ones split into
@@ -2147,44 +2138,13 @@ std::string EvalStats::ToString() const {
      << " groups_improved=" << groups_improved << " par_tasks=" << par_tasks
      << " par_steals=" << par_steals << " par_merges=" << par_merges
      << " delta_inserts=" << delta_inserts << " delta_deletes=" << delta_deletes
-     << " rederived=" << rederived
-     << " adorned_rules=" << adorned_rules << " magic_rules=" << magic_rules
-     << " magic_facts=" << magic_facts << " magic_derived=" << magic_derived;
+     << " rederived=" << rederived;
   return os.str();
 }
 
 std::map<std::string, Relation> Evaluate(const Program& program,
                                          const EvalOptions& options,
                                          EvalStats* stats) {
-  if (options.demand_goal) {
-    // Rewrite for the goal, evaluate the rewritten program with the same
-    // options, then splice the goal-filtered answers back under the goal's
-    // original predicate name. When the transform degenerates to the
-    // identity (all-free pattern, un-chaseable goal) this is a plain
-    // evaluation plus, for a bound pattern, the goal filter.
-    const DemandGoal& goal = *options.demand_goal;
-    MagicProgram magic = MagicTransform(program, goal);
-    EvalOptions inner = options;
-    inner.demand_goal.reset();
-    std::map<std::string, Relation> extents =
-        Evaluate(magic.transformed ? magic.program : program, inner, stats);
-    if (stats) {
-      stats->adorned_rules = magic.adorned_rules;
-      stats->magic_rules = magic.magic_rules;
-      for (const std::string& pred : magic.magic_preds) {
-        auto it = extents.find(pred);
-        if (it != extents.end()) stats->magic_facts += it->second.size();
-      }
-    }
-    if (!magic.transformed && !goal.AnyBound()) return extents;
-    auto it = extents.find(magic.goal_pred);
-    Relation answers = it == extents.end()
-                           ? Relation()
-                           : FilterByPattern(it->second, goal.pattern);
-    extents[goal.pred] = std::move(answers);
-    return extents;
-  }
-
   EvalStats scratch;
   EvalStats* s = stats ? stats : &scratch;
   if (program.HasAggregates()) ValidateAggregates(program);
@@ -2297,12 +2257,6 @@ DeltaResult EvaluateDelta(const Program& program,
                           const EvalOptions& options, EvalStats* stats,
                           IndexCache* cache) {
   DeltaResult result;
-  if (options.demand_goal) {
-    result.supported = false;
-    result.unsupported_reason =
-        "demand_goal set: maintain the transformed program instead";
-    return result;
-  }
   // Aggregate rules cannot be maintained: the per-group accumulators fold
   // monotonically and never retract a contribution, while an EDB delta can
   // delete one — neither the resumed semi-naive pass (it has no group

@@ -57,9 +57,8 @@
 //     recursive sum/count must be level-stratified, enforced dynamically (a
 //     contribution reaching a group after the group first emitted throws
 //     kType). Stratified-position aggregates are the degenerate
-//     non-recursive case. Aggregate programs are refused by the magic-set
-//     transform (demand goals fall back to full evaluation + goal filter)
-//     and by EvaluateDelta (supported=false; callers recompute).
+//     non-recursive case. Aggregate programs are refused by EvaluateDelta
+//     (supported=false; callers recompute).
 //
 // Strategy::kNaive is the equivalent-query fuzzer's independent oracle: no
 // planner, no indexes, no deltas. Every round re-derives each rule by
@@ -75,7 +74,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,16 +120,6 @@ struct EvalOptions {
   /// The equivalent-query fuzzer (src/fuzz) sweeps this knob to
   /// differential-test the planner; kNaive ignores it.
   uint64_t plan_order_seed = 0;
-  /// Demand-driven evaluation: when set, the program is rewritten by the
-  /// magic-set transform (datalog/magic.h) before unit scheduling, so the
-  /// fixpoint derives only the cone relevant to this goal. The returned
-  /// extent map holds, under the goal's predicate name, exactly the
-  /// goal-filtered answers (byte-identical to filtering the full fixpoint
-  /// by the bound constants); the adorned and magic predicates appear under
-  /// their internal '@'-names for inspection. An all-free pattern is a
-  /// no-op (the transform degenerates to the identity). Works under every
-  /// strategy and thread count.
-  std::optional<DemandGoal> demand_goal;
 };
 
 /// Evaluation statistics (exposed for benchmarks and tests). Under parallel
@@ -181,13 +169,6 @@ struct EvalStats {
                                 // re-derivation are in neither counter)
   uint64_t rederived = 0;       // over-deleted tuples restored by the DRed
                                 // re-derivation phase
-  // Demand transformation (all 0 unless EvalOptions::demand_goal is set
-  // and the rewrite actually fired; set once at the top level, like strata):
-  int adorned_rules = 0;        // rule variants specialized to an adornment
-  int magic_rules = 0;          // demand-propagation rules generated
-  uint64_t magic_facts = 0;     // demand tuples in magic extents at fixpoint
-  uint64_t magic_derived = 0;   // the part of tuples_derived whose head is a
-                                // magic predicate (counted by every run)
 
   /// One stable line per field, deterministic order — safe to print and
   /// diff regardless of how many threads produced the numbers.
@@ -248,8 +229,8 @@ struct DeltaResult {
 /// what has an alternative proof (point probes with pre-bound head
 /// variables); the delete phases run sequentially — deletions shrink cones,
 /// they are never the bulk cost. Unsupported shapes — a negative literal
-/// on a predicate transitively affected by the delta, or a demand_goal in
-/// `options` — return supported=false without touching anything.
+/// on a predicate transitively affected by the delta, or an aggregate rule
+/// — return supported=false without touching anything.
 /// options.strategy is ignored (the planned engine is the only maintained
 /// path). Pass a persistent `cache` keyed to these extents to amortize
 /// index builds across updates (indexes repair themselves from the extents'

@@ -72,8 +72,8 @@ const HashIndex& IndexCache::Get(const std::string& pred, const Relation& rel,
     // evaluations of a shared cache); within one evaluation arenas never
     // disappear, so for a never-built index this path must stay write-free —
     // an unconditional Clear() would race with lock-free probes of the same
-    // entry from concurrent tasks (e.g. magic-set programs probing a demand
-    // predicate whose extent is still empty in early rounds).
+    // entry from concurrent tasks (e.g. rules probing a recursive predicate
+    // whose extent is still empty in early rounds).
     if (index.built()) index.Clear();
     return index;
   }

@@ -58,6 +58,18 @@ Literal Literal::Assign(int target_var, ArithOp op, Term a, Term b) {
   return l;
 }
 
+Relation FilterByPattern(const Relation& extent,
+                         const std::vector<std::optional<Value>>& pattern) {
+  Relation out;
+  extent.ForEachOfArity(pattern.size(), [&](const TupleRef& row) {
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      if (pattern[i].has_value() && !(row[i] == *pattern[i])) return;
+    }
+    out.Insert(row);
+  });
+  return out;
+}
+
 void Program::AddFact(const std::string& pred, Tuple t) {
   facts_[pred].Insert(std::move(t));
 }

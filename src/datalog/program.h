@@ -122,17 +122,17 @@ struct Rule {
   std::optional<Aggregate> agg;
 };
 
-/// A query goal for demand-driven evaluation: answer the atoms of `pred`
-/// whose bound positions carry the given constants (e.g. tc(0, Y) is
-/// {pred: "tc", pattern: {0, nullopt}}). The pattern's length fixes the
-/// goal arity. Consumed by EvalOptions::demand_goal (datalog/eval.h), which
-/// routes evaluation through the magic-set transform (datalog/magic.h).
+/// A point-query goal: the atoms of `pred` whose bound positions carry the
+/// given constants (e.g. tc(0, Y) is {pred: "tc", pattern: {0, nullopt}}).
+/// The pattern's length fixes the goal arity. The equivalent-query fuzzer
+/// (src/fuzz) carries one per case: its `rel/point` configuration asks the
+/// Rel engine the bound query, the minimizers keep it while shrinking, and
+/// the corpus format writes it as a `% fuzz-goal:` line.
 struct DemandGoal {
   std::string pred;
   std::vector<std::optional<Value>> pattern;
 
-  /// True iff at least one position is bound. An all-free goal demands the
-  /// whole extent, so the transform is the identity.
+  /// True iff at least one position is bound.
   bool AnyBound() const {
     for (const auto& p : pattern) {
       if (p.has_value()) return true;
@@ -140,6 +140,13 @@ struct DemandGoal {
     return false;
   }
 };
+
+/// The tuples of `extent` with the pattern's arity whose bound positions
+/// equal the pattern's constants (type-exact Value equality — the same
+/// matching the evaluator's constant-probe path uses). This is the
+/// goal-filtered oracle the fuzz runner and tests compare point queries to.
+Relation FilterByPattern(const Relation& extent,
+                         const std::vector<std::optional<Value>>& pattern);
 
 /// A Datalog program: facts (EDB) plus rules (IDB).
 class Program {
@@ -158,8 +165,8 @@ class Program {
   /// All predicate names (EDB and IDB).
   std::vector<std::string> Predicates() const;
 
-  /// True iff some rule carries an aggregate head. Gates the paths that do
-  /// not support aggregation (magic-set demand, incremental maintenance).
+  /// True iff some rule carries an aggregate head. Gates the path that does
+  /// not support aggregation (incremental maintenance).
   bool HasAggregates() const;
 
  private:

@@ -351,9 +351,8 @@ FuzzCase GenerateCase(uint64_t seed, const GeneratorOptions& opts) {
   std::sort(c.idb_preds.begin(), c.idb_preds.end());
 
   // Optional point-query goal, usually over an IDB predicate, sometimes
-  // over EDB (where the demand transform must degenerate to the identity).
-  // Bound constants draw from a slightly wider range than the value domain
-  // so some cones are provably empty.
+  // over EDB. Bound constants draw from a slightly wider range than the
+  // value domain so some answers are provably empty.
   if (rng.NextBool(opts.goal_probability)) {
     const auto& [pred, arity] =
         (!idb.empty() && rng.NextBool(0.8)) ? Pick(rng, idb) : Pick(rng, edb);

@@ -74,7 +74,7 @@ struct FuzzCase {
   /// agree on.
   std::vector<std::string> idb_preds;
   /// Optional point-query goal; bound positions may name values outside
-  /// every extent (the empty-cone edge case is deliberate).
+  /// every extent (the empty-answer edge case is deliberate).
   std::optional<datalog::DemandGoal> goal;
 };
 

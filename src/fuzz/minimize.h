@@ -3,7 +3,7 @@
 //
 // The shrink moves, tried to a fixpoint (largest-granularity first):
 //
-//   1. drop the demand goal;
+//   1. drop the point-query goal;
 //   2. remove whole rules, one at a time;
 //   3. remove body literals, one at a time (the head and remaining body
 //      may become unsafe — such candidates fail differently or error

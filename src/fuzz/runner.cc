@@ -9,7 +9,7 @@
 #include "core/engine.h"
 #include "core/session.h"
 #include "datalog/eval.h"
-#include "datalog/magic.h"
+#include "datalog/program.h"
 #include "datalog/to_rel.h"
 
 namespace rel {
@@ -147,24 +147,6 @@ class CaseRunner {
     }
   }
 
-  /// Demanded answers must equal the goal-filtered reference extent.
-  void CompareDemand(const Outcome& ref, const Outcome& got) {
-    if (got.errored) {
-      Report(got.label, "error",
-             std::string("threw ") + ErrorKindName(got.error_kind) + " (" +
-                 got.error_msg + ") where " + ref.label + " succeeded");
-      return;
-    }
-    Relation want =
-        datalog::FilterByPattern(ExtentOf(ref.extents, c_.goal->pred),
-                                 c_.goal->pattern);
-    const Relation& have = ExtentOf(got.extents, c_.goal->pred);
-    if (have != want) {
-      Report(got.label, "answer",
-             c_.goal->pred + " (demanded): " + DiffRelations(have, want));
-    }
-  }
-
   /// The full datalog lattice when the oracle succeeded.
   void RunLattice(const Outcome& ref) {
     // Planned: every (seed, threads) point.
@@ -183,32 +165,6 @@ class CaseRunner {
         ++result_.configs_run;
         CompareAnswers(ref, out);
         if (out.has_stats) semi_family_.push_back(out);
-      }
-    }
-
-    // Demand lattice: the same sweep with the goal installed.
-    if (!c_.goal) return;
-    {
-      EvalOptions o;
-      o.strategy = Strategy::kNaive;
-      o.demand_goal = c_.goal;
-      Outcome out = RunDatalog(c_, "dl/demand/naive", o);
-      ++result_.configs_run;
-      CompareDemand(ref, out);
-    }
-    for (uint64_t seed : seeds) {
-      for (int threads : opts_.thread_counts) {
-        EvalOptions o;
-        o.strategy = Strategy::kSemiNaive;
-        o.num_threads = threads;
-        o.plan_order_seed = seed;
-        o.demand_goal = c_.goal;
-        std::string label = "dl/demand/semi/s" + std::to_string(seed) +
-                            "/t" + std::to_string(threads);
-        Outcome out = RunDatalog(c_, label, o);
-        ++result_.configs_run;
-        CompareDemand(ref, out);
-        if (out.has_stats) demand_family_.push_back(out);
       }
     }
   }
@@ -296,8 +252,7 @@ class CaseRunner {
   /// A bound read through the solver: the goal as a point query with bound
   /// arguments on the default path. Expected answer: the goal-filtered
   /// reference extent projected onto the goal's free positions. All-bound
-  /// goals have no free positions to project onto; they are covered by the
-  /// datalog demand lattice instead.
+  /// goals have no free positions to project onto and are skipped.
   void RunRelPoint(const Outcome& ref, Engine& engine) {
     if (!c_.goal) return;
     int free_count = 0;
@@ -377,7 +332,6 @@ class CaseRunner {
     // (2) Across thread counts at a fixed plan seed, the documented
     // deterministic counters are exactly equal.
     CheckThreadInvariance(semi_family_);
-    CheckThreadInvariance(demand_family_);
 
     // (3) Semi-naive never derives dramatically more than naive. The honest
     // bound is per-program: a rule with k recursive (IDB) body atoms runs k
@@ -410,37 +364,6 @@ class CaseRunner {
                    " exceeds naive bound " + std::to_string(bound) + " (" +
                    oracle.label + " derived " +
                    std::to_string(oracle.stats.tuples_derived) + ")");
-      }
-    }
-
-    // (4) Demand prunes (or at worst modestly inflates) the full fixpoint.
-    if (!demand_family_.empty()) {
-      const Outcome& dbase = demand_family_.front();
-      for (const Outcome& out : demand_family_) {
-        if (!out.has_stats) continue;
-        if (out.stats.tuples_derived != dbase.stats.tuples_derived) {
-          Report(out.label, "stats",
-                 "demanded tuples_derived=" +
-                     std::to_string(out.stats.tuples_derived) +
-                     " differs from " + dbase.label + "=" +
-                     std::to_string(dbase.stats.tuples_derived));
-        }
-      }
-      // The bound covers the original (adorned) predicates' derivations
-      // only. The magic predicates' derivations have no constant-factor
-      // bound in the full fixpoint: demand propagates through EDB joins the
-      // full fixpoint may never run, as when the demanded predicate is
-      // empty (seed 18978, tests/fuzz/corpus/demand_magic_derivations.dl).
-      const uint64_t adorned =
-          dbase.stats.tuples_derived - dbase.stats.magic_derived;
-      uint64_t bound = static_cast<uint64_t>(
-          static_cast<double>(base.stats.tuples_derived) *
-              opts_.demand_ratio) + opts_.demand_slack;
-      if (adorned > bound) {
-        Report(dbase.label, "stats",
-               "demanded tuples_derived=" + std::to_string(adorned) +
-                   " (magic predicates excluded) exceeds full-fixpoint "
-                   "bound " + std::to_string(bound));
       }
     }
   }
@@ -487,8 +410,7 @@ class CaseRunner {
   const RunnerOptions& opts_;
   RunResult result_;
   bool answers_clean_ = true;
-  std::vector<Outcome> semi_family_;    // full-fixpoint semi-naive configs
-  std::vector<Outcome> demand_family_;  // demanded semi-naive configs
+  std::vector<Outcome> semi_family_;  // full-fixpoint semi-naive configs
 };
 
 }  // namespace

@@ -2,12 +2,12 @@
 //
 // One fuzz case is executed under every evaluation configuration the
 // repository offers — the classical Datalog engine under each strategy,
-// thread count and plan-order seed, with and without the magic-set demand
-// transform, plus the Rel engine through the to_rel translation bridge
-// (direct interpretation, recursion lowering, a fresh Session snapshot, and
-// a bound point query of the goal) — and every answer is compared
-// against a single oracle: the naive evaluator (Strategy::kNaive), the
-// simplest code in the tree — no planner, no indexes, no deltas.
+// thread count and plan-order seed, plus the Rel engine through the to_rel
+// translation bridge (direct interpretation, recursion lowering, a fresh
+// Session snapshot, and a bound point query of the goal) — and every
+// answer is compared against a single oracle: the naive evaluator
+// (Strategy::kNaive), the simplest code in the tree — no planner, no
+// indexes, no deltas.
 //
 // Beyond answers, the runner cross-checks EvalStats between cost-equivalent
 // configurations. The invariants it enforces follow from documented
@@ -22,10 +22,8 @@
 //     is independent of join order, and the round structure is independent
 //     of access paths;
 //   * semi-naive never derives dramatically more than naive
-//     (tuples_derived ratio bound), and a demanded evaluation never derives
-//     dramatically more of the original predicates than the full fixpoint
-//     it prunes (adorned overhead bound; magic-predicate derivations are
-//     excluded). These two are ratio checks with slack, not equalities.
+//     (tuples_derived ratio bound). This one is a ratio check with slack,
+//     not an equality.
 //
 // A violation of any of these — or any answer mismatch, or any
 // configuration erroring while the oracle succeeds — is reported as a
@@ -67,13 +65,6 @@ struct RunnerOptions {
   /// once (found by this fuzzer — see corpus stats_multi_recursive.dl).
   double naive_ratio = 1.25;
   uint64_t naive_slack = 64;
-  /// Demanded evaluation must satisfy tuples_derived - magic_derived <=
-  /// full * ratio + slack: the original predicates' derivations, fact-copy
-  /// rules and adorned duplicates included (hence the slack), never pay
-  /// much more than full. Magic-predicate derivations are excluded; they
-  /// have no constant-factor bound in the full fixpoint.
-  double demand_ratio = 4.0;
-  uint64_t demand_slack = 256;
 };
 
 /// One disagreement between configurations.

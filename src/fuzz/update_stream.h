@@ -11,15 +11,14 @@
 //     falls back to a full recompute, exactly like the production caches;
 //   * from scratch — a fresh Evaluate over the post-step EDB, the oracle.
 //
-// After every step, every predicate extent (and the demanded goal cone,
-// when the case carries a goal — the "query" interleaved into the stream)
-// must agree byte-for-byte, and the semantic delta counters
-// {delta_inserts, delta_deletes, rederived} must agree across all
-// configurations — they count set changes, which no join order or thread
-// count may alter. Any disagreement is a Discrepancy, shrunk by
-// MinimizeStream (drop steps, rules, facts, the goal — largest granularity
-// first) and committed to tests/fuzz/corpus/ in the .dl format with
-// `% fuzz-update:` directives, replayed by fuzz_regression_test.
+// After every step, every predicate extent must agree byte-for-byte, and
+// the semantic delta counters {delta_inserts, delta_deletes, rederived}
+// must agree across all configurations — they count set changes, which no
+// join order or thread count may alter. Any disagreement is a Discrepancy,
+// shrunk by MinimizeStream (drop the goal, then steps, rules and facts —
+// largest granularity first) and committed to tests/fuzz/corpus/ in the .dl
+// format with `% fuzz-update:` directives, replayed by
+// fuzz_regression_test.
 
 #ifndef REL_FUZZ_UPDATE_STREAM_H_
 #define REL_FUZZ_UPDATE_STREAM_H_
@@ -68,8 +67,8 @@ RunResult RunUpdateStream(const UpdateStream& stream,
                           uint64_t* incremental_steps = nullptr,
                           uint64_t* fallback_steps = nullptr);
 
-/// Greedy delta-debugging over steps, rules, facts and the goal; returns
-/// `stream` unchanged if it does not currently fail.
+/// Drops the goal, then greedy delta-debugging over steps, rules and facts;
+/// returns `stream` unchanged if it does not currently fail.
 UpdateStream MinimizeStream(const UpdateStream& stream,
                             const RunnerOptions& options = {});
 

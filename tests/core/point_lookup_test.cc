@@ -18,7 +18,7 @@
 
 #include "base/error.h"
 #include "core/engine.h"
-#include "datalog/magic.h"
+#include "datalog/program.h"
 
 namespace rel {
 namespace {

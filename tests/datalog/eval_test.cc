@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -379,6 +380,15 @@ TEST(ArithGuards, NaNResultsAreUndefined) {
               "{(4.0); (inf)}");
     EXPECT_TRUE(EvaluatePredicate(p, "total", strategy).empty());
   }
+}
+
+TEST(PatternFilter, FilterByPatternMatchesTypeExactly) {
+  Relation extent;
+  extent.Insert(Tuple({I(1), I(2)}));
+  extent.Insert(Tuple({Value::Float(1.0), I(3)}));
+  extent.Insert(Tuple({I(1), I(4), I(9)}));  // other arity: never matches
+  Relation got = FilterByPattern(extent, {I(1), std::nullopt});
+  EXPECT_EQ(got.ToString(), "{(1, 2)}");
 }
 
 TEST(Planner, ConstantsInAtomsProbeAsBoundColumns) {

@@ -68,7 +68,7 @@ TEST(FuzzCorpus, EveryReproducerReplaysClean) {
 TEST(FuzzCorpus, FilterBeforeBindingAtomRunsTheFullLattice) {
   // The oracle accepts a rule whose filter precedes its binding atom, so
   // the case runs every configuration: the oracle, nine planned points and
-  // four Rel paths (no goal, so no demand lattice).
+  // four Rel paths (no goal, so no rel/point).
   FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
       REL_FUZZ_CORPUS_DIR) / "scan_order_safety.dl"));
   RunResult result = RunCase(c);
@@ -77,7 +77,7 @@ TEST(FuzzCorpus, FilterBeforeBindingAtomRunsTheFullLattice) {
 }
 
 TEST(FuzzCorpus, NonRecursiveGoalReadsASeededSlice) {
-  // Keyed reads of the non-recursive p1 (the demand goal and p2's body
+  // Keyed reads of the non-recursive p1 (the point-query goal and p2's body
   // atoms with a constant) evaluate seeded slices on the Rel paths.
   FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
       REL_FUZZ_CORPUS_DIR) / "seeded_point_lookup.dl"));
