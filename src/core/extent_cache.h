@@ -68,9 +68,9 @@ namespace rel {
 /// A cached Datalog fixpoint plus everything needed to move it forward
 /// under a DatabaseDelta.
 struct MaintainableExtents {
-  /// The program whose fixpoint `extents` is (rules are what matter;
-  /// program.facts() is the EDB at the version the entry was built at and
-  /// is not consulted during maintenance).
+  /// The program whose fixpoint `extents` is: its rules only. Evaluation
+  /// took its facts as the starting extents, so the EDB lives in `extents`
+  /// alone.
   datalog::Program program;
   /// The full fixpoint: every EDB and IDB predicate's extent, mutated in
   /// place by maintenance. Map nodes (and so arena addresses) are stable;

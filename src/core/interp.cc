@@ -406,14 +406,15 @@ std::optional<LoweredComponent> Interp::BuildLoweredProgram(
 
   std::string why;
   std::optional<LoweredComponent> lowered =
-      LowerComponent(name, analysis_, all_defs_, &why, so_args.size());
+      LowerComponent(name, analysis_, defs_, &why, so_args.size());
   if (!lowered) return reject(why);
 
-  // EDB: the relation arguments, materialized extents of every
-  // out-of-component dependency (each evaluated through the normal instance
-  // machinery, so a qualifying dependency component lowers first), then the
-  // members' own base facts. The lowered extents are final, so none of this
-  // may read an in-progress fixpoint value.
+  // EDB: the relation arguments, the extents of every out-of-component
+  // dependency, then the members' own base facts. A defined external is
+  // evaluated through the normal instance machinery, so a qualifying
+  // dependency component lowers first; a base external is read straight
+  // from the database, with no instance-table copy. The lowered extents are
+  // final, so none of this may read an in-progress fixpoint value.
   const uint64_t partial_before = partial_reads_;
   for (size_t i = 0; i < so_args.size(); ++i) {
     try {
@@ -429,7 +430,8 @@ std::optional<LoweredComponent> Interp::BuildLoweredProgram(
   }
   try {
     for (const std::string& ext : lowered->externals) {
-      lowered->program.AddFacts(ext, EvalInstance(ext, 0, {}));
+      lowered->program.AddFacts(
+          ext, HasDefs(ext) ? EvalInstance(ext, 0, {}) : db_->Get(ext));
     }
   } catch (const RelError& err) {
     // An unsafe external (e.g. a stdlib arithmetic wrapper) has no finite
@@ -504,7 +506,9 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
   // the tuple-at-a-time path.
   std::map<std::string, Relation> extents;
   try {
-    extents = datalog::Evaluate(lowered->program, LoweredEvalOptions(options_));
+    // The program's facts become the working extents; it keeps its rules.
+    extents =
+        datalog::Evaluate(&lowered->program, LoweredEvalOptions(options_));
   } catch (const RelError& err) {
     // E.g. a rule that is not range-restricted under any literal order; the
     // tuple-at-a-time solver stays the authority on whether that errors.

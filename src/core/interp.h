@@ -128,6 +128,10 @@ class Interp {
   const std::vector<std::shared_ptr<Def>>& DefsOf(const std::string& name,
                                                   size_t sig) const;
 
+  /// Every rule but the integrity constraints, by name and signature — the
+  /// index lowering translates components through.
+  const DefIndex& def_index() const { return defs_; }
+
   /// Determines how many leading arguments of an application of `name` are
   /// second-order, using the rules' parameter signatures and the ?{}/&{}
   /// annotations of `args` (Addendum A). Throws kAmbiguous when rules
@@ -290,9 +294,10 @@ class Interp {
 
   /// The front half of TryLowerComponent: translates the component of `name` for the relation arguments
   /// `so_args` and materializes its EDB (the arguments via MaterializeSO,
-  /// external extents via EvalInstance, and, for a first-order component,
-  /// the members' base facts from the database). Returns nullopt after
-  /// recording the rejection when the component is outside the fragment or
+  /// defined externals via EvalInstance, base externals and, for a
+  /// first-order component, the members' base facts straight from the
+  /// database). Returns nullopt after recording the rejection when the
+  /// component is outside the fragment or
   /// an external has no finite standalone extent (the component is then
   /// remembered as failed), or when an argument fails to materialize or an
   /// input read an in-progress fixpoint (only this instance falls back).
@@ -310,9 +315,8 @@ class Interp {
 
   const Database* db_;
   std::vector<std::shared_ptr<Def>> all_defs_;
-  // name -> sig -> rules
-  std::map<std::string, std::map<size_t, std::vector<std::shared_ptr<Def>>>>
-      defs_;
+  // name -> sig -> rules; lowering reads the rule set through it too.
+  DefIndex defs_;
   std::vector<std::shared_ptr<Def>> ics_;
   ProgramAnalysis analysis_;
   InterpOptions options_;

@@ -151,8 +151,7 @@ struct ComponentContext {
   /// The EDB predicate each relation parameter position reads
   /// (LoweredComponent::arg_preds); empty for a first-order component.
   const std::vector<std::string>* arg_preds;
-  const std::map<std::string, std::vector<const Def*>>* defs_by_name;
-  const std::map<std::string, size_t>* max_sig;
+  const DefIndex* defs;
   std::set<std::string>* externals;
 };
 
@@ -165,9 +164,14 @@ struct ComponentContext {
 /// stays the authority).
 bool IsCanonicalCombinator(const std::string& name, datalog::AggOp op,
                            const ComponentContext& ctx) {
-  auto it = ctx.defs_by_name->find(name);
-  if (it == ctx.defs_by_name->end() || it->second.empty()) return false;
-  for (const Def* def : it->second) {
+  // The canonical form takes exactly one relation parameter, so every def
+  // of the name must sit under signature 1.
+  auto it = ctx.defs->find(name);
+  if (it == ctx.defs->end() || it->second.size() != 1 ||
+      it->second.begin()->first != 1) {
+    return false;
+  }
+  for (const auto& def : it->second.begin()->second) {
     if (!def->square_head || def->is_ic || def->params.size() != 1 ||
         def->params[0].kind != Binding::Kind::kRelVar ||
         def->params[0].domain != nullptr || !def->body) {
@@ -526,8 +530,8 @@ class RuleLowerer {
       if (!positive) return FailBool("negated member reference");
     } else if (std::find(arg_preds.begin(), arg_preds.end(), name) ==
                arg_preds.end()) {
-      auto sig = ctx_.max_sig->find(name);
-      if (sig != ctx_.max_sig->end() && sig->second > 0) {
+      auto defs = ctx_.defs->find(name);
+      if (defs != ctx_.defs->end() && defs->second.rbegin()->first > 0) {
         return FailBool("external relation '" + name +
                         "' has second-order definitions");
       }
@@ -582,7 +586,7 @@ class RuleLowerer {
           if (why_ && why_->empty()) *why_ = "unsupported argument expression";
           return std::nullopt;
         }
-        const bool is_defined = ctx_.defs_by_name->count(base->name) > 0;
+        const bool is_defined = ctx_.defs->count(base->name) > 0;
         if (RelParam(base->name) || is_defined || !FindBuiltin(base->name)) {
           // Relation application used as a value: A[i, k] denotes the set of
           // last-column continuations of (i, k) — a positive atom with a
@@ -713,7 +717,7 @@ class RuleLowerer {
     const std::string& name = base->name;
     if (Lookup(name)) return FailBool("application of a local variable");
 
-    const bool is_defined = ctx_.defs_by_name->count(name) > 0;
+    const bool is_defined = ctx_.defs->count(name) > 0;
     const Builtin* builtin =
         is_defined || RelParam(name) ? nullptr : FindBuiltin(name);
     if (builtin) {
@@ -889,22 +893,12 @@ bool LowerDef(const Def& def, const ComponentContext& ctx,
 
 std::optional<LoweredComponent> LowerComponent(
     const std::string& name, const ProgramAnalysis& analysis,
-    const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
-    size_t relation_params) {
+    const DefIndex& defs, std::string* why, size_t relation_params) {
   if (why) why->clear();
   std::vector<std::string> members = analysis.ComponentMembers(name);
   if (members.empty()) {
     if (why) *why = "no rules";
     return std::nullopt;
-  }
-
-  std::map<std::string, std::vector<const Def*>> by_name;
-  std::map<std::string, size_t> max_sig;
-  for (const auto& def : defs) {
-    if (def->is_ic) continue;
-    by_name[def->name].push_back(def.get());
-    size_t& sig = max_sig[def->name];
-    sig = std::max(sig, CountSOParams(*def));
   }
 
   LoweredComponent out;
@@ -916,23 +910,27 @@ std::optional<LoweredComponent> LowerComponent(
   ComponentContext ctx;
   ctx.members.insert(members.begin(), members.end());
   ctx.arg_preds = &out.arg_preds;
-  ctx.defs_by_name = &by_name;
-  ctx.max_sig = &max_sig;
+  ctx.defs = &defs;
   std::set<std::string> externals;
   ctx.externals = &externals;
 
   for (const std::string& member : members) {
-    for (const Def* def : by_name[member]) {
-      if (CountSOParams(*def) != relation_params) {
-        if (why) {
-          *why = relation_params == 0
-                     ? "member '" + member + "' has second-order definitions"
-                     : "member '" + member + "' does not take exactly " +
-                           std::to_string(relation_params) +
-                           " relation parameters";
-        }
-        return std::nullopt;
+    auto it = defs.find(member);
+    if (it == defs.end()) continue;
+    // A member's rules all take `relation_params` relation parameters, or
+    // none of them lowers.
+    if (it->second.size() != 1 ||
+        it->second.begin()->first != relation_params) {
+      if (why) {
+        *why = relation_params == 0
+                   ? "member '" + member + "' has second-order definitions"
+                   : "member '" + member + "' does not take exactly " +
+                         std::to_string(relation_params) +
+                         " relation parameters";
       }
+      return std::nullopt;
+    }
+    for (const auto& def : it->second.begin()->second) {
       std::vector<datalog::Rule> rules;
       if (!LowerDef(*def, ctx, &rules, why)) return std::nullopt;
       for (datalog::Rule& rule : rules) {
@@ -943,6 +941,17 @@ std::optional<LoweredComponent> LowerComponent(
   out.members = std::move(members);
   out.externals.assign(externals.begin(), externals.end());
   return out;
+}
+
+std::optional<LoweredComponent> LowerComponent(
+    const std::string& name, const ProgramAnalysis& analysis,
+    const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
+    size_t relation_params) {
+  DefIndex index;
+  for (const auto& def : defs) {
+    if (!def->is_ic) index[def->name][CountSOParams(*def)].push_back(def);
+  }
+  return LowerComponent(name, analysis, index, why, relation_params);
 }
 
 }  // namespace rel

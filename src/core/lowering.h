@@ -62,6 +62,7 @@
 #ifndef REL_CORE_LOWERING_H_
 #define REL_CORE_LOWERING_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -91,9 +92,17 @@ struct LoweredComponent {
   std::vector<std::string> arg_preds;
 };
 
+/// A rule set by name, then by leading relation-parameter count, each list
+/// in definition order; integrity constraints are not in it. The
+/// interpreter keeps one per transaction and lowers through it.
+using DefIndex =
+    std::map<std::string,
+             std::map<size_t, std::vector<std::shared_ptr<Def>>>>;
+
 /// Attempts to translate the recursive component containing `name` into a
-/// Datalog program. `defs` is the full rule set the component lives in
-/// (integrity constraints are ignored). `relation_params` is the number of
+/// Datalog program. `defs` indexes the full rule set the component lives
+/// in; only the component's own rules are translated, and every other name
+/// is one lookup. `relation_params` is the number of
 /// leading relation parameters of the instance being lowered: every member
 /// rule must take exactly that many, passed through unchanged (see the file
 /// comment), and 0 means a first-order component. Returns nullopt when the
@@ -101,6 +110,13 @@ struct LoweredComponent {
 /// reason for diagnostics and tests. The caller is responsible for checking
 /// that the component is recursive and monotone (ProgramAnalysis::IsRecursive
 /// / !UsesReplacement) — this function validates expressibility only.
+std::optional<LoweredComponent> LowerComponent(
+    const std::string& name, const ProgramAnalysis& analysis,
+    const DefIndex& defs, std::string* why, size_t relation_params = 0);
+
+/// The same over a plain rule vector (integrity constraints are ignored):
+/// indexes `defs` once and delegates, so both forms give the same rules,
+/// members, externals and `why`.
 std::optional<LoweredComponent> LowerComponent(
     const std::string& name, const ProgramAnalysis& analysis,
     const std::vector<std::shared_ptr<Def>>& defs, std::string* why,

@@ -1352,10 +1352,12 @@ struct AggSig {
 ///   * all aggregate rules of a predicate share one operator and one group
 ///     arity — the extent is one (group..., result) row per group;
 ///   * no EDB facts on an aggregate predicate (facts are not contributions
-///     and are not foldable rows).
+///     and are not foldable rows). `facts` is the EDB the evaluation starts
+///     from: program.facts(), or what Evaluate took out of the program.
 ///
 /// Throws kType; returns the signature map for the unit-level checks.
-std::map<std::string, AggSig> ValidateAggregates(const Program& program) {
+std::map<std::string, AggSig> ValidateAggregates(
+    const Program& program, const std::map<std::string, Relation>& facts) {
   std::map<std::string, AggSig> sigs;
   std::set<std::string> plain;
   for (const Rule& rule : program.rules()) {
@@ -1379,8 +1381,8 @@ std::map<std::string, AggSig> ValidateAggregates(const Program& program) {
                      "predicate '" + pred +
                          "' mixes plain and aggregate rules");
     }
-    auto it = program.facts().find(pred);
-    if (it != program.facts().end() && !it->second.empty()) {
+    auto it = facts.find(pred);
+    if (it != facts.end() && !it->second.empty()) {
       throw RelError(ErrorKind::kType,
                      "aggregate predicate '" + pred +
                          "' cannot carry EDB facts");
@@ -2142,12 +2144,16 @@ std::string EvalStats::ToString() const {
   return os.str();
 }
 
-std::map<std::string, Relation> Evaluate(const Program& program,
-                                         const EvalOptions& options,
-                                         EvalStats* stats) {
+namespace {
+
+/// Evaluate's body: runs `program`'s rules from the starting `extents`
+/// (its EDB), which become the returned fixpoint.
+std::map<std::string, Relation> EvaluateFrom(
+    const Program& program, std::map<std::string, Relation> extents,
+    const EvalOptions& options, EvalStats* stats) {
   EvalStats scratch;
   EvalStats* s = stats ? stats : &scratch;
-  if (program.HasAggregates()) ValidateAggregates(program);
+  if (program.HasAggregates()) ValidateAggregates(program, extents);
   std::map<std::string, int> stratum = Stratify(program);
   int max_stratum = 0;
   for (const auto& [pred, st] : stratum) {
@@ -2161,7 +2167,6 @@ std::map<std::string, Relation> Evaluate(const Program& program,
   // The naive oracle is sequential by definition.
   const bool parallel = indexed && num_threads > 1;
 
-  std::map<std::string, Relation> extents = program.facts();
   // Freeze the extent map's structure before anything runs: every head
   // predicate gets its entry now, so concurrent units never mutate the map
   // itself — only the relation each owns exclusively.
@@ -2236,6 +2241,20 @@ std::map<std::string, Relation> Evaluate(const Program& program,
   ThreadPool::Stats pool_after = pool.stats();
   s->par_steals += pool_after.TotalSteals() - pool_before.TotalSteals();
   return extents;
+}
+
+}  // namespace
+
+std::map<std::string, Relation> Evaluate(const Program& program,
+                                         const EvalOptions& options,
+                                         EvalStats* stats) {
+  return EvaluateFrom(program, program.facts(), options, stats);
+}
+
+std::map<std::string, Relation> Evaluate(Program* program,
+                                         const EvalOptions& options,
+                                         EvalStats* stats) {
+  return EvaluateFrom(*program, program->TakeFacts(), options, stats);
 }
 
 bool EdbDelta::empty() const {

@@ -182,6 +182,14 @@ std::map<std::string, Relation> Evaluate(const Program& program,
                                          const EvalOptions& options,
                                          EvalStats* stats = nullptr);
 
+/// The same for a caller done with `program`'s facts: they become the
+/// starting extents instead of being copied, and `program` keeps its rules
+/// only (its facts are gone also when this throws). The Rel lowering
+/// evaluates this way, so a cached component keeps no second EDB copy.
+std::map<std::string, Relation> Evaluate(Program* program,
+                                         const EvalOptions& options,
+                                         EvalStats* stats = nullptr);
+
 /// Strategy-only overload. num_threads comes from the REL_EVAL_THREADS
 /// environment variable when set (how CI runs the whole suite under TSan
 /// with a parallel evaluator), else 1.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "base/error.h"
 
@@ -75,7 +76,16 @@ void Program::AddFact(const std::string& pred, Tuple t) {
 }
 
 void Program::AddFacts(const std::string& pred, const Relation& rel) {
-  facts_[pred].InsertAll(rel);
+  Relation& facts = facts_[pred];
+  if (facts.empty()) {
+    facts = rel;
+  } else {
+    facts.InsertAll(rel);
+  }
+}
+
+std::map<std::string, Relation> Program::TakeFacts() {
+  return std::exchange(facts_, {});
 }
 
 void Program::AddRule(Rule rule) { rules_.push_back(std::move(rule)); }

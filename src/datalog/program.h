@@ -153,13 +153,17 @@ class Program {
  public:
   void AddFact(const std::string& pred, Tuple t);
   /// Bulk EDB load: merges a whole relation into `pred`'s facts without
-  /// materializing per-tuple copies (columnar InsertAll). This is how the
-  /// Rel engine's lowering pass (src/core/lowering.h) feeds base relations
-  /// and materialized external extents into a program.
+  /// materializing per-tuple copies. Into a predicate with no facts yet it
+  /// copies `rel` whole, one arena per arity; otherwise it inserts row by
+  /// row (columnar InsertAll). This is how the Rel engine's lowering pass
+  /// (src/core/lowering.h) feeds base relations and materialized external
+  /// extents into a program.
   void AddFacts(const std::string& pred, const Relation& rel);
   void AddRule(Rule rule);
 
   const std::map<std::string, Relation>& facts() const { return facts_; }
+  /// Moves the facts out, leaving the program with its rules only.
+  std::map<std::string, Relation> TakeFacts();
   const std::vector<Rule>& rules() const { return rules_; }
 
   /// All predicate names (EDB and IDB).

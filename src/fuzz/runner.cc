@@ -251,16 +251,11 @@ class CaseRunner {
 
   /// A bound read through the solver: the goal as a point query with bound
   /// arguments on the default path. Expected answer: the goal-filtered
-  /// reference extent projected onto the goal's free positions. All-bound
-  /// goals have no free positions to project onto and are skipped.
+  /// reference extent projected onto the goal's free positions. An
+  /// all-bound goal is a boolean read, `def output() : p(c1, ...)`: {()}
+  /// when the tuple is in the reference extent, {} otherwise.
   void RunRelPoint(const Outcome& ref, Engine& engine) {
     if (!c_.goal) return;
-    int free_count = 0;
-    for (const auto& p : c_.goal->pattern) {
-      if (!p.has_value()) ++free_count;
-    }
-    if (free_count == 0) return;
-
     std::string head = "def output(";
     std::string body = c_.goal->pred + "(";
     int v = 0;

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "base/error.h"
 #include "benchutil/generators.h"
 #include "core/engine.h"
+#include "core/interp.h"
 #include "core/parser.h"
+#include "data/database.h"
+#include "datalog/to_rel.h"
 
 namespace rel {
 namespace {
@@ -432,6 +436,80 @@ TEST(LowerComponent, RejectsOutsideTheFragment) {
         << c.source;
     EXPECT_FALSE(why.empty()) << c.source;
   }
+}
+
+/// The program's rules, in order, rendered as Rel.
+std::string RenderRules(const datalog::Program& program) {
+  std::string out;
+  for (const datalog::Rule& rule : program.rules()) {
+    out += datalog::RuleToRel(rule) + "\n";
+  }
+  return out;
+}
+
+TEST(LowerComponent, InterpIndexAndRuleVectorLowerIdentically) {
+  // The interpreter lowers through its own def index; tests and replays
+  // pass the rule vector. Over the stdlib plus paper-style programs, every
+  // name at both signatures must give the same verdict, rules (in order),
+  // members, externals and rejection reason either way.
+  const std::vector<std::string> programs = {
+      "",
+      std::string(kTC) + "\ndef e2(x, y) : tc(x, y) and not edge(y, x)",
+      "def TC_E(x,y) : E(x,y)\n"
+      "def TC_E(x,y) : exists((z) | TC_E(x,z) and TC_E(z,y))\n"
+      "def out(x, y) : TC[E](x, y)",
+      "def Ord(x) : OrderProductQuantity(x,_,_)\n"
+      "def OrderLineAmount(o, p, a) :\n"
+      "  exists((q, pr) | OrderProductQuantity(o, p, q) and "
+      "ProductPrice(p, pr) and a = q * pr)\n"
+      "def OrderTotal[x in Ord] : sum[OrderLineAmount[x]]\n"
+      "def Perm(x...) : R(x...)\n"
+      "def Perm(x...,a,y...,b,z...) : Perm(x...,b,y...,a,z...)",
+      "def dist(y, d) : d = min[(j) : (y = 0 and j = 0) or "
+      "exists((x, k, w) | dist(x, k) and W(x, y, w) and j = k + w)]\n"
+      "def odd(x, y) : edge(x, y)\n"
+      "def odd(x, z) : exists((y) | edge(x, y) and even(y, z))\n"
+      "def even(x, z) : exists((y) | edge(x, y) and odd(y, z))",
+      "def t[{A}] : A\ndef t(x) : exists((y) | t(y) and edge(y, x))\n"
+      "def u(x, y) : edge(x, y) and abs(x, y)\n"
+      "def u(x, z) : exists((y) | u(x, y) and u(y, z))",
+  };
+  int lowered = 0;
+  int rejected = 0;
+  for (const std::string& source : programs) {
+    auto defs = Defs(std::string(StdlibSource()) + "\n" + source);
+    Database db;
+    Interp interp(&db, defs);
+    std::set<std::string> names;
+    for (const auto& def : defs) names.insert(def->name);
+    for (const std::string& name : names) {
+      for (size_t sig : {0, 1}) {
+        std::string why_index = "stale";
+        std::string why_vector = "stale";
+        auto by_index = LowerComponent(name, interp.analysis(),
+                                       interp.def_index(), &why_index, sig);
+        auto by_vector =
+            LowerComponent(name, interp.analysis(), defs, &why_vector, sig);
+        const std::string where = name + "/" + std::to_string(sig);
+        ASSERT_EQ(by_index.has_value(), by_vector.has_value()) << where;
+        EXPECT_EQ(why_index, why_vector) << where;
+        if (!by_index) {
+          ++rejected;
+          continue;
+        }
+        ++lowered;
+        EXPECT_EQ(by_index->members, by_vector->members) << where;
+        EXPECT_EQ(by_index->externals, by_vector->externals) << where;
+        EXPECT_EQ(by_index->arg_preds, by_vector->arg_preds) << where;
+        EXPECT_EQ(RenderRules(by_index->program),
+                  RenderRules(by_vector->program))
+            << where;
+      }
+    }
+  }
+  // Both verdicts occur, so the comparison covered both paths.
+  EXPECT_GT(lowered, 10);
+  EXPECT_GT(rejected, 10);
 }
 
 // --- fixpoint cap interplay ---------------------------------------------------

@@ -164,6 +164,30 @@ TEST(DatalogEval, StatsReportStrataAndIterations) {
   EXPECT_GE(stats.iterations, 2);
 }
 
+TEST(DatalogProgram, AddFactsCopiesIntoEmptyAndMergesIntoNonEmpty) {
+  const Relation first = Relation::FromTuples(
+      {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}), Tuple({I(7)})});
+  const Relation second = Relation::FromTuples(
+      {Tuple({I(2), I(3)}), Tuple({I(3), I(4)}), Tuple({I(8), I(9), I(10)})});
+  Relation want = first;
+  want.InsertAll(second);
+
+  Program p;
+  p.AddFacts("r", first);  // an empty predicate takes the relation whole
+  EXPECT_EQ(p.facts().at("r"), first);
+  p.AddFacts("r", second);  // a non-empty one merges row by row
+  EXPECT_EQ(p.facts().at("r"), want);
+  EXPECT_EQ(p.facts().at("r").ToString(), want.ToString());
+  EXPECT_EQ(p.facts().at("r").size(), 5u);
+
+  // Loading into a predicate that holds only an empty relation copies too.
+  Program q;
+  q.AddFacts("r", Relation());
+  q.AddFacts("r", first);
+  q.AddFacts("r", second);
+  EXPECT_EQ(q.facts().at("r"), want);
+}
+
 }  // namespace
 }  // namespace datalog
 }  // namespace rel

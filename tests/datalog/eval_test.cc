@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -389,6 +390,54 @@ TEST(PatternFilter, FilterByPatternMatchesTypeExactly) {
   extent.Insert(Tuple({I(1), I(4), I(9)}));  // other arity: never matches
   Relation got = FilterByPattern(extent, {I(1), std::nullopt});
   EXPECT_EQ(got.ToString(), "{(1, 2)}");
+}
+
+TEST(AggregateValidation, AggregatePredicateCannotCarryEdbFacts) {
+  // Both entry points check the facts the evaluation starts from: the
+  // copy of program.facts(), and the facts the pointer form takes out.
+  Program program = ParseDatalog("item(1, 5). total(K, sum(V)) :- item(K, V).");
+  program.AddFact("total", Tuple({Value::Int(1), Value::Int(9)}));
+  auto expect_rejected = [](auto&& evaluate) {
+    try {
+      evaluate();
+      ADD_FAILURE() << "an aggregate predicate with EDB facts evaluated";
+    } catch (const RelError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kType);
+      EXPECT_NE(std::string(e.what()).find("cannot carry EDB facts"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (Strategy strategy : kAllStrategies) {
+    EvalOptions options;
+    options.strategy = strategy;
+    expect_rejected([&] { Evaluate(program, options); });
+    Program taken = program;
+    expect_rejected([&] { Evaluate(&taken, options); });
+  }
+}
+
+TEST(EvaluateTakingFacts, SameFixpointAndTheProgramKeepsOnlyItsRules) {
+  const Program program = ParseDatalog(
+      "e(1,2). e(2,3). e(3,1). n(4).\n"
+      "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z).\n"
+      "lone(X) :- n(X), !tc(X, X).");
+  for (int threads : {1, 4}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    EvalStats copied_stats;
+    EvalStats taken_stats;
+    std::map<std::string, Relation> copied =
+        Evaluate(program, options, &copied_stats);
+    Program taken = program;
+    std::map<std::string, Relation> moved =
+        Evaluate(&taken, options, &taken_stats);
+    EXPECT_EQ(copied, moved);
+    EXPECT_EQ(copied.at("e"), program.facts().at("e"));
+    EXPECT_EQ(copied_stats.tuples_derived, taken_stats.tuples_derived);
+    EXPECT_TRUE(taken.facts().empty());
+    EXPECT_EQ(taken.rules().size(), program.rules().size());
+  }
 }
 
 TEST(Planner, ConstantsInAtomsProbeAsBoundColumns) {

@@ -86,6 +86,23 @@ TEST(FuzzCorpus, NonRecursiveGoalReadsASeededSlice) {
   EXPECT_GT(result.seeded_lookups, 0);
 }
 
+TEST(FuzzCorpus, AllBoundGoalRunsABooleanRead) {
+  // Every position of the goal is bound, so rel/point is a boolean read:
+  // the fifteenth configuration, for a tuple in the extent and for one
+  // that is not.
+  FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
+      REL_FUZZ_CORPUS_DIR) / "all_bound_goal.dl"));
+  ASSERT_TRUE(c.goal.has_value());
+  RunResult present = RunCase(c);
+  EXPECT_TRUE(present.ok()) << FormatResult(c, present);
+  EXPECT_EQ(present.configs_run, 15);
+
+  c.goal->pattern = {Value::Int(3), Value::Int(1)};
+  RunResult absent = RunCase(c);
+  EXPECT_TRUE(absent.ok()) << FormatResult(c, absent);
+  EXPECT_EQ(absent.configs_run, 15);
+}
+
 TEST(FuzzCorpus, ReplayIsDeterministic) {
   for (const auto& path : CorpusFiles()) {
     FuzzCase c = CaseFromText(ReadFile(path));
