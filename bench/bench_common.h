@@ -3,6 +3,8 @@
 #ifndef REL_BENCH_BENCH_COMMON_H_
 #define REL_BENCH_BENCH_COMMON_H_
 
+#include <sys/resource.h>
+
 #include <string>
 #include <vector>
 
@@ -22,6 +24,16 @@ inline void LoadEngine(
   for (const auto& [name, tuples] : relations) {
     engine.Insert(name, *tuples);
   }
+}
+
+/// Minor page faults this process has taken so far (getrusage). A series
+/// reports the delta over its timed work per iteration as "minflt": memory
+/// the allocator handed back to the OS and the next iteration touches again
+/// shows up there.
+inline long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
 }
 
 }  // namespace bench

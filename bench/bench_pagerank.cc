@@ -66,6 +66,7 @@ void RunPageRankSum(benchmark::State& state, bool lower) {
   Engine engine;
   engine.options().lower_recursion = lower;
   bench::LoadEngine(engine, {{"G", &g}});
+  const long faults_before = bench::MinorFaults();
   for (auto _ : state) {
     Relation out = engine.Query(source);
     if (lower && engine.last_lowering_stats().components_lowered < 1) {
@@ -75,6 +76,9 @@ void RunPageRankSum(benchmark::State& state, bool lower) {
     benchmark::DoNotOptimize(out.size());
     state.counters["entries"] = static_cast<double>(out.size());
   }
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(bench::MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
 }
 
 void BM_PageRank_RelSumLowered(benchmark::State& state) {
@@ -99,6 +103,7 @@ void BM_PageRank_Handwritten(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::vector<Tuple> g = benchutil::StochasticMatrix(n, 3, 11);
   const size_t reps = 200000 / (g.size() * kSteps) + 1;
+  const long faults_before = bench::MinorFaults();
   for (auto _ : state) {
     for (size_t r = 0; r < reps; ++r) {
       std::vector<double> p = benchutil::PageRankLevelsRef(n, g, kSteps);
@@ -107,6 +112,9 @@ void BM_PageRank_Handwritten(benchmark::State& state) {
     }
   }
   state.counters["reps"] = static_cast<double>(reps);
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(bench::MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_PageRank_Handwritten)
     ->Apply(ApplyLevelArgs)

@@ -146,13 +146,18 @@ void BM_OneRowInsertCommit(benchmark::State& state) {
   std::unique_ptr<Engine> engine = RowsEngine(n);
   const std::string ins = RowCommit("insert", n);
   const std::string del = RowCommit("delete", n);
+  long faults = 0;
   for (auto _ : state) {
+    const long before = bench::MinorFaults();
     TxnResult txn = engine->Exec(ins);
+    faults += bench::MinorFaults() - before;
     benchmark::DoNotOptimize(txn.inserted);
     state.PauseTiming();
     engine->Exec(del);
     state.ResumeTiming();
   }
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_OneRowInsertCommit)
     ->Apply(RowsArgs)
@@ -178,14 +183,19 @@ void BM_OneRowInsertCommit_Guarded(benchmark::State& state) {
   const std::string del = RowCommit("delete", n);
   engine->Exec(ins);
   engine->Exec(del);
+  long faults = 0;
   for (auto _ : state) {
+    const long before = bench::MinorFaults();
     TxnResult txn = engine->Exec(ins);
+    faults += bench::MinorFaults() - before;
     benchmark::DoNotOptimize(txn.inserted);
     state.PauseTiming();
     engine->Exec(del);
     state.ResumeTiming();
   }
   state.counters["ic_full"] = static_cast<double>(engine->ic_stats().full);
+  state.counters["minflt"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_OneRowInsertCommit_Guarded)
     ->Apply(RowsArgs)

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -197,42 +198,47 @@ std::optional<Value> FoldStep(AggOp op, const Value& acc, const Value& v) {
   return std::nullopt;
 }
 
-/// One contribution row of an aggregate predicate: row `row` of one of its
-/// `seen` relation's arenas (one arena per witness arity). `seen` is the
-/// only copy of a contribution; groups hold these references into it.
-struct SeenRow {
-  const ColumnArena* arena;
-  uint32_t row;
+/// Per-predicate aggregate signature. Every aggregate rule of a predicate
+/// must agree on the operator and the group arity (witness arity may differ
+/// per rule — a group holds mixed-arity contributions, folded in (arity,
+/// lex) order exactly like a Rel abstraction's materialized relation; see
+/// FoldOrderLess).
+struct AggSig {
+  AggOp op = AggOp::kMin;
+  size_t group_arity = 0;
+};
 
-  const Value& At(size_t col) const { return arena->At(row, col); }
-  size_t arity() const { return arena->arity(); }
+/// One contribution's (witness..., value) payload: `arity` values in its
+/// predicate's payload store. The group key is not part of it.
+struct Payload {
+  const Value* vals;
+  size_t arity;
 };
 
 /// The order a group folds its contributions in: the order the Rel
 /// interpreter's `reduce` consumes a materialized abstraction, i.e.
 /// Relation::SortedTuples of the (witness..., value) payloads — arity first
 /// (witness arities may differ between a predicate's rules), then
-/// lexicographic. A group's rows share their first `group_arity` columns,
-/// so the comparison starts after them.
-bool FoldOrderLess(const SeenRow& a, const SeenRow& b, size_t group_arity) {
-  if (a.arity() != b.arity()) return a.arity() < b.arity();
-  for (size_t c = group_arity; c < a.arity(); ++c) {
-    int cmp = a.At(c).Compare(b.At(c));
+/// lexicographic.
+bool FoldOrderLess(const Payload& a, const Payload& b) {
+  if (a.arity != b.arity) return a.arity < b.arity;
+  for (size_t c = 0; c < a.arity; ++c) {
+    int cmp = a.vals[c].Compare(b.vals[c]);
     if (cmp != 0) return cmp < 0;
   }
   return false;
 }
 
 /// Folds one group's contributions, already in fold order: the accumulator
-/// starts from the first row's value (its last column) and steps through
-/// the rest. A step with no result (mixed non-numeric payloads, NaN under
-/// min/max) makes the whole group's result absent — an empty or undefined
-/// group emits NO row, never a default.
+/// starts from the first payload's value (its last column) and steps
+/// through the rest. A step with no result (mixed non-numeric payloads, NaN
+/// under min/max) makes the whole group's result absent — an empty or
+/// undefined group emits NO row, never a default.
 std::optional<Value> FoldPayloads(AggOp op,
-                                  const std::vector<SeenRow>& payloads) {
+                                  const std::vector<Payload>& payloads) {
   std::optional<Value> acc;
-  for (const SeenRow& p : payloads) {
-    const Value& v = p.At(p.arity() - 1);
+  for (const Payload& p : payloads) {
+    const Value& v = p.vals[p.arity - 1];
     if (!acc) {
       acc = v;
       continue;
@@ -242,6 +248,267 @@ std::optional<Value> FoldPayloads(AggOp op,
   }
   return acc;
 }
+
+/// An open-addressing set of dense indices into a caller's append-only
+/// vector, stored as index + 1 (0 = empty slot) and kept at most half full.
+/// The caller owns each index's hash and decides equality.
+class IndexSet {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// The index with hash `h` that `eq(index)` accepts, or kNone.
+  template <typename Eq>
+  uint32_t Find(size_t h, Eq&& eq) const {
+    if (slots_.empty()) return kNone;
+    const size_t mask = slots_.size() - 1;
+    for (size_t pos = MixHash(h) & mask;; pos = (pos + 1) & mask) {
+      const uint32_t entry = slots_[pos];
+      if (entry == 0) return kNone;
+      if (eq(entry - 1)) return entry - 1;
+    }
+  }
+
+  /// The slot of the index with hash `h` that `eq` accepts, or else the
+  /// empty slot where it belongs (store index + 1 there to add it). Room
+  /// for `count` indices, the caller's size after a possible add, is made
+  /// first, rehashing the existing ones with `hash_of(index)`.
+  template <typename Eq, typename HashOf>
+  uint32_t& Slot(size_t h, size_t count, Eq&& eq, HashOf&& hash_of) {
+    if (2 * count > slots_.size()) Grow(count - 1, hash_of);
+    const size_t mask = slots_.size() - 1;
+    for (size_t pos = MixHash(h) & mask;; pos = (pos + 1) & mask) {
+      uint32_t& entry = slots_[pos];
+      if (entry == 0 || eq(entry - 1)) return entry;
+    }
+  }
+
+ private:
+  template <typename HashOf>
+  void Grow(size_t count, HashOf&& hash_of) {
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t i = 0; i < count; ++i) {
+      size_t pos = MixHash(hash_of(i)) & mask;
+      while (slots_[pos] != 0) pos = (pos + 1) & mask;
+      slots_[pos] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+};
+
+/// An append-only store of Values in fixed-size blocks. A block never
+/// moves, so stored values keep their addresses and growing copies
+/// nothing. Nor does any one allocation grow with the store: the allocator
+/// maps a large buffer on its own, or trims it off the heap once freed, so
+/// each evaluation would fault its pages in afresh (see `minflt` in
+/// bench/README.md). The values appended by one call stay contiguous: a
+/// block without room for them is left short and the next one starts.
+class ValueBlocks {
+ public:
+  static constexpr uint32_t kBlock = 4096;  // values per block
+
+  /// Appends vals[0..n), n <= kBlock; returns the position of the first.
+  uint32_t Append(const Value* vals, size_t n) {
+    InternalCheck(n <= kBlock, "row wider than a value block");
+    if (blocks_.empty() || blocks_.back().size() + n > kBlock) {
+      blocks_.emplace_back().reserve(kBlock);
+    }
+    std::vector<Value>& block = blocks_.back();
+    const size_t pos = (blocks_.size() - 1) * kBlock + block.size();
+    block.insert(block.end(), vals, vals + n);
+    return static_cast<uint32_t>(pos);
+  }
+
+  const Value* At(uint32_t pos) const {
+    return blocks_[pos / kBlock].data() + pos % kBlock;
+  }
+
+ private:
+  std::vector<std::vector<Value>> blocks_;
+};
+
+/// One aggregate group: the chain of its contributions, its key's place in
+/// the predicate's key store, and its currently published result (absent
+/// until the first fold yields a value).
+struct AggGroup {
+  static constexpr uint32_t kEnd = UINT32_MAX;  // end of a contribution chain
+
+  std::optional<Value> value;
+  uint32_t head = kEnd;  // most recent contribution; Add prepends
+  uint32_t hash = 0;     // HashRow of the key columns, truncated
+  uint32_t key = 0;      // position in AggPredState::keys
+  bool dirty = false;
+};
+
+/// One contribution of an aggregate predicate: which group it went to, the
+/// next contribution of that group, and where its payload is in the
+/// payload store.
+struct Contribution {
+  uint32_t hash;    // HashRow of the whole (group..., witness..., value) row,
+                    // truncated
+  uint32_t group;
+  uint32_t next;    // AggGroup::kEnd at the end of the group's chain
+  uint32_t offset;  // position in AggPredState::payloads
+  uint32_t arity;   // payload arity: witness arity + 1
+};
+
+/// The HashRow fold of row[0..n), split after its first `g` columns: the
+/// group-key hash is the fold's prefix, the whole row's hash its end. The
+/// aggregate store keeps both truncated to 32 bits.
+struct RowHashes {
+  size_t key;
+  size_t full;
+};
+RowHashes HashContribution(const Value* row, size_t n, size_t g) {
+  size_t h = kTupleHashSeed;
+  for (size_t i = 0; i < g; ++i) h = HashCombine(h, row[i].Hash());
+  RowHashes out{h, h};
+  for (size_t i = g; i < n; ++i) {
+    out.full = HashCombine(out.full, row[i].Hash());
+  }
+  return out;
+}
+
+/// Unit-local aggregate state for one aggregate predicate: its groups and
+/// every contribution they received, each stored once. A contribution row
+/// (group..., witness..., value) is split as it is added: the group key
+/// goes to the key store, once per group, and only the payload to the
+/// payload store, in Add order whatever its arity. The contribution set is
+/// the dedup authority across ALL rules of the predicate (mixed witness
+/// arities included): a row that ever entered a group never re-enters,
+/// which both keeps set semantics (sum counts a deduplicated row once) and
+/// makes the semi-naive re-derivations idempotent. Two rows are the same
+/// contribution when they reach the same group with equal payloads, so the
+/// set compares a group index instead of key columns. Groups and
+/// contributions are numbered in creation order and found through hash
+/// sets over those numbers; like the value stores, their deques grow
+/// without moving or copying. `dirty` lists the groups that received
+/// contributions since the last publish.
+struct AggPredState {
+  AggSig sig;
+  ValueBlocks keys;
+  std::deque<AggGroup> groups;
+  IndexSet group_set;
+  ValueBlocks payloads;
+  std::deque<Contribution> contribs;
+  IndexSet contrib_set;
+  std::vector<uint32_t> dirty;
+
+  /// Adds one emitted contribution row of n columns unless the set already
+  /// holds it: finds or creates its group, stores the payload, links it
+  /// into the group's chain and marks the group dirty. Returns whether the
+  /// row was new.
+  bool Add(const Value* row, size_t n) {
+    const size_t g = sig.group_arity;
+    const RowHashes h = HashContribution(row, n, g);
+    const uint32_t key_hash = static_cast<uint32_t>(h.key);
+    const uint32_t hash = static_cast<uint32_t>(h.full);
+    uint32_t& group_slot = group_set.Slot(
+        key_hash, groups.size() + 1,
+        [&](uint32_t i) { return GroupIs(i, key_hash, row); },
+        [&](uint32_t i) { return groups[i].hash; });
+    if (group_slot == 0) {
+      group_slot = static_cast<uint32_t>(groups.size() + 1);
+      AggGroup& created = groups.emplace_back();
+      created.hash = key_hash;
+      created.key = keys.Append(row, g);
+    }
+    const uint32_t gi = group_slot - 1;
+    const Payload payload{row + g, n - g};
+    uint32_t& slot = contrib_set.Slot(
+        hash, contribs.size() + 1,
+        [&](uint32_t c) { return ContributionIs(c, hash, gi, payload); },
+        [&](uint32_t c) { return contribs[c].hash; });
+    if (slot != 0) return false;
+    const uint32_t id = static_cast<uint32_t>(contribs.size());
+    slot = id + 1;
+    AggGroup& grp = groups[gi];
+    contribs.push_back({hash, gi, grp.head,
+                        payloads.Append(payload.vals, payload.arity),
+                        static_cast<uint32_t>(payload.arity)});
+    grp.head = id;
+    if (!grp.dirty) {
+      grp.dirty = true;
+      dirty.push_back(gi);
+    }
+    return true;
+  }
+
+  /// Whether the set holds the contribution row[0..n), whose hashes are `h`.
+  bool Contains(const Value* row, size_t n, const RowHashes& h) const {
+    const size_t g = sig.group_arity;
+    const uint32_t key_hash = static_cast<uint32_t>(h.key);
+    const uint32_t hash = static_cast<uint32_t>(h.full);
+    const uint32_t gi = group_set.Find(
+        key_hash, [&](uint32_t i) { return GroupIs(i, key_hash, row); });
+    if (gi == IndexSet::kNone) return false;
+    const Payload payload{row + g, n - g};
+    return contrib_set.Find(hash, [&](uint32_t c) {
+             return ContributionIs(c, hash, gi, payload);
+           }) != IndexSet::kNone;
+  }
+
+  /// Group `g`'s key: sig.group_arity values.
+  const Value* Key(uint32_t g) const { return keys.At(groups[g].key); }
+
+  /// Sorts `dirty` into group-key order. Each group's key is looked up
+  /// once, into `buf`, so the comparisons read the key store directly.
+  void SortDirty(std::vector<std::pair<const Value*, uint32_t>>* buf) {
+    buf->clear();
+    for (uint32_t gi : dirty) buf->emplace_back(Key(gi), gi);
+    const size_t n = sig.group_arity;
+    std::sort(buf->begin(), buf->end(), [n](const auto& a, const auto& b) {
+      return KeyLess(a.first, b.first, n);
+    });
+    for (size_t i = 0; i < dirty.size(); ++i) dirty[i] = (*buf)[i].second;
+  }
+
+  /// Gathers `g`'s contributions into `out` in fold order (FoldOrderLess).
+  void Gather(const AggGroup& g, std::vector<Payload>* out) const {
+    out->clear();
+    for (uint32_t c = g.head; c != AggGroup::kEnd; c = contribs[c].next) {
+      out->push_back(PayloadOf(c));
+    }
+    std::sort(out->begin(), out->end(), FoldOrderLess);
+  }
+
+ private:
+  /// Group-key order: keys a and b of n values, compared lexicographically.
+  static bool KeyLess(const Value* a, const Value* b, size_t n) {
+    for (size_t c = 0; c < n; ++c) {
+      int cmp = a[c].Compare(b[c]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  }
+
+  Payload PayloadOf(uint32_t c) const {
+    return {payloads.At(contribs[c].offset), contribs[c].arity};
+  }
+
+  /// Whether group `g` is the one keyed by row's first columns.
+  bool GroupIs(uint32_t g, uint32_t key_hash, const Value* row) const {
+    if (groups[g].hash != key_hash) return false;
+    const Value* key = Key(g);
+    for (size_t c = 0; c < sig.group_arity; ++c) {
+      if (key[c] != row[c]) return false;
+    }
+    return true;
+  }
+
+  /// Whether contribution `c` went to `group` with payload `p`.
+  bool ContributionIs(uint32_t c, uint32_t hash, uint32_t group,
+                      const Payload& p) const {
+    if (contribs[c].hash != hash || contribs[c].group != group) return false;
+    const Payload stored = PayloadOf(c);
+    if (stored.arity != p.arity) return false;
+    for (size_t i = 0; i < p.arity; ++i) {
+      if (stored.vals[i] != p.vals[i]) return false;
+    }
+    return true;
+  }
+};
 
 /// Mirrors the Rel `range` builtin (core/builtins.cc RangeBuiltin): yields
 /// x = lo, lo+step, ..., <= hi for bound integer bounds with step > 0; a
@@ -477,26 +744,48 @@ void RequireRangeRestricted(const Rule& rule, const std::vector<bool>& done,
   }
 }
 
-/// Inserts one gathered head row into `out` unless `dedup_against` (when
-/// non-null) already holds it — the fixpoint diff happens here, with no
-/// intermediate relation and no copy-and-sort. The row is hashed once, for
-/// both the probe and the insert.
-void EmitRow(const std::vector<Value>& row, Relation* out,
-             const Relation* dedup_against) {
-  const size_t h = HashRow(row.data(), row.size());
-  if (dedup_against &&
-      dedup_against->ContainsHashed(row.data(), row.size(), h)) {
+/// Where an executor's derivations go. In a sequential round an aggregate
+/// head's rows are added straight to its contribution store (`agg`), whose
+/// set is their dedup. Every other emit inserts into `out` the rows not
+/// already in `skip` (the full extent, for a plain head) or `skip_agg` (the
+/// frozen contribution store, for an aggregate head a parallel slot
+/// stages) — the fixpoint diff happens here, with no intermediate relation
+/// and no copy-and-sort.
+struct EmitTarget {
+  Relation* out = nullptr;
+  const Relation* skip = nullptr;
+  AggPredState* agg = nullptr;
+  const AggPredState* skip_agg = nullptr;
+};
+
+/// Emits one gathered head row to `to`, hashing it once for both the
+/// probe and the insert.
+void EmitRow(const EmitTarget& to, const std::vector<Value>& row,
+             EvalStats* stats) {
+  if (to.agg != nullptr) {
+    if (to.agg->Add(row.data(), row.size()) && stats) {
+      ++stats->aggregate_updates;
+    }
     return;
   }
-  out->InsertHashed(row.data(), row.size(), h);
+  if (to.skip_agg != nullptr) {
+    const RowHashes h =
+        HashContribution(row.data(), row.size(), to.skip_agg->sig.group_arity);
+    if (to.skip_agg->Contains(row.data(), row.size(), h)) return;
+    to.out->InsertHashed(row.data(), row.size(), h.full);
+    return;
+  }
+  const size_t h = HashRow(row.data(), row.size());
+  if (to.skip && to.skip->ContainsHashed(row.data(), row.size(), h)) return;
+  to.out->InsertHashed(row.data(), row.size(), h);
 }
 
 /// Emits one derivation: gathers the head values into the caller's reusable
-/// scratch buffer and inserts the span straight into `out`'s column arena —
-/// no per-candidate Tuple allocation — through EmitRow.
+/// scratch buffer and emits the span through EmitRow — no per-candidate
+/// Tuple allocation.
 void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
-                      std::vector<Value>& scratch, Relation* out,
-                      EvalStats* stats, const Relation* dedup_against) {
+                      std::vector<Value>& scratch, const EmitTarget& to,
+                      EvalStats* stats) {
   scratch.clear();
   for (const Term& t : rule.head.terms) {
     if (t.is_var()) {
@@ -511,7 +800,7 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
     }
   }
   if (stats) ++stats->tuples_derived;
-  EmitRow(scratch, out, dedup_against);
+  EmitRow(to, scratch, stats);
 }
 
 // --- naive evaluation (kNaive, the fuzzer's oracle) --------------------------
@@ -564,10 +853,10 @@ std::vector<size_t> SafetyOrder(const Rule& rule) {
 }
 
 /// Evaluates one rule by nested-loop scans of the full extents, in the
-/// rule's safety `order`, emitting tuples not already in `dedup_against`.
+/// rule's safety `order`, emitting to `to`.
 void EvalRuleNaive(const Rule& rule, const std::vector<size_t>& order,
-                   const State& state, Relation* out, EvalStats* stats,
-                   const Relation* dedup_against) {
+                   const State& state, const EmitTarget& to,
+                   EvalStats* stats) {
   Bindings bindings(static_cast<size_t>(MaxVar(rule) + 1));
   std::vector<Value> head_buf;
   // The safety order guarantees every input term is known when read.
@@ -578,7 +867,7 @@ void EvalRuleNaive(const Rule& rule, const std::vector<size_t>& order,
 
   std::function<void(size_t)> step = [&](size_t k) {
     if (k == order.size()) {
-      EmitHeadColumnar(rule, bindings, head_buf, out, stats, dedup_against);
+      EmitHeadColumnar(rule, bindings, head_buf, to, stats);
       return;
     }
     const Literal& lit = rule.body[order[k]];
@@ -968,8 +1257,7 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
 /// IndexCache — built once per (predicate, column order) per version instead
 /// of rematerialized on every call.
 void ExecLeapfrog(const Rule& rule, const RulePlan& plan, const State& state,
-                  IndexCache* cache, Relation* out, EvalStats* stats,
-                  const Relation* dedup_against) {
+                  IndexCache* cache, const EmitTarget& to, EvalStats* stats) {
   std::vector<joins::AtomSpec> atoms;
   atoms.reserve(rule.body.size());
   for (const Literal& lit : rule.body) {
@@ -1002,26 +1290,26 @@ void ExecLeapfrog(const Rule& rule, const RulePlan& plan, const State& state,
           scratch.push_back(t.is_var() ? binding[t.var] : t.constant);
         }
         if (stats) ++stats->tuples_derived;
-        EmitRow(scratch, out, dedup_against);
+        EmitRow(to, scratch, stats);
       });
 }
 
 /// Executes a compiled plan: scans drive, probes follow, filters prune.
-/// `out` receives only tuples not already in `dedup_against`.
+/// Derivations go to `to` (see EmitTarget).
 ///
 /// `delta_rel` is the delta extent the kScanDelta step ranges over (null
 /// when the plan has none). [drv_begin, drv_end) restricts the *first* plan
 /// step's scan to that row range — the parallel evaluator's chunked-driver
 /// partitioning; callers only pass a proper sub-range when step 0 is a
 /// kScanDelta/kScanFull. Everything this function touches is read-only
-/// except `out` and `stats`, both task-local under parallel evaluation.
+/// except what `to` writes and `stats`, both task-local under parallel
+/// evaluation.
 void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
-              const Relation* delta_rel, IndexCache* cache, Relation* out,
-              EvalStats* stats, const Relation* dedup_against,
-              size_t drv_begin, size_t drv_end,
-              const Bindings* initial = nullptr) {
+              const Relation* delta_rel, IndexCache* cache,
+              const EmitTarget& to, EvalStats* stats, size_t drv_begin,
+              size_t drv_end, const Bindings* initial = nullptr) {
   if (plan.leapfrog) {
-    ExecLeapfrog(rule, plan, state, cache, out, stats, dedup_against);
+    ExecLeapfrog(rule, plan, state, cache, to, stats);
     return;
   }
   Bindings bindings = initial != nullptr
@@ -1047,7 +1335,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
 
   auto step = [&](auto&& self, size_t si) -> void {
     if (si == plan.steps.size()) {
-      EmitHeadColumnar(rule, bindings, head_buf, out, stats, dedup_against);
+      EmitHeadColumnar(rule, bindings, head_buf, to, stats);
       return;
     }
     const PlanStep& ps = plan.steps[si];
@@ -1334,16 +1622,6 @@ std::vector<int> TopoOrder(const std::vector<Unit>& units) {
 
 // --- aggregate qualification -------------------------------------------------
 
-/// Per-predicate aggregate signature. Every aggregate rule of a predicate
-/// must agree on the operator and the group arity (witness arity may differ
-/// per rule — a group holds mixed-arity contribution rows, folded in
-/// (arity, lex) order exactly like a Rel abstraction's materialized
-/// relation; see FoldOrderLess).
-struct AggSig {
-  AggOp op = AggOp::kMin;
-  size_t group_arity = 0;
-};
-
 /// Program-wide aggregate well-formedness, checked once per evaluation:
 ///
 ///   * a predicate's rules are either all plain or all aggregate (a plain
@@ -1501,141 +1779,6 @@ void CheckMonotoneRule(const Rule& rule, const std::set<std::string>& recursive,
   // that is the point: stale rows there are dominated by fresher, better
   // ones under the unit's single min/max direction.
 }
-
-/// One aggregate group: the chain of its contributions through the
-/// predicate's payload store (AggPredState), and its currently published
-/// result (absent until the first fold yields a value). The group key is
-/// the leading sig.group_arity columns of any contribution, so none is
-/// stored apart.
-struct AggGroup {
-  static constexpr uint32_t kEnd = UINT32_MAX;  // end of a payload chain
-
-  uint32_t head = kEnd;  // first payload; set as the group is created
-  uint32_t tail = kEnd;  // last payload, where routing appends
-  size_t hash = 0;    // HashRow of the key columns
-  std::optional<Value> value;
-  bool dirty = false;
-};
-
-/// Unit-local aggregate state for one aggregate predicate. `seen` holds
-/// every contribution row once and is the dedup authority across ALL rules
-/// of the predicate (mixed witness arities included): a contribution row
-/// that ever entered a group never re-enters, which both keeps set
-/// semantics (sum counts a deduplicated row once) and makes the semi-naive
-/// re-derivations idempotent — so a group's payloads need no dedup of their
-/// own. Rows are appended to `seen` during a round (by the emit itself in a
-/// sequential round, by the barrier merge in a parallel one) and routed to
-/// their groups at the round barrier; `routed` counts, per arity, the rows
-/// already routed. Routing appends a reference to the row to one flat
-/// payload store shared by all groups, chained per group through `next`.
-/// Groups live in one flat vector, found by an open-addressing table over
-/// their indices; `dirty` lists the groups that received contributions this
-/// round.
-struct AggPredState {
-  AggSig sig;
-  Relation seen;
-  std::map<size_t, size_t> routed;  // arity -> rows of seen already routed
-  std::vector<SeenRow> payloads;    // routed contributions, routing order
-  std::vector<uint32_t> next;  // payload -> next of its group, or kEnd
-  std::vector<AggGroup> groups;
-  std::vector<uint32_t> table;  // group index + 1; 0 = empty slot
-  std::vector<uint32_t> dirty;
-
-  /// Routes the rows appended to `seen` since the last call into their
-  /// groups, marking each receiving group dirty; returns how many.
-  size_t RouteNewRows() {
-    size_t routed_now = 0;
-    for (size_t arity : seen.Arities()) {
-      // SeenRow keeps this address for the unit's lifetime: `seen` only
-      // grows, so the arity stays populated, and AggPredState is never
-      // copied or moved once rounds start (see Relation::ArenaOfArity).
-      const ColumnArena* arena = seen.ArenaOfArity(arity);
-      size_t& done = routed[arity];
-      for (size_t r = done; r < arena->size(); ++r) {
-        SeenRow row{arena, static_cast<uint32_t>(r)};
-        const uint32_t id = static_cast<uint32_t>(payloads.size());
-        payloads.push_back(row);
-        next.push_back(AggGroup::kEnd);
-        AggGroup& grp = GroupOf(row);
-        if (grp.head == AggGroup::kEnd) {
-          grp.head = id;
-        } else {
-          next[grp.tail] = id;
-        }
-        grp.tail = id;
-        if (!grp.dirty) {
-          grp.dirty = true;
-          dirty.push_back(static_cast<uint32_t>(&grp - groups.data()));
-        }
-      }
-      routed_now += arena->size() - done;
-      done = arena->size();
-    }
-    return routed_now;
-  }
-
-  /// Column `col` of group `g`'s key.
-  const Value& Key(const AggGroup& g, size_t col) const {
-    return payloads[g.head].At(col);
-  }
-
-  /// Group-key order over group indices.
-  bool KeyLess(uint32_t a, uint32_t b) const {
-    for (size_t c = 0; c < sig.group_arity; ++c) {
-      int cmp = Key(groups[a], c).Compare(Key(groups[b], c));
-      if (cmp != 0) return cmp < 0;
-    }
-    return false;
-  }
-
-  /// Gathers `g`'s contributions into `out` in fold order (FoldOrderLess).
-  void Gather(const AggGroup& g, std::vector<SeenRow>* out) const {
-    out->clear();
-    for (uint32_t p = g.head; p != AggGroup::kEnd; p = next[p]) {
-      out->push_back(payloads[p]);
-    }
-    const size_t group_arity = sig.group_arity;
-    std::sort(out->begin(), out->end(),
-              [group_arity](const SeenRow& a, const SeenRow& b) {
-                return FoldOrderLess(a, b, group_arity);
-              });
-  }
-
- private:
-  /// The group keyed by `row`'s first sig.group_arity columns, created
-  /// (with no payloads) if new.
-  AggGroup& GroupOf(const SeenRow& row) {
-    const size_t g = sig.group_arity;
-    size_t h = kTupleHashSeed;
-    for (size_t i = 0; i < g; ++i) h = HashCombine(h, row.At(i).Hash());
-    if (2 * (groups.size() + 1) > table.size()) Grow();
-    const size_t mask = table.size() - 1;
-    for (size_t pos = MixHash(h) & mask;; pos = (pos + 1) & mask) {
-      uint32_t entry = table[pos];
-      if (entry == 0) {
-        table[pos] = static_cast<uint32_t>(groups.size() + 1);
-        AggGroup& grp = groups.emplace_back();
-        grp.hash = h;
-        return grp;
-      }
-      AggGroup& grp = groups[entry - 1];
-      if (grp.hash != h) continue;
-      bool equal = true;
-      for (size_t i = 0; i < g && equal; ++i) equal = Key(grp, i) == row.At(i);
-      if (equal) return grp;
-    }
-  }
-
-  void Grow() {
-    table.assign(table.empty() ? 16 : 2 * table.size(), 0);
-    const size_t mask = table.size() - 1;
-    for (size_t i = 0; i < groups.size(); ++i) {
-      size_t pos = MixHash(groups[i].hash) & mask;
-      while (table[pos] != 0) pos = (pos + 1) & mask;
-      table[pos] = static_cast<uint32_t>(i + 1);
-    }
-  }
-};
 
 /// Adds `from`'s counters into `into` (the per-unit/per-slot stats merge;
 /// top-level fields strata/units/threads are set once by Evaluate).
@@ -1850,36 +1993,22 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
     size_t index;
     int di;
   };
-  // Emit-site dedup authority: the full extent for plain heads, the
-  // contributions-seen relation for aggregate heads (contribution rows
-  // never touch the extents directly).
-  auto dedup_for = [&](const Rule* rule) -> const Relation* {
-    auto it = agg.find(rule->head.pred);
-    return it == agg.end() ? &state->full->at(rule->head.pred)
-                           : &it->second.seen;
-  };
   // Where a sequential emit goes: plain heads into the round's `added`,
   // deduplicated against the full extent; aggregate heads straight into
-  // `seen`, whose only reader during a round is this emit — so the insert
-  // itself is the dedup, and the barrier routes the appended rows.
-  struct EmitTarget {
-    Relation* out;
-    const Relation* dedup_against;
-  };
+  // their contribution store, which no plan reads during a round.
   auto target_for = [&](const Rule* rule, DeltaMap* added) -> EmitTarget {
     auto it = agg.find(rule->head.pred);
-    if (it != agg.end()) return {&it->second.seen, nullptr};
+    if (it != agg.end()) return {nullptr, nullptr, &it->second, nullptr};
     return {&(*added)[rule->head.pred], &state->full->at(rule->head.pred)};
   };
 
   // Evaluates the round's (rule, delta-occurrence) pairs: plain derivations
-  // into `added`, aggregate contributions into their predicate's `seen`.
+  // into `added`, aggregate contributions into their predicate's store.
   auto run_round = [&](const std::vector<Pair>& pairs, DeltaMap* added) {
     if (!indexed) {
       for (const auto& pr : pairs) {
-        EmitTarget t = target_for(pr.rule, added);
-        EvalRuleNaive(*pr.rule, naive_orders.at(pr.rule), *state, t.out,
-                      &local, t.dedup_against);
+        EvalRuleNaive(*pr.rule, naive_orders.at(pr.rule), *state,
+                      target_for(pr.rule, added), &local);
       }
       return;
     }
@@ -1928,9 +2057,8 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
 
     if (pool == nullptr) {
       for (const Task& t : tasks) {
-        EmitTarget target = target_for(t.rule, added);
-        ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache, target.out,
-                 &local, target.dedup_against, t.begin, t.end);
+        ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache,
+                 target_for(t.rule, added), &local, t.begin, t.end);
       }
       return;
     }
@@ -1938,7 +2066,7 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
     // Per-thread staging: each slot is written by at most one thread at a
     // time (a thread runs one task at a time and every task addresses its
     // own slot), so no emit ever takes a lock. Aggregate contributions stage
-    // too, deduplicated against the frozen `seen`.
+    // too, deduplicated against the frozen contribution store.
     struct SlotStage {
       std::map<std::string, Relation> rels;
       EvalStats stats;
@@ -1946,9 +2074,16 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
     std::vector<SlotStage> staging(pool->num_slots());
     auto exec_task = [&](const Task& t) {
       SlotStage& stage = staging[pool->CurrentSlot()];
-      ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache,
-               &stage.rels[t.rule->head.pred], &stage.stats,
-               dedup_for(t.rule), t.begin, t.end);
+      const std::string& pred = t.rule->head.pred;
+      EmitTarget to{&stage.rels[pred]};
+      auto it = agg.find(pred);
+      if (it == agg.end()) {
+        to.skip = &state->full->at(pred);
+      } else {
+        to.skip_agg = &it->second;
+      }
+      ExecPlan(*t.rule, *t.plan, *state, t.delta_rel, cache, to,
+               &stage.stats, t.begin, t.end);
     };
     if (tasks.size() == 1) {
       // A single task gains nothing from dispatch; run it right here.
@@ -1962,15 +2097,26 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
       group.Wait();
     }
     // Round barrier: merge the staging buffers (slot order, deterministic)
-    // into `added`, or into `seen` for aggregate contributions. Emit-site
-    // dedup already dropped tuples present in the full extents (or `seen`);
-    // InsertAll collapses duplicates derived by different tasks.
+    // into `added`, or Add them to the store for aggregate contributions.
+    // Emit-site dedup already dropped tuples present in the full extents (or
+    // the store); InsertAll and Add collapse duplicates derived by different
+    // tasks.
+    std::vector<Value> stage_row;
     for (SlotStage& stage : staging) {
       for (auto& [pred, rel] : stage.rels) {
         if (rel.empty()) continue;
         auto agg_it = agg.find(pred);
-        (agg_it == agg.end() ? (*added)[pred] : agg_it->second.seen)
-            .InsertAll(rel);
+        if (agg_it == agg.end()) {
+          (*added)[pred].InsertAll(rel);
+        } else {
+          rel.ForEach([&](const TupleRef& t) {
+            stage_row.clear();
+            for (size_t c = 0; c < t.arity(); ++c) stage_row.push_back(t[c]);
+            if (agg_it->second.Add(stage_row.data(), stage_row.size())) {
+              ++local.aggregate_updates;
+            }
+          });
+        }
         ++local.par_merges;
       }
       AccumulateCounters(&local, stage.stats);
@@ -1979,25 +2125,24 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
 
   // Round barrier, part two: publishes `added` into the canonical state and
   // returns the next delta. Plain predicates merge tuple-wise. Aggregate
-  // predicates route the contribution rows appended to `seen` this round
-  // into their groups, refold the dirty groups in group-key order, and
-  // replace each changed (group..., result) extent row — the changed rows
-  // ARE the aggregate predicate's next delta. Runs sequentially on the
-  // unit's thread, so the single-writer extent discipline holds.
+  // predicates refold the groups that received contributions this round,
+  // in group-key order, and replace each changed (group..., result) extent
+  // row — the changed rows ARE the aggregate predicate's next delta. Runs
+  // sequentially on the unit's thread, so the single-writer extent
+  // discipline holds.
   std::vector<Value> row_buf;       // one result row at a time
-  std::vector<SeenRow> fold_buf;    // one group's payloads at a time
+  std::vector<Payload> fold_buf;    // one group's payloads at a time
+  std::vector<std::pair<const Value*, uint32_t>> sort_buf;  // dirty keys
   auto publish_round = [&](DeltaMap added) -> DeltaMap {
     for (auto& [pred, rel] : added) {
       state->full->at(pred).InsertAll(rel);
       if (collect) (*collect)[pred].InsertAll(rel);
     }
     for (auto& [pred, ap] : agg) {
-      local.aggregate_updates += ap.RouteNewRows();
       if (ap.dirty.empty()) continue;
       const size_t g = ap.sig.group_arity;
       // Group-key order makes the first error raised deterministic.
-      std::sort(ap.dirty.begin(), ap.dirty.end(),
-                [&ap](uint32_t a, uint32_t b) { return ap.KeyLess(a, b); });
+      ap.SortDirty(&sort_buf);
       Relation changed;
       Relation& extent = state->full->at(pred);
       for (uint32_t index : ap.dirty) {
@@ -2029,8 +2174,7 @@ void EvalUnit(const Unit& unit, bool indexed, int max_iterations,
           }
           continue;  // empty-or-undefined group: no row, never a default
         }
-        row_buf.clear();
-        for (size_t c = 0; c < g; ++c) row_buf.push_back(ap.Key(grp, c));
+        row_buf.assign(ap.Key(index), ap.Key(index) + g);
         if (grp.value.has_value()) {
           if (*grp.value == *folded) continue;
           // The refold ran over a superset of the old payloads, so min can
@@ -2419,7 +2563,7 @@ DeltaResult EvaluateDelta(const Program& program,
           if (fr == nullptr || fr->empty()) continue;
           Relation cand;
           ExecPlan(rule, od_plan(&rule, static_cast<int>(li)), state, fr,
-                   cache, &cand, &local, /*dedup_against=*/nullptr, 0,
+                   cache, EmitTarget{&cand}, &local, 0,
                    static_cast<size_t>(-1));
           const Relation& head_ext = extents->at(rule.head.pred);
           Relation& head_del = del[rule.head.pred];
@@ -2503,9 +2647,9 @@ DeltaResult EvaluateDelta(const Program& program,
           }
           if (!ok) continue;
           Relation out;
-          ExecPlan(*rule, plan, state, /*delta_rel=*/nullptr, cache, &out,
-                   &local, /*dedup_against=*/nullptr, 0,
-                   static_cast<size_t>(-1), &init);
+          ExecPlan(*rule, plan, state, /*delta_rel=*/nullptr, cache,
+                   EmitTarget{&out}, &local, 0, static_cast<size_t>(-1),
+                   &init);
           if (!out.empty()) return true;
         }
         return false;

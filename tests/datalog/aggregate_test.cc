@@ -498,9 +498,11 @@ TEST(Aggregate, LevelIndexedPageRankPinsCountersAndExtent) {
 
 // --- where contributions are stored ------------------------------------------
 //
-// A contribution row is stored once, in its predicate's `seen` relation:
-// a sequential round emits into it directly, a parallel round stages per
-// thread and merges at the barrier. Both must fold, count and fail alike.
+// A contribution is stored once, in its predicate's contribution store: the
+// group key once per group, the witness and value columns once per
+// contribution. A sequential round adds to it directly, a parallel round
+// stages per thread and adds at the barrier. Both must fold, count and fail
+// alike.
 
 TEST(Aggregate, ThreadsAndPlanSeedsAgreeOnExtentAndCounters) {
   const std::string sp_rules =
@@ -548,7 +550,7 @@ TEST(Aggregate, ThreadsAndPlanSeedsAgreeOnExtentAndCounters) {
 
 TEST(Aggregate, RecursiveSumOverTwoWitnessAritiesFoldsArityFirst) {
   // Level 1 of `s` is fed by a one-witness and a two-witness rule, so its
-  // contributions live in two arenas of `seen`. Arity-first order folds
+  // contributions have two payload arities. Arity-first order folds
   // (5, 1e16), (9, 1.0), then (1, 1, -1e16): 0.0. A plain lexicographic
   // order would start from (1, 1, -1e16) and give 1.0. Level 2 scales
   // level 1's 0.0 the same way and folds (5, 0.0), (9, 0.0), (1, 1, -0.0).
@@ -575,7 +577,7 @@ TEST(Aggregate, ContributionRederivedInALaterRoundCountsOnce) {
   // The step rule derives (5, U, 3) for both U in round 1, through either
   // s occurrence over s(0). In round 2 s(1) arrives, and its second
   // occurrence derives the same two rows again through step(0, 1, 5).
-  // `seen` drops them: group 5 already published, and a duplicate is not a
+  // The store drops them: group 5 already published, and a duplicate is not a
   // contribution, so neither the sum nor the emit-once guard sees them.
   const std::map<std::string, std::vector<Tuple>> facts = {
       {"seed", {Tuple({I(0), I(0), I(3)})}},
@@ -591,6 +593,84 @@ TEST(Aggregate, ContributionRederivedInALaterRoundCountsOnce) {
   EXPECT_EQ(s.ToString(), "{(0, 3); (1, 6); (5, 6)}");
   EXPECT_EQ(stats.aggregate_updates, 5u);
   EXPECT_EQ(stats.groups_improved, 3u);
+}
+
+TEST(Aggregate, KeysAndContributionsDifferingOnlyInKindStayDistinct) {
+  // Int 1, Float 1.0 and String "1" are three values under the storage
+  // order, so they key three groups, and as witnesses or values they make
+  // three contributions to one group.
+  const std::map<std::string, std::vector<Tuple>> facts = {
+      {"v", {Tuple({I(1), I(5)}), Tuple({F(1.0), I(7)}),
+             Tuple({S("1"), I(9)})}},
+      {"w", {Tuple({I(0), I(1), I(5)}), Tuple({I(0), F(1.0), I(5)}),
+             Tuple({I(0), S("1"), I(5)})}},
+      {"x", {Tuple({I(0), I(1)}), Tuple({I(0), F(1.0)}),
+             Tuple({I(1), S("1")}), Tuple({I(1), I(1)})}}};
+  EvalStats stats;
+  Relation by_key =
+      EvalAllConfigs("t(G, sum(V)) :- v(G, V).", "t", facts, &stats);
+  EXPECT_EQ(by_key.ToString(), "{(1, 5); (1.0, 7); (\"1\", 9)}");
+  EXPECT_EQ(stats.aggregate_updates, 3u);
+  EXPECT_EQ(stats.groups_improved, 3u);
+  Relation by_witness =
+      EvalAllConfigs("t(G, sum(V; W)) :- w(G, W, V).", "t", facts, &stats);
+  EXPECT_EQ(by_witness.ToString(), "{(0, 15)}");
+  EXPECT_EQ(stats.aggregate_updates, 3u);
+  // Group 0 sums 1, then 1.0. Group 1's String makes its sum undefined, so
+  // it has no sum row, but count counts both of its values.
+  Relation by_value =
+      EvalAllConfigs("t(G, sum(V)) :- x(G, V).", "t", facts, &stats);
+  EXPECT_EQ(by_value.ToString(), "{(0, 2.0)}");
+  Relation counted =
+      EvalAllConfigs("t(G, count(V)) :- x(G, V).", "t", facts, &stats);
+  EXPECT_EQ(counted.ToString(), "{(0, 2); (1, 2)}");
+  EXPECT_EQ(stats.aggregate_updates, 4u);
+}
+
+TEST(Aggregate, RecursiveMinDuplicateFromAnEarlierRoundCountsOnce) {
+  // Round 2 derives (3, 5) through 1 -> 3. Round 3 derives it again through
+  // 2 -> 4 -> 3: the same contribution, so group 3 is not refolded and
+  // neither counter moves. Every configuration must agree.
+  auto make = [] {
+    Program p = ParseDatalog(
+        "m(X, min(D)) :- seed(X, D). m(X, min(D)) :- m(Y, D), e(Y, X).");
+    p.AddFact("seed", Tuple({I(1), I(5)}));
+    p.AddFact("seed", Tuple({I(2), I(5)}));
+    for (auto [a, b] : {std::pair{1, 3}, std::pair{2, 4}, std::pair{4, 3}}) {
+      p.AddFact("e", Tuple({I(a), I(b)}));
+    }
+    return p;
+  };
+  struct Config {
+    Strategy strategy;
+    int threads;
+    uint64_t plan_seed;
+  };
+  std::vector<Config> configs = {{Strategy::kNaive, 1, 0}};
+  for (uint64_t plan_seed : {0ULL, 977ULL}) {
+    for (int threads : {1, 2, 8}) {
+      configs.push_back({Strategy::kSemiNaive, threads, plan_seed});
+    }
+  }
+  for (const Config& c : configs) {
+    EvalOptions options;
+    options.strategy = c.strategy;
+    options.num_threads = c.threads;
+    options.plan_order_seed = c.plan_seed;
+    EvalStats stats;
+    Relation m = EvaluatePredicate(make(), "m", options, &stats);
+    const std::string where = "strategy " +
+                              std::to_string(static_cast<int>(c.strategy)) +
+                              " threads " + std::to_string(c.threads) +
+                              " seed " + std::to_string(c.plan_seed);
+    EXPECT_EQ(m.ToString(), "{(1, 5); (2, 5); (3, 5); (4, 5)}") << where;
+    EXPECT_EQ(stats.aggregate_updates, 4u) << where;
+    EXPECT_EQ(stats.groups_improved, 4u) << where;
+    if (c.strategy == Strategy::kSemiNaive) {
+      // Four contributions plus the rederived (3, 5).
+      EXPECT_EQ(stats.tuples_derived, 5u) << where;
+    }
+  }
 }
 
 TEST(Aggregate, EmitOnceErrorIsTheSameSequentialAndParallel) {
