@@ -1,10 +1,11 @@
 // Equivalent-query fuzzer CLI (src/fuzz): generate random Datalog programs,
 // run each under the full configuration lattice — every strategy, thread
 // count and plan-order seed of the classical engine, plus
-// the Rel engine via the to_rel bridge (interpretation, lowering, a Session
-// and a bound point query of the goal) — and report any configuration that
-// disagrees with the naive oracle on answers, error kinds, or the cost
-// invariants between equal-work configurations.
+// the Rel engine via the to_rel bridge (interpretation, lowering, a Session,
+// the rules as an ad-hoc query's own, whose reader fuses with the
+// components it reads, and a bound point query of the goal) — and report
+// any configuration that disagrees with the naive oracle on answers, error
+// kinds, or the cost invariants between equal-work configurations.
 //
 // Build & run:  ./build/examples/fuzz --seed 42 --iters 200
 //
@@ -109,6 +110,7 @@ int main(int argc, char** argv) {
   }
   int failures = 0;
   int seeded_cases = 0;
+  int fused_cases = 0;
   long long configs = 0;
   for (int i = 0; i < iters; ++i) {
     uint64_t case_seed = seed + static_cast<uint64_t>(i);
@@ -116,6 +118,7 @@ int main(int argc, char** argv) {
     rel::fuzz::RunResult result = rel::fuzz::RunCase(c, runner_options);
     configs += result.configs_run;
     if (result.seeded_lookups > 0) ++seeded_cases;
+    if (result.fused_readers > 0) ++fused_cases;
     if (result.ok()) {
       if ((i + 1) % 100 == 0) {
         std::printf("[%d/%d] clean (%lld configs so far)\n", i + 1, iters,
@@ -140,7 +143,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("fuzz: %d/%d cases clean, %lld configuration runs, %d cases "
-              "read a seeded slice\n",
-              iters - failures, iters, configs, seeded_cases);
+              "read a seeded slice, %d fused a reader\n",
+              iters - failures, iters, configs, seeded_cases, fused_cases);
   return failures == 0 ? 0 : 1;
 }

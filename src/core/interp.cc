@@ -290,9 +290,17 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   // TC[E]) lowers the same way, its arguments becoming EDB. On success every
   // member instance of the component (including this one) is already
   // finished; on failure fall through to the saturation loop unchanged.
-  const bool lowerable =
-      recursive ? (!replacement || analysis_.AggregationRecursive(key.name))
-                : key.so_args.empty() && analysis_.UsesAggregation(key.name);
+  //
+  // A plain non-recursive reader of such components (a query's
+  // `def output(y) : reach(y)`) first tries to join their program, so its
+  // rows come out of the same evaluation (TryFuseReader); when it cannot,
+  // it runs one solver pass below and each component lowers on its own.
+  const bool lowerable = Lowerable(key.name, !key.so_args.empty());
+  if (options_.lower_recursion && !recursive && !lowerable &&
+      key.sig == 0 && TryFuseReader(key)) {
+    InternalCheck(inst.done, "fused reader missing its own instance");
+    return inst.value;
+  }
   if (options_.lower_recursion && lowerable && TryLowerComponent(key)) {
     InternalCheck(inst.done, "lowered component missing its own instance");
     return inst.value;
@@ -385,6 +393,41 @@ datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
   return eval_options;
 }
 
+bool Interp::Lowerable(const std::string& name, bool relation_args) const {
+  if (analysis_.IsRecursive(name)) {
+    return !analysis_.UsesReplacement(name) ||
+           analysis_.AggregationRecursive(name);
+  }
+  return !relation_args && analysis_.UsesAggregation(name);
+}
+
+void Interp::RejectComponent(const std::string& name,
+                             const std::string& reason) {
+  lowering_failed_components_.insert(analysis_.ComponentOf(name));
+  ++lowering_stats_.components_rejected;
+  lowering_stats_.rejection_notes.push_back(name + ": " + reason);
+}
+
+std::optional<LoweredComponent> Interp::TranslateComponent(
+    const std::string& name, size_t relation_params) {
+  std::string why;
+  std::optional<LoweredComponent> lowered =
+      LowerComponent(name, analysis_, defs_, &why, relation_params);
+  if (!lowered) RejectComponent(name, why);
+  return lowered;
+}
+
+void Interp::SpliceLowered(const InstanceKey& key, Relation value) {
+  Instance& inst = instances_[key];
+  // No member can be mid-saturation here: while the component has a
+  // running unit, its instances join that unit instead of lowering.
+  InternalCheck(inst.unit < 0, "lowering into an in-progress instance");
+  inst.value = std::move(value);
+  inst.done = true;
+  lowering_stats_.lowered_tuples += inst.value.size();
+  lowering_stats_.lowered_names.push_back(key.name);
+}
+
 std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     const std::string& name, const std::vector<SOValue>& so_args) {
   int comp = analysis_.ComponentOf(name);
@@ -398,16 +441,10 @@ std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     lowering_stats_.rejection_notes.push_back(name + ": " + reason);
     return std::nullopt;
   };
-  auto reject =
-      [&](const std::string& reason) -> std::optional<LoweredComponent> {
-    lowering_failed_components_.insert(comp);
-    return decline(reason);
-  };
 
-  std::string why;
   std::optional<LoweredComponent> lowered =
-      LowerComponent(name, analysis_, defs_, &why, so_args.size());
-  if (!lowered) return reject(why);
+      TranslateComponent(name, so_args.size());
+  if (!lowered) return std::nullopt;
 
   // EDB: the relation arguments, the extents of every out-of-component
   // dependency, then the members' own base facts. A defined external is
@@ -438,7 +475,8 @@ std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     // standalone extent; the solver's use-site inlining may still evaluate
     // the component, so fall back instead of failing.
     if (err.kind() != ErrorKind::kSafety) throw;
-    return reject(std::string("unsafe external: ") + err.what());
+    RejectComponent(name, std::string("unsafe external: ") + err.what());
+    return std::nullopt;
   }
   if (partial_reads_ != partial_before) {
     return decline("input read an in-progress fixpoint");
@@ -455,22 +493,9 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
   const std::string& name = key.name;
   int comp = analysis_.ComponentOf(name);
   if (comp < 0 || lowering_failed_components_.count(comp)) return false;
-  auto reject = [&](const std::string& reason) {
-    lowering_failed_components_.insert(comp);
-    ++lowering_stats_.components_rejected;
-    lowering_stats_.rejection_notes.push_back(name + ": " + reason);
-    return false;
-  };
   // Splices one member's finished extent into the instance table.
   auto splice = [&](const std::string& member, Relation value) {
-    Instance& inst = instances_[InstanceKey{member, key.sig, key.so_args}];
-    // No member can be mid-saturation here: while the component has a
-    // running unit, its instances join that unit instead of lowering.
-    InternalCheck(inst.unit < 0, "lowering into an in-progress instance");
-    inst.value = std::move(value);
-    inst.done = true;
-    lowering_stats_.lowered_tuples += inst.value.size();
-    lowering_stats_.lowered_names.push_back(member);
+    SpliceLowered(InstanceKey{member, key.sig, key.so_args}, std::move(value));
   };
 
   // Cross-transaction fast path: the owner of the extent cache maintains
@@ -512,7 +537,8 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
   } catch (const RelError& err) {
     // E.g. a rule that is not range-restricted under any literal order; the
     // tuple-at-a-time solver stays the authority on whether that errors.
-    return reject(err.what());
+    RejectComponent(name, err.what());
+    return false;
   }
 
   for (const std::string& member : lowered->members) {
@@ -531,6 +557,176 @@ bool Interp::TryLowerComponent(const InstanceKey& key) {
     entry.ext.program = std::move(lowered->program);
     options_.extent_cache->Store(std::move(cache_key), std::move(entry));
   }
+  return true;
+}
+
+bool Interp::TryFuseReader(const InstanceKey& key) {
+  // Readers and first-order producers are this query's or transaction's
+  // own defs. A persistent def is neither: it is cacheable, or tainted by
+  // the query's rules (not cacheable, but then it lowers on its own), and
+  // this set lookup spares every persistent instance a References walk.
+  auto local = [&](const std::string& name) {
+    return options_.extent_cache == nullptr || txn_local_names_.count(name);
+  };
+  if (!local(key.name)) return false;
+  // A finished instance is read as it is; a failed one raises its error on
+  // the unfused path.
+  auto settled = [&](const InstanceKey& instance) {
+    auto it = instances_.find(instance);
+    return it != instances_.end() &&
+           (it->second.done || it->second.failed_safety);
+  };
+  // A component is a producer while it is lowerable, not failed, not
+  // running and, first-order, local and not settled. Relation-argument
+  // instances are never cached; they are checked per site below.
+  auto producer = [&](const std::string& name, bool relation_args) {
+    if (!relation_args && !local(name)) return false;
+    const int comp = analysis_.ComponentOf(name);
+    if (comp < 0 || lowering_failed_components_.count(comp) ||
+        !Lowerable(name, relation_args)) {
+      return false;
+    }
+    for (const Unit& unit : units_) {
+      if (unit.comp == comp) return false;
+    }
+    return relation_args || !settled(InstanceKey{name, 0, {}});
+  };
+  // The cheap gate: a reader of persistent views only (served by the
+  // extent cache) or of no component at all never pays a translation.
+  bool reads_producer = false;
+  for (const std::string& ref : analysis_.References(key.name)) {
+    auto defs = defs_.find(ref);
+    if (defs != defs_.end() &&
+        producer(ref, defs->second.begin()->first > 0)) {
+      reads_producer = true;
+      break;
+    }
+  }
+  if (!reads_producer) return false;
+  std::optional<LoweredComponent> fused = LowerReader(key.name, analysis_, defs_);
+  if (!fused) return false;
+  // A non-recursive def the solver would read keyed (EvalSlice) or inline
+  // (unsafe standalone) keeps the unfused path: as EDB it would be
+  // evaluated in full.
+  for (const std::string& ext : fused->externals) {
+    if (HasDefs(ext) && !analysis_.IsRecursive(ext) && !producer(ext, false) &&
+        (Seedable(ext) || !FiniteStandalone(ext))) {
+      return false;
+    }
+  }
+
+  // Pick the producers, one instance per component.
+  struct Producer {
+    LoweredComponent lowered;
+    std::vector<SOValue> so_args;
+    std::optional<size_t> site;  // relation-argument instances only
+  };
+  std::vector<Producer> producers;
+  std::set<int> fused_comps;
+  std::set<std::string> derived{key.name};  // the program's IDB
+  auto add = [&](const std::string& name, std::vector<SOValue> so_args,
+                 std::optional<size_t> site) {
+    if (!fused_comps.insert(analysis_.ComponentOf(name)).second) return false;
+    std::optional<LoweredComponent> lowered =
+        TranslateComponent(name, so_args.size());
+    if (!lowered) return false;
+    for (const std::string& member : lowered->members) {
+      derived.insert(site ? InstancePred(member, *site) : member);
+    }
+    producers.push_back({std::move(*lowered), std::move(so_args), site});
+    return true;
+  };
+  std::vector<std::string> edb_externals;
+  for (const std::string& ext : fused->externals) {
+    if (derived.count(ext)) continue;  // a member of a fused component
+    if (HasDefs(ext) && producer(ext, false) && add(ext, {}, std::nullopt)) {
+      continue;
+    }
+    edb_externals.push_back(ext);
+  }
+  // A site's relation arguments resolve as the solver resolves them: a
+  // closure over the global name, in an empty environment.
+  std::vector<std::vector<SOValue>> site_args(fused->instances.size());
+  std::vector<size_t> edb_sites;
+  for (size_t j = 0; j < fused->instances.size(); ++j) {
+    const LoweredComponent::InstanceSite& site = fused->instances[j];
+    for (const ExprPtr& arg : site.args) {
+      site_args[j].push_back(SOValue::Closure(arg, std::make_shared<Env>()));
+    }
+    if (!settled(InstanceKey{site.name, site.args.size(), site_args[j]}) &&
+        producer(site.name, true) &&
+        add(site.name, site_args[j], j)) {
+      continue;
+    }
+    edb_sites.push_back(j);
+  }
+  if (producers.empty()) return false;
+
+  // One program: the reader's rules, every producer's rules, and the EDB
+  // of all of them, each input loaded once. A producer's external that
+  // another producer derives stays derived.
+  datalog::Program& program = fused->program;
+  for (const Producer& p : producers) MergeProducer(p.lowered, p.site, &program);
+  std::set<std::string> loaded;
+  auto load_external = [&](const std::string& ext) {
+    if (derived.count(ext) || !loaded.insert(ext).second) return;
+    program.AddFacts(ext,
+                     HasDefs(ext) ? EvalInstance(ext, 0, {}) : db_->Get(ext));
+  };
+  const uint64_t partial_before = partial_reads_;
+  try {
+    for (const Producer& p : producers) {
+      for (size_t i = 0; i < p.so_args.size(); ++i) {
+        program.AddFacts(InstancePred(p.lowered.arg_preds[i], *p.site),
+                         MaterializeSO(p.so_args[i]));
+      }
+      for (const std::string& ext : p.lowered.externals) load_external(ext);
+      for (const std::string& member : p.lowered.members) {
+        if (!p.site && db_->Has(member)) {
+          program.AddFacts(member, db_->Get(member));
+        }
+      }
+    }
+    for (const std::string& ext : edb_externals) load_external(ext);
+    for (size_t j : edb_sites) {
+      const LoweredComponent::InstanceSite& site = fused->instances[j];
+      program.AddFacts(site.pred,
+                       EvalInstance(site.name, site.args.size(), site_args[j]));
+    }
+    if (db_->Has(key.name)) program.AddFacts(key.name, db_->Get(key.name));
+  } catch (const RelError&) {
+    return false;
+  }
+  if (partial_reads_ != partial_before) return false;
+
+  std::map<std::string, Relation> extents;
+  try {
+    extents = datalog::Evaluate(&program, LoweredEvalOptions(options_));
+  } catch (const RelError&) {
+    // E.g. a producer over max_iterations: unfused, it lowers on its own,
+    // is rejected there, and the saturation loop raises the diagnostic.
+    return false;
+  }
+  auto take = [&](const std::string& pred) {
+    auto it = extents.find(pred);
+    return it == extents.end() ? Relation() : std::move(it->second);
+  };
+  for (Producer& p : producers) {
+    for (const std::string& member : p.lowered.members) {
+      InstanceKey member_key{member, p.so_args.size(), p.so_args};
+      auto it = instances_.find(member_key);
+      // Loading the EDB may have evaluated a producer on its own.
+      if (it != instances_.end() && it->second.done) continue;
+      SpliceLowered(member_key,
+                    take(p.site ? InstancePred(member, *p.site) : member));
+    }
+    ++lowering_stats_.components_lowered;
+  }
+  Instance& reader = instances_.at(key);
+  reader.value = take(key.name);
+  reader.done = true;
+  ++lowering_stats_.fused_readers;
+  lowering_stats_.fused_names.push_back(key.name);
   return true;
 }
 

@@ -93,9 +93,11 @@ struct LoweringStats {
   int components_rejected = 0;  // monotone SCCs outside the Datalog fragment
   int extent_cache_hits = 0;    // components served from the ExtentCache
   int seeded_lookups = 0;       // keyed reads answered by a seeded slice
-  uint64_t lowered_tuples = 0;  // tuples spliced back into instances
+  int fused_readers = 0;        // readers evaluated with their producers
+  uint64_t lowered_tuples = 0;  // component tuples spliced into instances
   uint64_t seeded_tuples = 0;   // tuples in seeded slices handed out
   std::vector<std::string> lowered_names;    // members, evaluation order
+  std::vector<std::string> fused_names;      // fused readers, same order
   std::vector<std::string> rejection_notes;  // "name: reason" per rejection
 };
 
@@ -268,6 +270,46 @@ class Interp {
   };
 
   const Relation& EvalInstanceImpl(const InstanceKey& key);
+
+  /// True iff an instance of `name` (with relation arguments or without)
+  /// is of a shape the Datalog engine evaluates: a monotone or
+  /// aggregation-recursive component, or a first-order non-recursive
+  /// aggregate def. The analysis-level gate before any translation.
+  bool Lowerable(const std::string& name, bool relation_args) const;
+
+  /// Reader–producer fusion: evaluates the non-recursive first-order
+  /// instance `key` (a query's `output`, a transaction's `insert`) and the
+  /// lowerable components it reads directly in ONE Datalog program, and
+  /// splices the reader and every fused member as finished instances.
+  /// The reader and its first-order producers are the query's or
+  /// transaction's own defs (all defs, without an extent cache); producers
+  /// are the lowerable components the reader reads that are not done in
+  /// this Interp and not running — query-local rules and relation-argument
+  /// instances such as `TC[E2]`. At most one instance per component joins
+  /// a program, and every other input (persistent or finished components,
+  /// other instances, derived and base relations) is loaded as EDB.
+  /// Returns false, having spliced nothing and recorded no note of its own,
+  /// when the reader is persistent, reads no producer, does not lower
+  /// (LowerReader), reads a defined relation a
+  /// keyed read could slice, or when loading or evaluating the program
+  /// raises; the caller then evaluates the reader unfused, which raises
+  /// the authoritative error, if any. A producer whose translation fails is
+  /// rejected exactly as TryLowerComponent rejects it.
+  bool TryFuseReader(const InstanceKey& key);
+
+  /// Records the rejection of `name`'s component (remembered as failed for
+  /// this Interp).
+  void RejectComponent(const std::string& name, const std::string& reason);
+
+  /// Translates the component of `name` for instances with
+  /// `relation_params` relation arguments (LowerComponent over defs_),
+  /// rejecting the component when it does not qualify.
+  std::optional<LoweredComponent> TranslateComponent(const std::string& name,
+                                                     size_t relation_params);
+
+  /// Stores a lowered member's extent as the finished instance `key`, and
+  /// counts it in lowering_stats_.
+  void SpliceLowered(const InstanceKey& key, Relation value);
 
   /// Attempts to evaluate the whole recursive component of `key` with the
   /// Datalog engine, splicing every member's extent — the instances with

@@ -153,6 +153,9 @@ struct ComponentContext {
   const std::vector<std::string>* arg_preds;
   const DefIndex* defs;
   std::set<std::string>* externals;
+  /// Where a reader's instance sites go (LowerReader); null elsewhere, and
+  /// an application of a relation-parameter def then rejects.
+  std::vector<LoweredComponent::InstanceSite>* sites = nullptr;
 };
 
 /// Structurally verifies that every definition of combinator `name` is the
@@ -485,6 +488,12 @@ class RuleLowerer {
     if (std::optional<size_t> param = RelParam(name)) {
       return (*ctx_.arg_preds)[*param];
     }
+    if (ctx_.sites != nullptr && !ctx_.members.count(name)) {
+      auto defs = ctx_.defs->find(name);
+      if (defs != ctx_.defs->end() && defs->second.begin()->first > 0) {
+        return SiteOf(name, defs->second, args);
+      }
+    }
     const size_t sig = ctx_.arg_preds->size();
     if (sig > 0 && ctx_.members.count(name)) {
       bool through = args->size() >= sig;
@@ -504,6 +513,54 @@ class RuleLowerer {
       args->erase(args->begin(), args->begin() + sig);
     }
     return name;
+  }
+
+  /// A reader's application of the relation-parameter def `name`: records
+  /// an instance site and returns the predicate it reads, dropping the
+  /// relation arguments from `args`. Qualifies when the def has one
+  /// signature (so the solver's ResolveSig picks it whatever the
+  /// annotations) and each relation argument is what the solver resolves to
+  /// a closure over a global name (Solver ResolveSOArg): an identifier that
+  /// no local variable binds and that names a def or a relation, not a
+  /// builtin.
+  std::optional<std::string> SiteOf(
+      const std::string& name,
+      const std::map<size_t, std::vector<std::shared_ptr<Def>>>& sigs,
+      std::vector<Arg>* args) {
+    if (sigs.size() != 1) {
+      FailBool("'" + name + "' has definitions of several signatures");
+      return std::nullopt;
+    }
+    const size_t sig = sigs.begin()->first;
+    if (args->size() < sig) {
+      FailBool("application of '" + name + "' is missing relation arguments");
+      return std::nullopt;
+    }
+    LoweredComponent::InstanceSite site;
+    site.name = name;
+    for (size_t i = 0; i < sig; ++i) {
+      const Arg& arg = (*args)[i];
+      if (!arg.expr || arg.expr->kind != ExprKind::kIdent ||
+          arg.annotation == Annotation::kFirstOrder ||
+          Lookup(arg.expr->name) ||
+          (!ctx_.defs->count(arg.expr->name) && FindBuiltin(arg.expr->name))) {
+        FailBool("relation argument of '" + name + "' is not a relation name");
+        return std::nullopt;
+      }
+      site.args.push_back(arg.expr);
+    }
+    site.pred = InstancePred(name, ctx_.sites->size());
+    ctx_.sites->push_back(site);
+    args->erase(args->begin(), args->begin() + sig);
+    return site.pred;
+  }
+
+  bool IsSitePred(const std::string& pred) const {
+    if (ctx_.sites == nullptr) return false;
+    for (const auto& site : *ctx_.sites) {
+      if (site.pred == pred) return true;
+    }
+    return false;
   }
 
   /// `x in Expr` binding domains: supported when the domain is a plain
@@ -529,7 +586,8 @@ class RuleLowerer {
       // Cannot happen for monotone components, but keep the guard local.
       if (!positive) return FailBool("negated member reference");
     } else if (std::find(arg_preds.begin(), arg_preds.end(), name) ==
-               arg_preds.end()) {
+                   arg_preds.end() &&
+               !IsSitePred(name)) {
       auto defs = ctx_.defs->find(name);
       if (defs != ctx_.defs->end() && defs->second.rbegin()->first > 0) {
         return FailBool("external relation '" + name +
@@ -889,11 +947,11 @@ bool LowerDef(const Def& def, const ComponentContext& ctx,
   return true;
 }
 
-}  // namespace
-
-std::optional<LoweredComponent> LowerComponent(
-    const std::string& name, const ProgramAnalysis& analysis,
-    const DefIndex& defs, std::string* why, size_t relation_params) {
+/// LowerComponent, and with `reader` set LowerReader.
+std::optional<LoweredComponent> Lower(const std::string& name,
+                                      const ProgramAnalysis& analysis,
+                                      const DefIndex& defs, std::string* why,
+                                      size_t relation_params, bool reader) {
   if (why) why->clear();
   std::vector<std::string> members = analysis.ComponentMembers(name);
   if (members.empty()) {
@@ -913,6 +971,7 @@ std::optional<LoweredComponent> LowerComponent(
   ctx.defs = &defs;
   std::set<std::string> externals;
   ctx.externals = &externals;
+  if (reader) ctx.sites = &out.instances;
 
   for (const std::string& member : members) {
     auto it = defs.find(member);
@@ -941,6 +1000,47 @@ std::optional<LoweredComponent> LowerComponent(
   out.members = std::move(members);
   out.externals.assign(externals.begin(), externals.end());
   return out;
+}
+
+}  // namespace
+
+std::optional<LoweredComponent> LowerComponent(
+    const std::string& name, const ProgramAnalysis& analysis,
+    const DefIndex& defs, std::string* why, size_t relation_params) {
+  return Lower(name, analysis, defs, why, relation_params, /*reader=*/false);
+}
+
+std::optional<LoweredComponent> LowerReader(const std::string& name,
+                                            const ProgramAnalysis& analysis,
+                                            const DefIndex& defs) {
+  if (analysis.IsRecursive(name)) return std::nullopt;
+  return Lower(name, analysis, defs, nullptr, 0, /*reader=*/true);
+}
+
+std::string InstancePred(const std::string& pred, size_t site) {
+  return pred + "[" + std::to_string(site) + "]";
+}
+
+void MergeProducer(const LoweredComponent& producer,
+                   std::optional<size_t> site, datalog::Program* into) {
+  std::set<std::string> renamed;
+  if (site) {
+    renamed.insert(producer.members.begin(), producer.members.end());
+    renamed.insert(producer.arg_preds.begin(), producer.arg_preds.end());
+  }
+  auto name = [&](std::string* pred) {
+    if (renamed.count(*pred)) *pred = InstancePred(*pred, *site);
+  };
+  for (datalog::Rule rule : producer.program.rules()) {
+    name(&rule.head.pred);
+    for (Literal& lit : rule.body) {
+      if (lit.kind == Literal::Kind::kPositive ||
+          lit.kind == Literal::Kind::kNegative) {
+        name(&lit.atom.pred);
+      }
+    }
+    into->AddRule(std::move(rule));
+  }
 }
 
 std::optional<LoweredComponent> LowerComponent(

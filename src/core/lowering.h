@@ -58,6 +58,21 @@
 // monotonicity qualification refuses (datalog/eval.cc CheckMonotoneRule
 // and the emit-once guard for recursive sums). Rejection is always safe:
 // lowering only changes how the extent is computed, never what it is.
+//
+// Reader–producer fusion (LowerReader, MergeProducer) lowers one more
+// shape: a non-recursive first-order def that reads such components — a
+// query's `output(y) : reach(y)`, a transaction's `insert` — together with
+// the components it reads directly, as one program, so the reader's rows
+// come out of the same evaluation as its inputs instead of a second pass
+// through the solver. The reader's body must fit the fragment above; in
+// it, an application of a relation-parameter def to global relation names
+// (`TC[E2](p, y)`) is an *instance site* that reads a predicate of its own.
+// The interpreter (Interp::TryFuseReader) decides which producers join the
+// program. Out of scope: producers the extent cache can serve (they stay
+// EDB, copied out of the cache), readers nested below the reader (each
+// fuses on its own, if at all), reading EDB relations by handle instead of
+// copying them into the program, and an inline Value::Compare for the
+// joins the fused program runs.
 
 #ifndef REL_CORE_LOWERING_H_
 #define REL_CORE_LOWERING_H_
@@ -90,6 +105,20 @@ struct LoweredComponent {
   /// The names cannot collide with a Rel identifier. Empty for a
   /// first-order component.
   std::vector<std::string> arg_preds;
+
+  /// One application `name[args...](...)` of a relation-parameter def in a
+  /// reader lowered by LowerReader, in the order met. Every site reads its
+  /// own predicate, InstancePred(name, site index), which is never in
+  /// `externals`: the caller either fuses the instance's component under
+  /// that name (MergeProducer) or loads its extent there as EDB.
+  struct InstanceSite {
+    std::string name;
+    /// The relation arguments: identifiers naming global relations, the
+    /// exact AST nodes the solver resolves for this application.
+    std::vector<ExprPtr> args;
+    std::string pred;
+  };
+  std::vector<InstanceSite> instances;
 };
 
 /// A rule set by name, then by leading relation-parameter count, each list
@@ -121,6 +150,32 @@ std::optional<LoweredComponent> LowerComponent(
     const std::string& name, const ProgramAnalysis& analysis,
     const std::vector<std::shared_ptr<Def>>& defs, std::string* why,
     size_t relation_params = 0);
+
+/// Lowers the non-recursive first-order def `name` as the reader of a fused
+/// program: the same translation as LowerComponent(name, ..., 0), except
+/// that applications of relation-parameter defs to global relation names
+/// become instance sites (LoweredComponent::instances) instead of
+/// rejecting. Returns nullopt when the reader does not lower; no reason is
+/// kept, since a reader that does not fuse is evaluated exactly as before.
+std::optional<LoweredComponent> LowerReader(const std::string& name,
+                                            const ProgramAnalysis& analysis,
+                                            const DefIndex& defs);
+
+/// The predicate instance site `site` of a fused program reads for the
+/// relation `pred` — also the name `pred` takes in a producer merged for
+/// that site. Brackets cannot occur in a Rel identifier, so it collides with
+/// no relation name.
+std::string InstancePred(const std::string& pred, size_t site);
+
+/// Appends `producer`'s rules to `into`, the program of a fused read. With
+/// a `site` (a relation-argument instance) every member and argument
+/// predicate is first renamed InstancePred(pred, *site), so the reader's
+/// site atom reads the instance's member, and two instances' argument
+/// predicates stay apart; externals keep their names (a global relation is
+/// the same EDB for every reader). The caller loads the EDB under the same
+/// names.
+void MergeProducer(const LoweredComponent& producer,
+                   std::optional<size_t> site, datalog::Program* into);
 
 }  // namespace rel
 

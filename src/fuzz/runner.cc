@@ -203,12 +203,13 @@ class CaseRunner {
       return;
     }
 
+    // `query_fn` answers one predicate's whole extent.
     auto query_all = [&](const std::string& label, auto&& query_fn) {
       Outcome out;
       out.label = label;
       try {
         for (const std::string& pred : c_.idb_preds) {
-          out.extents[pred] = query_fn("def output : " + pred);
+          out.extents[pred] = query_fn(pred);
         }
       } catch (const RelError& e) {
         out.errored = true;
@@ -219,8 +220,8 @@ class CaseRunner {
       CompareAnswers(ref, out);
     };
 
-    auto engine_query = [&](const std::string& q) {
-      Relation answer = engine.Query(q);
+    auto engine_query = [&](const std::string& pred) {
+      Relation answer = engine.Query("def output : " + pred);
       result_.seeded_lookups += engine.last_lowering_stats().seeded_lookups;
       return answer;
     };
@@ -239,14 +240,42 @@ class CaseRunner {
 
     {
       auto session = engine.OpenSession();
-      query_all("rel/session", [&](const std::string& q) {
-        Relation answer = session->Query(q);
+      query_all("rel/session", [&](const std::string& pred) {
+        Relation answer = session->Query("def output : " + pred);
         result_.seeded_lookups += session->last_lowering_stats().seeded_lookups;
         return answer;
       });
     }
 
+    RunRelAdhoc(rel_src, query_all);
     RunRelPoint(ref, engine);
+  }
+
+  /// `rel/adhoc`: the program as query-local rules of an ad-hoc query on a
+  /// fresh engine, read by an explicit-parameter output,
+  /// `def output(v0, ...) : p(v0, ...)`. That reader lowers, so a recursive
+  /// or aggregate `p` evaluates in one Datalog program with it
+  /// (Interp::TryFuseReader). The configurations above never get there: a
+  /// point-free `def output : p` does not lower, and defined rules are
+  /// persistent, read through the extent cache.
+  template <typename QueryAll>
+  void RunRelAdhoc(const std::string& rel_src, QueryAll& query_all) {
+    std::map<std::string, size_t> arity;
+    for (const datalog::Rule& rule : c_.program.rules()) {
+      arity[rule.head.pred] = rule.head.terms.size() + (rule.agg ? 1 : 0);
+    }
+    Engine adhoc;
+    adhoc.options().max_iterations = kRelMaxIterations;
+    query_all("rel/adhoc", [&](const std::string& pred) {
+      std::string vars;
+      for (size_t i = 0; i < arity[pred]; ++i) {
+        vars += (i ? ", v" : "v") + std::to_string(i);
+      }
+      Relation answer = adhoc.Query(rel_src + "\ndef output(" + vars +
+                                    ") : " + pred + "(" + vars + ")");
+      result_.fused_readers += adhoc.last_lowering_stats().fused_readers;
+      return answer;
+    });
   }
 
   /// A bound read through the solver: the goal as a point query with bound

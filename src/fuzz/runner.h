@@ -4,7 +4,8 @@
 // repository offers — the classical Datalog engine under each strategy,
 // thread count and plan-order seed, plus the Rel engine through the to_rel
 // translation bridge (direct interpretation, recursion lowering, a fresh
-// Session snapshot, and a bound point query of the goal) — and every
+// Session snapshot, the rules as an ad-hoc query's own, and a bound point
+// query of the goal) — and every
 // answer is compared against a single oracle: the naive evaluator
 // (Strategy::kNaive), the simplest code in the tree — no planner, no
 // indexes, no deltas.
@@ -82,6 +83,9 @@ struct RunResult {
   /// non-recursive predicate (LoweringStats::seeded_lookups, summed over
   /// every query the case ran).
   int seeded_lookups = 0;
+  /// Readers the `rel/adhoc` configuration evaluated in one Datalog program
+  /// with the components they read (LoweringStats::fused_readers, summed).
+  int fused_readers = 0;
   bool ok() const { return discrepancies.empty(); }
 };
 

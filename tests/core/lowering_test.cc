@@ -512,6 +512,236 @@ TEST(LowerComponent, InterpIndexAndRuleVectorLowerIdentically) {
   EXPECT_GT(rejected, 10);
 }
 
+// --- reader–producer fusion ------------------------------------------------------
+
+const char kReach[] =
+    "def reach(x) : x = 0\n"
+    "def reach(y) : exists((x) | reach(x) and edge(x, y))";
+
+/// One query's answer (sorted rendering, or "kind: message" for an error)
+/// and its lowering counters.
+struct Outcome {
+  std::string answer;
+  LoweringStats stats;
+};
+
+struct RunOptions {
+  bool lower = true;
+  int threads = 1;
+  uint64_t plan_seed = 0;
+  int max_iterations = InterpOptions().max_iterations;
+};
+
+Outcome RunQuery(const std::string& source, const RunOptions& run = {}) {
+  Engine engine;
+  engine.options().lower_recursion = run.lower;
+  engine.options().num_threads = run.threads;
+  engine.options().plan_order_seed = run.plan_seed;
+  engine.options().max_iterations = run.max_iterations;
+  engine.Insert("edge", benchutil::RandomGraph(20, 44, 17));
+  std::vector<Tuple> nodes;
+  for (int i = 0; i < 22; ++i) nodes.push_back(Tuple({I(i)}));
+  engine.Insert("V", nodes);
+  // W(x, y, w): every edge weighted 1 + (x + y) mod 4.
+  std::vector<Tuple> weighted;
+  for (const Tuple& t : benchutil::RandomGraph(20, 44, 17)) {
+    weighted.push_back(
+        Tuple({t[0], t[1], I(1 + (t[0].AsInt() + t[1].AsInt()) % 4)}));
+  }
+  engine.Insert("W", weighted);
+  Outcome out;
+  try {
+    out.answer = engine.Query(source).ToString();
+  } catch (const RelError& e) {
+    out.answer = std::string(ErrorKindName(e.kind())) + ": " + e.what();
+  }
+  out.stats = engine.last_lowering_stats();
+  return out;
+}
+
+/// Runs `rules` with `def output(head) : body` three ways: fused (the
+/// default path), unfused (the same reader plus a true conjunct outside the
+/// Datalog fragment, so the reader cannot lower) and on the saturation
+/// loop (lower_recursion = false). All three must give the same answer, or
+/// the same error kind and message. Returns the fused run.
+Outcome ExpectFusedEqualsUnfused(const std::string& rules,
+                                 const std::string& head,
+                                 const std::string& body, RunOptions run = {}) {
+  const std::string reader = "\ndef output(" + head + ") : ";
+  Outcome fused = RunQuery(rules + reader + body, run);
+  Outcome unfused =
+      RunQuery(rules + reader + body + " and string_length(\"ab\", 2)", run);
+  EXPECT_EQ(unfused.stats.fused_readers, 0) << body;
+  run.lower = false;
+  Outcome classic = RunQuery(rules + reader + body, run);
+  EXPECT_EQ(fused.answer, unfused.answer) << body;
+  EXPECT_EQ(fused.answer, classic.answer) << body;
+  return fused;
+}
+
+TEST(Fusion, ProjectionOfAQueryLocalClosure) {
+  Outcome fused = ExpectFusedEqualsUnfused(kReach, "y", "reach(y)");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_EQ(fused.stats.fused_names, std::vector<std::string>{"output"});
+  // The producer counts as before: one lowered component, its members in
+  // lowered_names, its tuples in lowered_tuples; the reader in neither.
+  Outcome unfused = RunQuery(std::string(kReach) +
+                             "\ndef output(y) : reach(y) and "
+                             "string_length(\"ab\", 2)");
+  EXPECT_EQ(fused.stats.components_lowered, 1);
+  EXPECT_EQ(fused.stats.lowered_names, std::vector<std::string>{"reach"});
+  EXPECT_EQ(fused.stats.lowered_tuples, unfused.stats.lowered_tuples);
+  EXPECT_GT(fused.stats.lowered_tuples, 0u);
+  EXPECT_TRUE(fused.stats.rejection_notes.empty());
+}
+
+TEST(Fusion, NegationOfAFusedProducer) {
+  Outcome fused =
+      ExpectFusedEqualsUnfused(kReach, "y", "V(y) and not reach(y)");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_NE(fused.answer, "{}");
+}
+
+TEST(Fusion, FilteredReaderOfARecursiveSum) {
+  // Level-indexed mass propagation: each level splits a node's mass over
+  // its out-edges.
+  const std::string rules =
+      "def deg(u, n) : n = count[(v) : edge(u, v)]\n"
+      "def pr(v, t, r) : r = sum[(u, x) :\n"
+      "    (t = 0 and u = 0 and range(0, 19, 1, v) and x = 1.0) or\n"
+      "    (range(1, 4, 1, t) and exists((s, rr, n) |\n"
+      "        s = t - 1 and edge(u, v) and deg(u, n) and pr(u, s, rr) and\n"
+      "        x = rr / n))]";
+  Outcome fused = ExpectFusedEqualsUnfused(rules, "v, r",
+                                           "pr(v, 4, r) and v >= 3 and v <= 9");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_NE(fused.answer, "{}");
+}
+
+TEST(Fusion, FilteredReaderOfARecursiveMin) {
+  const std::string rules =
+      "def dist(y, d) : d = min[(j) : (y = 0 and j = 0) or\n"
+      "    exists((x, j1, w) | dist(x, j1) and W(x, y, w) and j = j1 + w)]";
+  Outcome fused =
+      ExpectFusedEqualsUnfused(rules, "y, d", "dist(y, d) and d < 6");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_NE(fused.answer, "{}");
+}
+
+TEST(Fusion, RelationArgumentInstance) {
+  // Stdlib TC[edge] is a per-instance component; the reader's site reads it
+  // under its own predicate name.
+  Outcome fused = ExpectFusedEqualsUnfused("", "y", "TC[edge](3, y)");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_EQ(fused.stats.lowered_names, std::vector<std::string>{"TC"});
+  EXPECT_NE(fused.answer, "{}");
+  // Two instances of one component: one joins the program, the other is
+  // evaluated on its own and read as EDB.
+  fused = ExpectFusedEqualsUnfused("", "y", "TC[edge](3, y) and TC[edge](y, 3)");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_EQ(fused.stats.components_lowered, 2);
+  // A reader of two components, one of which reads the other.
+  fused = ExpectFusedEqualsUnfused(
+      std::string(kReach) +
+          "\ndef far(y) : exists((x) | reach(x) and edge(x, y) and x > 4)\n"
+          "def far(y) : exists((x) | far(x) and edge(x, y))",
+      "y", "reach(y) and not far(y)");
+  EXPECT_EQ(fused.stats.fused_readers, 1);
+  EXPECT_EQ(fused.stats.components_lowered, 2);
+}
+
+TEST(Fusion, UnsupportedConstructFallsBackWithNothingFused) {
+  // In the reader: the producer lowers on its own, the reader is solved.
+  Outcome outcome = RunQuery(std::string(kReach) +
+                             "\ndef output(y, n) : reach(y) and "
+                             "string_length(\"ab\", n)");
+  EXPECT_EQ(outcome.stats.fused_readers, 0);
+  EXPECT_TRUE(outcome.stats.fused_names.empty());
+  EXPECT_EQ(outcome.stats.components_lowered, 1);
+  EXPECT_TRUE(outcome.stats.rejection_notes.empty());
+  // In the producer: rejected once, exactly as unfused, and saturated.
+  const std::string rules =
+      "def odd(x) : x = 1\n"
+      "def odd(y) : exists((x) | odd(x) and edge(x, y) and "
+      "string_length(\"ab\", 2))";
+  Outcome fused = ExpectFusedEqualsUnfused(rules, "y", "odd(y)");
+  EXPECT_EQ(fused.stats.fused_readers, 0);
+  EXPECT_EQ(fused.stats.components_lowered, 0);
+  EXPECT_EQ(fused.stats.components_rejected, 1);
+  EXPECT_EQ(fused.stats.rejection_notes.size(), 1u);
+}
+
+TEST(Fusion, ProducerOverTheIterationCapRaisesTheSameError) {
+  RunOptions run;
+  run.max_iterations = 32;
+  Outcome fused = ExpectFusedEqualsUnfused(
+      "def n(x) : x = 0\ndef n(x) : exists((y) | n(y) and x = y + 1)", "x",
+      "n(x) and x < 5", run);
+  EXPECT_EQ(fused.answer.rfind(ErrorKindName(ErrorKind::kNonConvergent), 0),
+            0u)
+      << fused.answer;
+  EXPECT_NE(fused.answer.find("max_iterations = 32"), std::string::npos);
+  EXPECT_EQ(fused.stats.fused_readers, 0);
+}
+
+TEST(Fusion, ThreadsAndPlanSeedsAgreeOnExtentsAndCounters) {
+  const std::string source =
+      std::string(kReach) +
+      "\ndef dist(y, d) : d = min[(j) : (y = 0 and j = 0) or\n"
+      "    exists((x, j1, w) | dist(x, j1) and W(x, y, w) and j = j1 + w)]\n"
+      "def output(y, d) : dist(y, d) and reach(y) and not TC[edge](y, 0)";
+  const Outcome base = RunQuery(source);
+  EXPECT_EQ(base.stats.fused_readers, 1);
+  EXPECT_EQ(base.stats.components_lowered, 3);
+  for (int threads : {1, 2, 8}) {
+    for (uint64_t seed : {0, 977}) {
+      RunOptions run;
+      run.threads = threads;
+      run.plan_seed = seed;
+      const Outcome got = RunQuery(source, run);
+      const std::string where =
+          "threads=" + std::to_string(threads) + " seed=" + std::to_string(seed);
+      EXPECT_EQ(got.answer, base.answer) << where;
+      EXPECT_EQ(got.stats.fused_readers, base.stats.fused_readers) << where;
+      EXPECT_EQ(got.stats.components_lowered, base.stats.components_lowered)
+          << where;
+      EXPECT_EQ(got.stats.lowered_tuples, base.stats.lowered_tuples) << where;
+      EXPECT_EQ(got.stats.lowered_names, base.stats.lowered_names) << where;
+      EXPECT_EQ(got.stats.fused_names, base.stats.fused_names) << where;
+    }
+  }
+}
+
+TEST(Fusion, PersistentComponentIsNeverFusedAndServedByTheCache) {
+  Engine engine;
+  engine.Insert("edge", benchutil::RandomGraph(20, 44, 17));
+  engine.Define(kTC);
+  auto session = engine.OpenSession();
+  const Relation first = session->Query("def output(y) : tc(0, y)");
+  EXPECT_EQ(session->last_lowering_stats().fused_readers, 0);
+  EXPECT_EQ(session->last_lowering_stats().components_lowered, 1);
+  EXPECT_EQ(session->last_lowering_stats().extent_cache_hits, 0);
+  EXPECT_EQ(session->Query("def output(y) : tc(0, y)"), first);
+  EXPECT_EQ(session->last_lowering_stats().fused_readers, 0);
+  EXPECT_EQ(session->last_lowering_stats().extent_cache_hits, 1);
+}
+
+TEST(Fusion, TransactionInsertFusesAndCommitsTheSameRows) {
+  const std::string txn =
+      std::string(kReach) + "\ndef insert(:Reached, y) : reach(y)";
+  std::string committed[2];
+  for (bool lower : {false, true}) {
+    Engine engine;
+    engine.options().lower_recursion = lower;
+    engine.Insert("edge", benchutil::RandomGraph(20, 44, 17));
+    engine.Exec(txn);
+    EXPECT_EQ(engine.last_lowering_stats().fused_readers, lower ? 1 : 0);
+    committed[lower] = engine.Query("def output : Reached").ToString();
+  }
+  EXPECT_EQ(committed[0], committed[1]);
+  EXPECT_NE(committed[1], "{}");
+}
+
 // --- fixpoint cap interplay ---------------------------------------------------
 
 TEST(Lowering, CapSurvivesTheLowering) {

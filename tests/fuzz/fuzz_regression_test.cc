@@ -68,12 +68,23 @@ TEST(FuzzCorpus, EveryReproducerReplaysClean) {
 TEST(FuzzCorpus, FilterBeforeBindingAtomRunsTheFullLattice) {
   // The oracle accepts a rule whose filter precedes its binding atom, so
   // the case runs every configuration: the oracle, nine planned points and
-  // four Rel paths (no goal, so no rel/point).
+  // five Rel paths (no goal, so no rel/point).
   FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
       REL_FUZZ_CORPUS_DIR) / "scan_order_safety.dl"));
   RunResult result = RunCase(c);
   EXPECT_TRUE(result.ok()) << FormatResult(c, result);
-  EXPECT_EQ(result.configs_run, 14);
+  EXPECT_EQ(result.configs_run, 15);
+}
+
+TEST(FuzzCorpus, AdhocConfigurationFusesARecursiveReader) {
+  // rel/adhoc reads each predicate through `def output(v0, ...) : p(...)`
+  // over query-local rules, so a recursive p evaluates in one Datalog
+  // program with its reader.
+  FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
+      REL_FUZZ_CORPUS_DIR) / "stats_multi_recursive.dl"));
+  RunResult result = RunCase(c);
+  EXPECT_TRUE(result.ok()) << FormatResult(c, result);
+  EXPECT_GT(result.fused_readers, 0);
 }
 
 TEST(FuzzCorpus, NonRecursiveGoalReadsASeededSlice) {
@@ -88,19 +99,19 @@ TEST(FuzzCorpus, NonRecursiveGoalReadsASeededSlice) {
 
 TEST(FuzzCorpus, AllBoundGoalRunsABooleanRead) {
   // Every position of the goal is bound, so rel/point is a boolean read:
-  // the fifteenth configuration, for a tuple in the extent and for one
+  // the sixteenth configuration, for a tuple in the extent and for one
   // that is not.
   FuzzCase c = CaseFromText(ReadFile(std::filesystem::path(
       REL_FUZZ_CORPUS_DIR) / "all_bound_goal.dl"));
   ASSERT_TRUE(c.goal.has_value());
   RunResult present = RunCase(c);
   EXPECT_TRUE(present.ok()) << FormatResult(c, present);
-  EXPECT_EQ(present.configs_run, 15);
+  EXPECT_EQ(present.configs_run, 16);
 
   c.goal->pattern = {Value::Int(3), Value::Int(1)};
   RunResult absent = RunCase(c);
   EXPECT_TRUE(absent.ok()) << FormatResult(c, absent);
-  EXPECT_EQ(absent.configs_run, 15);
+  EXPECT_EQ(absent.configs_run, 16);
 }
 
 TEST(FuzzCorpus, ReplayIsDeterministic) {
